@@ -34,6 +34,7 @@ from .metrics import (
     MetricReport,
     RealityCheck,
     canonical_normalize,
+    check_all,
     check_pseudo_adjoint,
     check_pseudo_hermitian,
     check_pseudo_real,

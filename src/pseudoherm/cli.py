@@ -244,22 +244,18 @@ def sweep_family(family: str, parameter: str, values, fixed: dict,
 
         found: dict[str, SweepPointMetric] = {}
         for name, metric in candidates.items():
-            reports = [
-                metrics.check_pseudo_real(h, metric, tol, name=name),
-                metrics.check_pseudo_adjoint(h, metric, tol, name=name),
-                metrics.check_pseudo_hermitian(h, metric, tol, name=name),
-            ]
-            holds = any(r.holds for r in reports)
-            found[name] = SweepPointMetric(holds, reports[0].metric)
+            reports = metrics.check_all(h, metric, tol, name)
+            holds = any(r.holds for r in reports.values())
+            found[name] = SweepPointMetric(holds, reports[metrics.PSEUDO_REAL].metric)
         try:
             d = metrics.build_diagonalizer(spec, tol)
-            for name, construct, check in (
-                ("from_D_rho", metrics.rho_from_diagonalizer, metrics.check_pseudo_real),
-                ("from_D_mu", metrics.mu_from_diagonalizer, metrics.check_pseudo_adjoint),
+            for name, construct, kind in (
+                ("from_D_rho", metrics.rho_from_diagonalizer, metrics.PSEUDO_REAL),
+                ("from_D_mu", metrics.mu_from_diagonalizer, metrics.PSEUDO_ADJOINT),
                 ("from_D_eta_plus", metrics.eta_plus_from_diagonalizer,
-                 metrics.check_pseudo_hermitian),
+                 metrics.PSEUDO_HERMITIAN),
             ):
-                rep = check(h, construct(d), tol, name=name, provenance="from_diagonalizer")
+                rep = metrics.check_all(h, construct(d), tol, name, "from_diagonalizer")[kind]
                 found[name] = SweepPointMetric(rep.holds, rep.metric)
         except (metrics.NearDefective, metrics.SingularMatrix):
             pass
@@ -455,7 +451,7 @@ def _cmd_discretize(args) -> int:
 
     tol = _tol_from_args(args)
     full = eigendecompose(h, tol)
-    bound = schrodinger.bound_spectrum(h, grid, args.states, tol)
+    bound = schrodinger.bound_spectrum(h, grid, args.states, tol, spectrum=full)
 
     candidates = {"identity": np.eye(grid.n_points, dtype=np.complex128)}
     parity = None

@@ -217,37 +217,15 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
         v[i, k] = abs(pivot)
 
     norm_h = fro(h)
-    scale = max(1.0, norm_h)
     flags: list[str] = []
     pairs = []
     for k in range(len(w)):
         vec = v[:, k]
-        res = float(np.linalg.norm(h @ vec - w[k] * vec) / (norm_h * np.linalg.norm(vec)))
+        # the zero matrix has exact eigenpairs: residual 0, not 0/0
+        res = float(np.linalg.norm(h @ vec - w[k] * vec) / ((norm_h or 1.0) * np.linalg.norm(vec)))
         if res > tol.residual_tol:
             flags.append(f"residual_above_tolerance:index={k},residual={res:.3e}")
         pairs.append(EigenPair(complex(w[k]), vec, res))
-
-    tags: list[RealityTag | None] = [None] * len(w)
-    for k in range(len(w)):
-        if abs(w[k].imag) <= tol.reality_tol * scale:
-            tags[k] = RealityTag("real")
-    # Greedy conjugate pairing among the non-real eigenvalues.
-    for i in range(len(w)):
-        if tags[i] is not None:
-            continue
-        best_j, best_d = -1, np.inf
-        for j in range(len(w)):
-            if j == i or tags[j] is not None:
-                continue
-            d = abs(w[i] - np.conj(w[j]))
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j >= 0 and best_d <= tol.pairing_tol * scale:
-            tags[i] = RealityTag("conjugate_pair", partner=best_j)
-            tags[best_j] = RealityTag("conjugate_pair", partner=i)
-    for k in range(len(w)):
-        if tags[k] is None:
-            tags[k] = RealityTag("complex")
 
     try:
         _, cond = inverse(v)
@@ -256,9 +234,44 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
 
     return Spectrum(
         pairs=tuple(pairs),
-        reality=tuple(tags),  # type: ignore[arg-type]
+        reality=_reality_tags(w, tol, max(1.0, norm_h)),
         diagonalizer_condition=float(cond),
         flags=tuple(flags),
+    )
+
+
+def _reality_tags(w: np.ndarray, tol: ToleranceConfig, scale: float) -> tuple[RealityTag, ...]:
+    """Tag each eigenvalue real, conjugate-paired or complex.
+
+    Non-real eigenvalues are paired greedily: each unpaired ``w[i]``, in
+    ascending ``i``, takes the nearest unpaired ``conj(w[j])`` (lowest ``j``
+    on ties) if it lies within ``pairing_tol * scale``; one left unpaired
+    stays eligible as a later partner.
+    """
+    real = np.abs(w.imag) <= tol.reality_tol * scale
+    free = ~real
+    partner = np.full(len(w), -1)
+    w_conj = np.conj(w)
+    for i in np.flatnonzero(free):
+        if not free[i]:
+            continue
+        diff = w[i] - w_conj
+        # np.hypot rounds exactly like the scalar abs(complex); the complex
+        # np.abs loop is vectorized differently and can differ in the last bit
+        d = np.hypot(diff.real, diff.imag)
+        # only other unpaired values compete, and a NaN or infinite distance
+        # never wins, even against an infinite tolerance
+        d[~(free & (d < np.inf))] = np.inf
+        d[i] = np.inf
+        j = int(np.argmin(d))
+        if d[j] < np.inf and d[j] <= tol.pairing_tol * scale:
+            free[i] = free[j] = False
+            partner[i], partner[j] = j, i
+    return tuple(
+        RealityTag("real") if real[k]
+        else RealityTag("conjugate_pair", partner=int(partner[k])) if partner[k] >= 0
+        else RealityTag("complex")
+        for k in range(len(w))
     )
 
 

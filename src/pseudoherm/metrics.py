@@ -116,37 +116,56 @@ def canonical_normalize(m) -> np.ndarray:
     return m / flat[idx]
 
 
-def _check(kind: str, h, metric, target, tol, name, provenance) -> MetricReport:
-    residual = similarity_residual(metric, h, target)
-    return MetricReport(
-        kind=kind,
-        name=name,
-        metric=canonical_normalize(metric),
-        residual=float(residual),
-        holds=bool(residual <= tol.metric_tol),
-        provenance=provenance,
-    )
+def check_all(h, metric, tol: ToleranceConfig | None = None,
+              name: str = "metric", provenance: str = "user") -> dict[str, MetricReport]:
+    """Test ``metric`` against all three similarity targets of H.
+
+    Returns the pseudo-real, pseudo-adjoint and pseudo-Hermitian reports,
+    keyed by kind in that order.  The metric is inverted once and
+    ``S H S^-1`` formed once; each residual equals
+    ``similarity_residual(metric, h, target)`` for its target.  Raises
+    :class:`SingularMatrix` when the metric cannot be inverted.
+    """
+    h = as_matrix(h)
+    metric = as_matrix(metric)
+    tol = tol or DEFAULT_TOL
+    if metric.shape != h.shape:
+        raise DimensionMismatch(f"shape mismatch: S {metric.shape}, H {h.shape}")
+    metric_inv, _ = inverse(metric)
+    similar = metric @ h @ metric_inv
+    scale = max(1.0, fro(h))
+    canonical = canonical_normalize(metric)
+    reports = {}
+    for kind, target in ((PSEUDO_REAL, h.conj()), (PSEUDO_ADJOINT, h.T),
+                         (PSEUDO_HERMITIAN, h.conj().T)):
+        residual = fro(similar - target) / scale
+        reports[kind] = MetricReport(
+            kind=kind,
+            name=name,
+            metric=canonical,
+            residual=float(residual),
+            holds=bool(residual <= tol.metric_tol),
+            provenance=provenance,
+        )
+    return reports
 
 
 def check_pseudo_real(h, rho, tol: ToleranceConfig | None = None,
                       name: str = "rho", provenance: str = "user") -> MetricReport:
     """Test rho H rho^-1 = conj(H)."""
-    h = as_matrix(h)
-    return _check(PSEUDO_REAL, h, rho, h.conj(), tol or DEFAULT_TOL, name, provenance)
+    return check_all(h, rho, tol, name, provenance)[PSEUDO_REAL]
 
 
 def check_pseudo_adjoint(h, mu, tol: ToleranceConfig | None = None,
                          name: str = "mu", provenance: str = "user") -> MetricReport:
     """Test mu H mu^-1 = H^T."""
-    h = as_matrix(h)
-    return _check(PSEUDO_ADJOINT, h, mu, h.T, tol or DEFAULT_TOL, name, provenance)
+    return check_all(h, mu, tol, name, provenance)[PSEUDO_ADJOINT]
 
 
 def check_pseudo_hermitian(h, eta, tol: ToleranceConfig | None = None,
                            name: str = "eta", provenance: str = "user") -> MetricReport:
     """Test eta H eta^-1 = H^dagger."""
-    h = as_matrix(h)
-    return _check(PSEUDO_HERMITIAN, h, eta, h.conj().T, tol or DEFAULT_TOL, name, provenance)
+    return check_all(h, eta, tol, name, provenance)[PSEUDO_HERMITIAN]
 
 
 def compose_eta(rho, mu) -> np.ndarray:
@@ -284,22 +303,20 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
         PSEUDO_ADJOINT: [],
         PSEUDO_HERMITIAN: [],
     }
-    checkers = {
-        PSEUDO_REAL: check_pseudo_real,
-        PSEUDO_ADJOINT: check_pseudo_adjoint,
-        PSEUDO_HERMITIAN: check_pseudo_hermitian,
-    }
 
     def run_all(name: str, metric: np.ndarray, provenance: str) -> None:
-        for kind, checker in checkers.items():
-            try:
-                by_kind[kind].append(checker(h, metric, tol, name=name, provenance=provenance))
-            except SingularMatrix:
+        try:
+            reports = check_all(h, metric, tol, name, provenance)
+        except SingularMatrix:
+            reports = {}
+            for kind in by_kind:
                 warn.append(f"metric '{name}' is singular; {kind} check skipped")
-                by_kind[kind].append(MetricReport(
+                reports[kind] = MetricReport(
                     kind=kind, name=name, metric=np.array(metric, dtype=np.complex128),
                     residual=math.inf, holds=False, provenance=provenance,
-                ))
+                )
+        for kind, report in reports.items():
+            by_kind[kind].append(report)
 
     for name, metric in (candidates or {}).items():
         metric = as_matrix(metric)

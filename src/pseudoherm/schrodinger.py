@@ -259,12 +259,15 @@ def gauge_metric(pot: PotentialSpec, grid: GridSpec) -> tuple[str, np.ndarray] |
     return None
 
 
-def bound_spectrum(h, grid: GridSpec, k: int, tol: ToleranceConfig | None = None) -> Spectrum:
+def bound_spectrum(h, grid: GridSpec, k: int, tol: ToleranceConfig | None = None,
+                   spectrum: Spectrum | None = None) -> Spectrum:
     """The k lowest (by real part) eigenpairs that decay at the boundary.
 
     States whose edge amplitude exceeds ``BOUNDARY_DECAY`` times their peak
     are artifacts of the Dirichlet box; they are skipped but recorded in
-    the returned spectrum's flags rather than silently dropped.
+    the returned spectrum's flags rather than silently dropped.  The full
+    ``spectrum`` of ``h``, when already computed, may be passed to avoid a
+    second eigensolve.
     """
     tol = tol or DEFAULT_TOL
     if k < 1:
@@ -272,7 +275,7 @@ def bound_spectrum(h, grid: GridSpec, k: int, tol: ToleranceConfig | None = None
     if k > grid.n_points / 4:
         raise ValueError(f"k={k} exceeds n_points/4={grid.n_points / 4:.0f}")
 
-    full = eigendecompose(h, tol)
+    full = spectrum if spectrum is not None else eigendecompose(h, tol)
     selected: list[int] = []
     flags: list[str] = list(full.flags)
     for i, pair in enumerate(full.pairs):

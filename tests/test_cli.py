@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pseudoherm import dumps_matrix, h6, load_matrix, loads_matrix, save_matrix
 from pseudoherm.cli import main, sweep_family, sweep_values
@@ -103,6 +104,14 @@ class TestAnalyze:
         grams = {g["metric"]: g for g in doc["grams"] if g["kind"] == "eta"}
         assert grams["from_D_eta_plus"]["signature"] == ["+", "+"]
 
+    def test_zero_matrix_gives_finite_report(self, tmp_path):
+        mat = tmp_path / "zero.json"
+        save_matrix(mat, np.zeros((2, 2)))
+        code, doc = run(tmp_path, "analyze", "--matrix", str(mat))
+        assert code == 0
+        assert doc["spectrum"]["residuals"] == [0, 0]
+        assert doc["classification"]["hermitian"] == {"holds": True, "residual": 0}
+
     def test_deterministic_bytes(self, tmp_path):
         mat = tmp_path / "h.json"
         save_matrix(mat, h6(0.3, 1.0, 2.0))
@@ -191,6 +200,20 @@ class TestDiscretize:
         code2, doc2 = run(tmp_path, "analyze", "--matrix", str(mat))
         assert code2 == 0
         assert doc2["classification"]["hermitian"]["holds"]
+
+    def test_one_eigensolve_per_invocation(self, tmp_path, monkeypatch):
+        calls = []
+        eig = scipy.linalg.eig
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eig", counting)
+        code, doc = run(tmp_path, "discretize", "--family", "harmonic", "--alpha", "1",
+                        "--xmax", "6", "--n", "64", "--states", "3")
+        assert code == 0 and len(doc["spectrum"]["eigenvalues"]) == 3
+        assert calls == [(64, 64)]
 
     def test_invalid_grid_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "discretize", "--family", "harmonic", "--alpha", "1",

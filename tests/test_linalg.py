@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pseudoherm import (
     NearDefective,
+    RealityTag,
     SingularMatrix,
     ToleranceConfig,
     build_diagonalizer,
@@ -14,7 +17,7 @@ from pseudoherm import (
     similarity_residual,
 )
 from pseudoherm.families import SIGMA_X, SIGMA_Y, SIGMA_Z, h5, h8
-from pseudoherm.linalg import EPS, DimensionMismatch, fro
+from pseudoherm.linalg import EPS, DimensionMismatch, _reality_tags, fro
 
 
 def random_complex(rng, n):
@@ -124,6 +127,93 @@ class TestEigendecompose:
         np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
         assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
         assert a.reality == b.reality
+
+    def test_zero_matrix_residuals_are_zero(self):
+        spec = eigendecompose(np.zeros((2, 2)))
+        assert [p.residual for p in spec.pairs] == [0.0, 0.0]
+        assert not spec.flags
+
+
+def reference_reality_tags(w, tol, scale):
+    """The nested greedy pairing loop that ``_reality_tags`` replaces, kept verbatim."""
+    tags = [None] * len(w)
+    for k in range(len(w)):
+        if abs(w[k].imag) <= tol.reality_tol * scale:
+            tags[k] = RealityTag("real")
+    # Greedy conjugate pairing among the non-real eigenvalues.
+    for i in range(len(w)):
+        if tags[i] is not None:
+            continue
+        best_j, best_d = -1, np.inf
+        for j in range(len(w)):
+            if j == i or tags[j] is not None:
+                continue
+            d = abs(w[i] - np.conj(w[j]))
+            if d < best_d:
+                best_j, best_d = j, d
+        if best_j >= 0 and best_d <= tol.pairing_tol * scale:
+            tags[i] = RealityTag("conjugate_pair", partner=best_j)
+            tags[best_j] = RealityTag("conjugate_pair", partner=i)
+    for k in range(len(w)):
+        if tags[k] is None:
+            tags[k] = RealityTag("complex")
+    return tuple(tags)
+
+
+# A cluster is a centre (real when its imaginary part is 0) and members at
+# the centre or its conjugate, offset by integer multiples of a unit times
+# the scale.  A unit of 2**-30 keeps every value and every difference exact,
+# so exact pairs, duplicates, ties and leftover unpaired values occur; a
+# quarter of the 1e-8 tolerances puts distances on both tolerance boundaries.
+UNIT = 2.0 ** -30
+_member = st.tuples(st.booleans(), st.integers(-12, 12), st.integers(-12, 12))
+_cluster = st.tuples(st.integers(-4, 4), st.integers(0, 4),
+                     st.lists(_member, min_size=1, max_size=4))
+
+
+@st.composite
+def eigenvalue_sets(draw):
+    scale = draw(st.sampled_from([1.0, 2.0]))
+    unit = draw(st.sampled_from([UNIT, 1e-8 / 4])) * scale
+    # a pairing tolerance above twice the reality tolerance lets a non-real
+    # value lie within reach of its own conjugate
+    tol = ToleranceConfig(pairing_tol=draw(st.sampled_from([1e-8, 3e-8])))
+    values = []
+    for re, im, members in draw(st.lists(_cluster, min_size=1, max_size=6)):
+        centre = complex(re, im) / 4.0
+        for flip, dre, dim in members:
+            offset = complex(dre, dim) * unit
+            values.append((centre.conjugate() if flip else centre) + offset)
+    values = draw(st.permutations(values))
+    return np.array(values, dtype=np.complex128), scale, tol
+
+
+def _tie(first, second):
+    # |first| == |second| under the scalar abs, but the vectorized complex
+    # np.abs rounds the two differently, so only the scalar-exact distance
+    # keeps the tie going to the lower index
+    c = 0.25 + 0.5j
+    w = np.array([c, np.conj(c - first * UNIT), np.conj(c - second * UNIT)])
+    return w, 1.0, ToleranceConfig()
+
+
+class TestRealityTags:
+    @settings(max_examples=400, deadline=None)
+    @given(eigenvalue_sets())
+    @example(_tie(-9 - 2j, -7 - 6j))
+    @example(_tie(-7 - 6j, -9 - 2j))
+    @example((np.array([0.25j, 1e-8 - 0.25j]), 1.0, ToleranceConfig()))  # d == pairing_tol
+    def test_matches_nested_loop(self, case):
+        w, scale, tol = case
+        assert _reality_tags(w, tol, scale) == reference_reality_tags(w, tol, scale)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_nested_loop_on_random_spectra(self, seed):
+        rng = np.random.default_rng(seed)
+        w = eigendecompose(random_complex(rng, 40)).eigenvalues
+        w = np.concatenate([w, w.conj(), w[:5]])
+        tol = ToleranceConfig()
+        assert _reality_tags(w, tol, 1.0) == reference_reality_tags(w, tol, 1.0)
 
 
 class TestBuildDiagonalizer:

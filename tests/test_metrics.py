@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pseudoherm import (
     SIGMA_X,
@@ -10,6 +11,7 @@ from pseudoherm import (
     SingularMatrix,
     ZeroVector,
     canonical_normalize,
+    check_all,
     check_pseudo_adjoint,
     check_pseudo_hermitian,
     check_pseudo_real,
@@ -27,9 +29,11 @@ from pseudoherm import (
     m3,
     mu_from_diagonalizer,
     rho_from_diagonalizer,
+    similarity_residual,
     symmetry_generator,
 )
 from pseudoherm.linalg import build_diagonalizer, fro, inverse
+from pseudoherm.metrics import PSEUDO_ADJOINT, PSEUDO_HERMITIAN, PSEUDO_REAL
 
 ID2 = np.eye(2, dtype=complex)
 
@@ -97,6 +101,45 @@ class TestChecks:
         assert scaled.holds == base.holds
         assert abs(scaled.residual - base.residual) <= 1e-12
         np.testing.assert_allclose(scaled.metric, base.metric, atol=1e-14)
+
+
+class TestCheckAll:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_residuals_equal_per_target_similarity_residuals(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 3 + 5 * seed
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        targets = {PSEUDO_REAL: h.conj(), PSEUDO_ADJOINT: h.T, PSEUDO_HERMITIAN: h.conj().T}
+        reports = check_all(h, s, name="s")
+        assert list(reports) == list(targets)
+        for kind, target in targets.items():
+            assert reports[kind].kind == kind
+            assert reports[kind].residual == similarity_residual(s, h, target)
+            np.testing.assert_array_equal(reports[kind].metric, canonical_normalize(s))
+
+    def test_one_factorization_per_metric(self, monkeypatch):
+        calls = []
+        lu_factor = scipy.linalg.lu_factor
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return lu_factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+        check_all(h5(0.0, 0.6, 1.0), SIGMA_X)
+        assert calls == [(2, 2)]
+
+    def test_singular_candidate_warnings_in_kind_order(self):
+        rng = np.random.default_rng(4)
+        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        report = classify(h, {"flat": np.ones((3, 3))})
+        kinds = (PSEUDO_REAL, PSEUDO_ADJOINT, PSEUDO_HERMITIAN)
+        assert report.warnings[:3] == tuple(
+            f"metric 'flat' is singular; {kind} check skipped" for kind in kinds)
+        for reps in (report.pseudo_real, report.pseudo_adjoint, report.pseudo_hermitian):
+            assert reps[0].name == "flat" and reps[0].residual == np.inf and not reps[0].holds
+            np.testing.assert_array_equal(reps[0].metric, np.ones((3, 3)))
 
 
 class TestCanonicalNormalize:

@@ -254,6 +254,25 @@ class TestBoundSpectrum:
         rejected = [f for f in bound.flags if f.startswith("boundary_filter_rejected")]
         assert rejected and "index=" in rejected[0]
 
+    @pytest.mark.parametrize("pot,grid", [
+        (harmonic(1.0), GridSpec(-8.0, 8.0, 256)),
+        (gauged_oscillator(1.0, 0.1), GridSpec(-8.0, 8.0, 256)),
+        (gauged_hermitian(1.0, 0.05), GridSpec(-8.0, 8.0, 256)),
+        (morse(3.5, 4.0, shift=0.3), GridSpec(-4.0, 14.0, 256, mass=0.5)),
+        (monomial_pt(1.0, 3), GridSpec(-6.0, 6.0, 256)),
+    ])
+    def test_precomputed_spectrum_selects_the_same_states(self, pot, grid):
+        h = build_hamiltonian(pot, grid)
+        own = bound_spectrum(h, grid, 6)
+        given = bound_spectrum(h, grid, 6, spectrum=eigendecompose(h))
+        assert len(given.pairs) == len(own.pairs)
+        for a, b in zip(given.pairs, own.pairs):
+            assert a.eigenvalue == b.eigenvalue and a.residual == b.residual
+            np.testing.assert_array_equal(a.eigenvector, b.eigenvector)
+        assert given.reality == own.reality
+        assert given.diagonalizer_condition == own.diagonalizer_condition
+        assert given.flags == own.flags
+
     def test_k_limit(self):
         grid = GridSpec(-6.0, 6.0, 64)
         h = build_hamiltonian(harmonic(1.0), grid)
