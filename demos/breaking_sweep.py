@@ -9,7 +9,7 @@ across the real phase are reported as secular (parameter independent).
 
 import numpy as np
 
-from pseudoherm.cli import sweep_family, sweep_values
+from pseudoherm.sweep import sweep_family, sweep_values
 
 
 def show(result, expected):

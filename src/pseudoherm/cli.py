@@ -2,12 +2,14 @@
 
 Reports are single JSON documents with the frozen top-level keys
 ``input``, ``spectrum``, ``classification``, ``grams``, ``warnings``
-(sweeps use their own schema, see :class:`SweepResult`).  All numbers are
-serialized with 17 significant digits, so identical invocations produce
-byte-identical output and matrix files round-trip exactly.
+(sweeps use their own schema, see :class:`pseudoherm.sweep.SweepResult`).
+All numbers are serialized with 17 significant digits, so identical
+invocations produce byte-identical output and matrix files round-trip
+exactly.
 
 Exit codes: 0 analysis ran (whatever the verdicts), 2 input could not be
-parsed, 3 dimensions are inconsistent.
+parsed, 3 dimensions are inconsistent, 4 numerical failure (the
+eigensolver did not converge).
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import families, inner, metrics, schrodinger
 from .linalg import (
+    ConvergenceFailure,
     DimensionMismatch,
     MatrixFormatError,
     Spectrum,
@@ -33,16 +35,11 @@ from .linalg import (
     save_matrix,
     to_json_text,
 )
+from .sweep import InvalidRange, SweepResult, sweep_family, sweep_values
 
 # Matrices and grams up to this dimension are embedded in reports;
 # larger ones are summarized by a content fingerprint.
 EMBED_LIMIT = 16
-
-SECULAR_TOL = 1e-8
-
-
-class InvalidRange(Exception):
-    """Raised for an empty or inverted sweep range."""
 
 
 def fingerprint(m) -> str:
@@ -171,127 +168,6 @@ def build_report(h, candidates, tol: ToleranceConfig, input_doc: dict,
     }
 
 
-# ---------------------------------------------------------------------------
-# Parameter sweeps
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepPointMetric:
-    holds: bool
-    canonical: np.ndarray
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    value: float
-    max_imag: float
-    spectrum_real: bool
-    metrics: dict
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Family sweep over one parameter.
-
-    ``breaking_point`` brackets the first flip of the all-real flag (an
-    interval, not a point: at the coalescence the pairing is
-    ill-conditioned).  A metric is *secular* when it certifies at every
-    real-phase point and its canonical normalization is constant across
-    them to within ``SECULAR_TOL``.
-    """
-
-    family: str
-    parameter: str
-    fixed: dict
-    points: tuple[SweepPoint, ...]
-    breaking_point: tuple[float, float] | None
-    secular_metrics: tuple[str, ...]
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(p.value for p in self.points)
-
-
-def sweep_values(start: float, stop: float, step: float) -> np.ndarray:
-    if step <= 0:
-        raise InvalidRange("step must be positive")
-    if stop < start:
-        raise InvalidRange("empty range")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
-
-
-def sweep_family(family: str, parameter: str, values, fixed: dict,
-                 tol: ToleranceConfig | None = None) -> SweepResult:
-    """Evaluate a builtin family along one parameter."""
-    tol = tol or ToleranceConfig()
-    values = np.asarray(list(values), dtype=float)
-    if values.size == 0:
-        raise InvalidRange("empty range")
-    if np.any(np.diff(values) <= 0):
-        raise InvalidRange("values must be strictly increasing")
-
-    points: list[SweepPoint] = []
-    for value in values:
-        assignments = dict(fixed)
-        assignments[parameter] = float(value)
-        h, params, candidates, _ = families.instantiate_builtin(family, assignments)
-        spec = eigendecompose(h, tol)
-        scale = max(1.0, float(np.linalg.norm(h)))
-        max_imag = float(np.abs(spec.eigenvalues.imag).max())
-        all_real = all(tag.kind == "real" for tag in spec.reality)
-
-        found: dict[str, SweepPointMetric] = {}
-        for name, metric in candidates.items():
-            reports = metrics.check_all(h, metric, tol, name)
-            holds = any(r.holds for r in reports.values())
-            found[name] = SweepPointMetric(holds, reports[metrics.PSEUDO_REAL].metric)
-        try:
-            d = metrics.build_diagonalizer(spec, tol)
-            for name, construct, kind in (
-                ("from_D_rho", metrics.rho_from_diagonalizer, metrics.PSEUDO_REAL),
-                ("from_D_mu", metrics.mu_from_diagonalizer, metrics.PSEUDO_ADJOINT),
-                ("from_D_eta_plus", metrics.eta_plus_from_diagonalizer,
-                 metrics.PSEUDO_HERMITIAN),
-            ):
-                rep = metrics.check_all(h, construct(d), tol, name, "from_diagonalizer")[kind]
-                found[name] = SweepPointMetric(rep.holds, rep.metric)
-        except (metrics.NearDefective, metrics.SingularMatrix):
-            pass
-
-        points.append(SweepPoint(float(value), max_imag, bool(all_real), found))
-
-    breaking = None
-    for i in range(len(points) - 1):
-        if points[i].spectrum_real != points[i + 1].spectrum_real:
-            breaking = (points[i].value, points[i + 1].value)
-            break
-
-    real_points = [p for p in points if p.spectrum_real]
-    secular: list[str] = []
-    if real_points:
-        names = sorted({name for p in real_points for name in p.metrics})
-        for name in names:
-            entries = [p.metrics.get(name) for p in real_points]
-            if any(e is None or not e.holds for e in entries):
-                continue
-            ref = entries[0].canonical
-            if all(e.canonical.shape == ref.shape
-                   and float(np.abs(e.canonical - ref).max()) <= SECULAR_TOL
-                   for e in entries[1:]):
-                secular.append(name)
-
-    return SweepResult(
-        family=family,
-        parameter=parameter,
-        fixed=dict(fixed),
-        points=tuple(points),
-        breaking_point=breaking,
-        secular_metrics=tuple(secular),
-    )
-
-
 def _sweep_doc(result: SweepResult) -> dict:
     return {
         "family": result.family,
@@ -366,6 +242,18 @@ def _parse_assignments(pairs) -> dict:
     return out
 
 
+def _input_doc(h, candidates, tol: ToleranceConfig, **head) -> dict:
+    """The ``head`` keys, then the keys every report's ``input`` ends with."""
+    return {
+        **head,
+        "n": int(h.shape[0]),
+        "matrix": _matrix_doc(h),
+        "candidates": sorted(candidates),
+        "tolerances": {"residual": tol.residual_tol, "reality": tol.reality_tol,
+                       "metric": tol.metric_tol},
+    }
+
+
 def _emit(args, doc: dict) -> None:
     text = to_json_text(doc) + "\n"
     if args.json:
@@ -379,28 +267,13 @@ def _cmd_analyze(args) -> int:
     candidates = {}
     for kind in ("rho", "mu", "eta"):
         candidates.update(_parse_metric_specs(getattr(args, kind), kind))
-    for name, metric in candidates.items():
-        if metric.shape != h.shape:
-            raise DimensionMismatch(
-                f"metric '{name}' is {metric.shape[0]}x{metric.shape[0]}, "
-                f"matrix is {h.shape[0]}x{h.shape[0]}"
-            )
     parity = None
     parity_name = "reversal"
     if args.parity:
         parity = load_matrix(args.parity)
         parity_name = Path(args.parity).stem
-        if parity.shape != h.shape:
-            raise DimensionMismatch("parity matrix dimension mismatch")
     tol = _tol_from_args(args)
-    input_doc = {
-        "source": args.matrix,
-        "n": int(h.shape[0]),
-        "matrix": _matrix_doc(h),
-        "candidates": sorted(candidates),
-        "tolerances": {"residual": tol.residual_tol, "reality": tol.reality_tol,
-                       "metric": tol.metric_tol},
-    }
+    input_doc = _input_doc(h, candidates, tol, source=args.matrix)
     _emit(args, build_report(h, candidates, tol, input_doc,
                              parity=parity, parity_name=parity_name))
     return 0
@@ -412,15 +285,7 @@ def _cmd_builtin(args) -> int:
     if args.matrix:
         save_matrix(args.matrix, h)
     tol = _tol_from_args(args)
-    input_doc = {
-        "source": f"builtin:{args.name}",
-        "parameters": params,
-        "n": int(h.shape[0]),
-        "matrix": _matrix_doc(h),
-        "candidates": sorted(candidates),
-        "tolerances": {"residual": tol.residual_tol, "reality": tol.reality_tol,
-                       "metric": tol.metric_tol},
-    }
+    input_doc = _input_doc(h, candidates, tol, source=f"builtin:{args.name}", parameters=params)
     input_doc.update(extras)
     _emit(args, build_report(h, candidates, tol, input_doc))
     return 0
@@ -464,19 +329,11 @@ def _cmd_discretize(args) -> int:
     if gauge is not None:
         candidates[gauge[0]] = gauge[1]
 
-    input_doc = {
-        "source": f"discretize:{family}",
-        "parameters": params,
-        "shift": args.shift,
-        "grid": {"x_min": grid.x_min, "x_max": grid.x_max,
-                 "n_points": grid.n_points, "mass": grid.mass},
-        "states": args.states,
-        "n": int(h.shape[0]),
-        "matrix": _matrix_doc(h),
-        "candidates": sorted(candidates),
-        "tolerances": {"residual": tol.residual_tol, "reality": tol.reality_tol,
-                       "metric": tol.metric_tol},
-    }
+    input_doc = _input_doc(
+        h, candidates, tol, source=f"discretize:{family}", parameters=params, shift=args.shift,
+        grid={"x_min": grid.x_min, "x_max": grid.x_max,
+              "n_points": grid.n_points, "mass": grid.mass},
+        states=args.states)
     _emit(args, build_report(h, candidates, tol, input_doc,
                              parity=parity, parity_name=parity_name,
                              spectrum=full, gram_spectrum=bound))
@@ -563,6 +420,9 @@ def main(argv=None) -> int:
     except DimensionMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ConvergenceFailure as exc:
+        print(f"error: eigendecomposition failed: {exc}", file=sys.stderr)
+        return 4
     except (MatrixFormatError, families.UnknownBuiltin, families.MissingParameter,
             schrodinger.InvalidGrid, schrodinger.ParameterOutOfRange,
             InvalidRange, ValueError) as exc:

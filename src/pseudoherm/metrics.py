@@ -52,6 +52,7 @@ from .linalg import (
 PSEUDO_REAL = "pseudo_real"
 PSEUDO_ADJOINT = "pseudo_adjoint"
 PSEUDO_HERMITIAN = "pseudo_hermitian"
+KINDS = (PSEUDO_REAL, PSEUDO_ADJOINT, PSEUDO_HERMITIAN)
 
 # Entries at or below this fraction of the largest magnitude count as zero
 # when locating the canonical normalization pivot.
@@ -215,6 +216,53 @@ def eta_plus_from_diagonalizer(d) -> np.ndarray:
     return (eta + eta.conj().T) / 2.0
 
 
+# Metrics built from the diagonalizer: (name, constructor, relation it certifies).
+DIAGONALIZER_METRICS = (
+    ("from_D_rho", rho_from_diagonalizer, PSEUDO_REAL),
+    ("from_D_mu", mu_from_diagonalizer, PSEUDO_ADJOINT),
+    ("from_D_eta_plus", eta_plus_from_diagonalizer, PSEUDO_HERMITIAN),
+)
+
+
+def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig | None = None
+                  ) -> tuple[list[dict[str, MetricReport]], list[str]]:
+    """Run :func:`check_all` on each candidate, then on the diagonalizer metrics.
+
+    Returns the reports of each metric, candidates first, and the warnings.
+    A singular metric fails every relation with residual ``inf``.  The
+    diagonalizer metrics need ``spectrum`` and are suppressed with a warning
+    when its eigenvector matrix is near-defective or singular.
+    """
+    h = as_matrix(h)
+    checked, warn = [], []
+
+    def run(name: str, metric: np.ndarray, provenance: str) -> None:
+        try:
+            checked.append(check_all(h, metric, tol, name, provenance))
+        except SingularMatrix:
+            warn.extend(f"metric '{name}' is singular; {kind} check skipped" for kind in KINDS)
+            metric = np.array(metric, dtype=np.complex128)
+            checked.append({kind: MetricReport(kind, name, metric, math.inf, False, provenance)
+                            for kind in KINDS})
+
+    for name, metric in (candidates or {}).items():
+        metric = as_matrix(metric)
+        if metric.shape != h.shape:
+            raise DimensionMismatch(
+                f"candidate '{name}' has shape {metric.shape}, expected {h.shape}"
+            )
+        run(name, metric, "user")
+
+    if spectrum is not None:
+        try:
+            d = build_diagonalizer(spectrum, tol)
+            for name, construct, _ in DIAGONALIZER_METRICS:
+                run(name, construct(d), "from_diagonalizer")
+        except (NearDefective, SingularMatrix) as exc:
+            warn.append(f"diagonalizer metrics suppressed: {exc}")
+    return checked, warn
+
+
 def _colinearity(rho_inv: np.ndarray, psi: np.ndarray, tol: ToleranceConfig,
                  eigen_index: int, metric_name: str) -> RealityCheck:
     w = rho_inv @ psi.conj()
@@ -291,56 +339,22 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     tol = tol or DEFAULT_TOL
     n = h.shape[0]
     scale = max(1.0, fro(h))
-    warn: list[str] = []
 
     herm_res = fro(h - h.conj().T) / scale
     sa_res = fro(h - h.T) / scale
     hermitian = (bool(herm_res <= tol.metric_tol), float(herm_res))
     self_adjoint = (bool(sa_res <= tol.metric_tol), float(sa_res))
 
-    by_kind: dict[str, list[MetricReport]] = {
-        PSEUDO_REAL: [],
-        PSEUDO_ADJOINT: [],
-        PSEUDO_HERMITIAN: [],
-    }
-
-    def run_all(name: str, metric: np.ndarray, provenance: str) -> None:
-        try:
-            reports = check_all(h, metric, tol, name, provenance)
-        except SingularMatrix:
-            reports = {}
-            for kind in by_kind:
-                warn.append(f"metric '{name}' is singular; {kind} check skipped")
-                reports[kind] = MetricReport(
-                    kind=kind, name=name, metric=np.array(metric, dtype=np.complex128),
-                    residual=math.inf, holds=False, provenance=provenance,
-                )
-        for kind, report in reports.items():
-            by_kind[kind].append(report)
-
-    for name, metric in (candidates or {}).items():
-        metric = as_matrix(metric)
-        if metric.shape != h.shape:
-            raise DimensionMismatch(
-                f"candidate '{name}' has shape {metric.shape}, expected {h.shape}"
-            )
-        run_all(name, metric, "user")
-
+    failure = None
     if spectrum is None:
         try:
             spectrum = eigendecompose(h, tol)
         except ConvergenceFailure as exc:
-            warn.append(f"eigendecomposition failed: {exc}")
-            spectrum = None
-
-    if spectrum is not None:
-        try:
-            d = build_diagonalizer(spectrum, tol)
-            run_all("from_D_rho", rho_from_diagonalizer(d), "from_diagonalizer")
-            run_all("from_D_mu", mu_from_diagonalizer(d), "from_diagonalizer")
-            run_all("from_D_eta_plus", eta_plus_from_diagonalizer(d), "from_diagonalizer")
-        except (NearDefective, SingularMatrix) as exc:
-            warn.append(f"diagonalizer metrics suppressed: {exc}")
+            failure = f"eigendecomposition failed: {exc}"
+    checked, warn = check_metrics(h, candidates, spectrum, tol)
+    if failure is not None:
+        warn.append(failure)
+    pseudo_real, pseudo_adjoint, pseudo_hermitian = (tuple(r[k] for r in checked) for k in KINDS)
 
     parity = as_matrix(parity) if parity is not None else default_parity(n)
     if parity.shape != h.shape:
@@ -356,7 +370,7 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     if spectrum is not None:
         # invert each holding metric once; the check itself is then a matvec
         holding_rhos = []
-        for rep in by_kind[PSEUDO_REAL]:
+        for rep in pseudo_real:
             if not rep.holds:
                 continue
             try:
@@ -372,9 +386,9 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     return ClassificationReport(
         hermitian=hermitian,
         self_adjoint=self_adjoint,
-        pseudo_real=tuple(by_kind[PSEUDO_REAL]),
-        pseudo_adjoint=tuple(by_kind[PSEUDO_ADJOINT]),
-        pseudo_hermitian=tuple(by_kind[PSEUDO_HERMITIAN]),
+        pseudo_real=pseudo_real,
+        pseudo_adjoint=pseudo_adjoint,
+        pseudo_hermitian=pseudo_hermitian,
         pt_symmetric=pt,
         spectrum=spectrum,
         reality_checks=tuple(reality_checks),

@@ -79,10 +79,11 @@ class TestAnalyze:
     def test_exit_3_on_dimension_mismatch(self, tmp_path):
         mat = tmp_path / "h.json"
         save_matrix(mat, h6(1.0, 1.0, 2.0))
-        big = tmp_path / "eta.json"
+        big = tmp_path / "big.json"
         save_matrix(big, np.eye(3))
-        code, _ = run(tmp_path, "analyze", "--matrix", str(mat), "--eta", str(big))
-        assert code == 3
+        for flag in ("--eta", "--parity"):
+            code, _ = run(tmp_path, "analyze", "--matrix", str(mat), flag, str(big))
+            assert code == 3, flag
 
     def test_no_symmetry_found_still_exits_zero(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -259,3 +260,29 @@ class TestSweep:
         code, _ = run(tmp_path, "sweep", "H5", "b", "a=0", "c=1",
                       "--from", "1.0", "--to", "0.0", "--step", "0.1")
         assert code == 2
+
+    def test_singular_metric_does_not_hold(self, tmp_path):
+        # at b = 1 the closed-form mu (and the eta+ built from it) of this H8
+        # is singular; the point is reported, not aborted
+        code, doc = run(tmp_path, "sweep", "H8", "b", "a=0", "c=0.6", "d=0.8000000000000002",
+                        "--from", "0", "--to", "2", "--step", "0.5")
+        assert code == 0
+        point = {p["value"]: p for p in doc["points"]}[1.0]
+        holds = {name: m["holds"] for name, m in point["metrics"].items()}
+        assert not holds["closed_form_mu"] and not holds["closed_form_eta_plus"]
+        assert holds["sigma_x"] and holds["closed_form_rho"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("discretize", "--family", "harmonic", "--alpha", "1", "--xmax", "6", "--n", "32",
+     "--states", "2"),
+    ("sweep", "H5", "b", "a=0", "c=1", "--from", "0", "--to", "1", "--step", "0.5"),
+])
+def test_exit_4_on_eigensolver_failure(tmp_path, monkeypatch, capsys, argv):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eig", no_convergence)
+    code, doc = run(tmp_path, *argv)
+    assert code == 4 and doc is None
+    assert "error: eigendecomposition failed" in capsys.readouterr().err
