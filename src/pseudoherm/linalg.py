@@ -16,6 +16,7 @@ write/read round trip is bit exact.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -93,8 +94,20 @@ def as_vector(obj) -> np.ndarray:
 
 
 def fro(m: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
+    """Frobenius norm, finite for finite entries below the float maximum.
+
+    The sum of squares is the one ``np.linalg.norm`` forms, so the result
+    is the same bit for bit, but taken with ``np.vdot``, which does not
+    warn when it overflows.  On overflow the norm is taken of ``m`` scaled
+    by its largest magnitude and scaled back.
+    """
+    x = np.ravel(m, order="K")
+    norm = math.sqrt(np.vdot(x.real, x.real) + np.vdot(x.imag, x.imag))
+    if norm == math.inf:
+        top = float(np.abs(x).max())
+        if top < math.inf:
+            norm = top * fro(x / top)
+    return norm
 
 
 def _norm1(m: np.ndarray) -> float:
@@ -222,7 +235,7 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
     for k in range(len(w)):
         vec = v[:, k]
         # the zero matrix has exact eigenpairs: residual 0, not 0/0
-        res = float(np.linalg.norm(h @ vec - w[k] * vec) / ((norm_h or 1.0) * np.linalg.norm(vec)))
+        res = fro(h @ vec - w[k] * vec) / ((norm_h or 1.0) * fro(vec))
         if res > tol.residual_tol:
             flags.append(f"residual_above_tolerance:index={k},residual={res:.3e}")
         pairs.append(EigenPair(complex(w[k]), vec, res))

@@ -102,6 +102,16 @@ class ClassificationReport:
     warnings: tuple[str, ...] = ()
 
 
+def _pivot(m: np.ndarray) -> complex:
+    """First entry (row-major) above ``CANONICAL_ZERO_REL`` times the largest magnitude."""
+    flat = m.reshape(-1)
+    mag = np.abs(flat)
+    top = float(mag.max())
+    if top == 0.0:
+        raise SingularMatrix("zero matrix has no canonical normalization")
+    return flat[int(np.argmax(mag > CANONICAL_ZERO_REL * top))]
+
+
 def canonical_normalize(m) -> np.ndarray:
     """Scale so the first nonzero entry (row-major) equals 1.
 
@@ -109,12 +119,34 @@ def canonical_normalize(m) -> np.ndarray:
     treated as zero, so tiny numerical residue cannot become the pivot.
     """
     m = as_matrix(m)
-    flat = m.reshape(-1)
-    top = float(np.abs(flat).max())
-    if top == 0.0:
-        raise SingularMatrix("zero matrix has no canonical normalization")
-    idx = int(np.argmax(np.abs(flat) > CANONICAL_ZERO_REL * top))
-    return m / flat[idx]
+    return m / _pivot(m)
+
+
+def _check(h: np.ndarray, metric: np.ndarray, tol: ToleranceConfig, name: str,
+           provenance: str) -> tuple[dict[str, MetricReport], np.ndarray]:
+    """The reports of :func:`check_all`, and the inverse of the canonical metric."""
+    if metric.shape != h.shape:
+        raise DimensionMismatch(f"shape mismatch: S {metric.shape}, H {h.shape}")
+    metric_inv, _ = inverse(metric)
+    similar = metric @ h @ metric_inv
+    scale = max(1.0, fro(h))
+    pivot = _pivot(metric)
+    canonical = metric / pivot
+    h_conj = h.conj()
+    reports = {}
+    for kind, target in ((PSEUDO_REAL, h_conj), (PSEUDO_ADJOINT, h.T),
+                         (PSEUDO_HERMITIAN, h_conj.T)):
+        residual = fro(similar - target) / scale
+        reports[kind] = MetricReport(
+            kind=kind,
+            name=name,
+            metric=canonical,
+            residual=float(residual),
+            holds=bool(residual <= tol.metric_tol),
+            provenance=provenance,
+        )
+    metric_inv *= pivot  # (metric / pivot)^-1
+    return reports, metric_inv
 
 
 def check_all(h, metric, tol: ToleranceConfig | None = None,
@@ -127,28 +159,7 @@ def check_all(h, metric, tol: ToleranceConfig | None = None,
     ``similarity_residual(metric, h, target)`` for its target.  Raises
     :class:`SingularMatrix` when the metric cannot be inverted.
     """
-    h = as_matrix(h)
-    metric = as_matrix(metric)
-    tol = tol or DEFAULT_TOL
-    if metric.shape != h.shape:
-        raise DimensionMismatch(f"shape mismatch: S {metric.shape}, H {h.shape}")
-    metric_inv, _ = inverse(metric)
-    similar = metric @ h @ metric_inv
-    scale = max(1.0, fro(h))
-    canonical = canonical_normalize(metric)
-    reports = {}
-    for kind, target in ((PSEUDO_REAL, h.conj()), (PSEUDO_ADJOINT, h.T),
-                         (PSEUDO_HERMITIAN, h.conj().T)):
-        residual = fro(similar - target) / scale
-        reports[kind] = MetricReport(
-            kind=kind,
-            name=name,
-            metric=canonical,
-            residual=float(residual),
-            holds=bool(residual <= tol.metric_tol),
-            provenance=provenance,
-        )
-    return reports
+    return _check(as_matrix(h), as_matrix(metric), tol or DEFAULT_TOL, name, provenance)[0]
 
 
 def check_pseudo_real(h, rho, tol: ToleranceConfig | None = None,
@@ -224,6 +235,41 @@ DIAGONALIZER_METRICS = (
 )
 
 
+def _checked_metrics(h: np.ndarray, candidates, spectrum: Spectrum | None,
+                     tol: ToleranceConfig, warn: list[str]):
+    """Yield ``(reports, inverse)`` for each metric :func:`check_metrics` tests.
+
+    ``inverse`` is that of the canonical metric, ``None`` for a singular
+    one; warnings are appended to ``warn``.  A metric is inverted only when
+    the next item is asked for, so a caller that drops each inverse first
+    holds at most one.
+    """
+    def run(name: str, metric: np.ndarray, provenance: str):
+        try:
+            return _check(h, metric, tol, name, provenance)
+        except SingularMatrix:
+            warn.extend(f"metric '{name}' is singular; {kind} check skipped" for kind in KINDS)
+            metric = np.array(metric, dtype=np.complex128)
+            return {kind: MetricReport(kind, name, metric, math.inf, False, provenance)
+                    for kind in KINDS}, None
+
+    for name, metric in (candidates or {}).items():
+        metric = as_matrix(metric)
+        if metric.shape != h.shape:
+            raise DimensionMismatch(
+                f"candidate '{name}' has shape {metric.shape}, expected {h.shape}"
+            )
+        yield run(name, metric, "user")
+
+    if spectrum is not None:
+        try:
+            d = build_diagonalizer(spectrum, tol)
+            for name, construct, _ in DIAGONALIZER_METRICS:
+                yield run(name, construct(d), "from_diagonalizer")
+        except (NearDefective, SingularMatrix) as exc:
+            warn.append(f"diagonalizer metrics suppressed: {exc}")
+
+
 def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig | None = None
                   ) -> tuple[list[dict[str, MetricReport]], list[str]]:
     """Run :func:`check_all` on each candidate, then on the diagonalizer metrics.
@@ -233,46 +279,47 @@ def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig
     diagonalizer metrics need ``spectrum`` and are suppressed with a warning
     when its eigenvector matrix is near-defective or singular.
     """
-    h = as_matrix(h)
-    checked, warn = [], []
-
-    def run(name: str, metric: np.ndarray, provenance: str) -> None:
-        try:
-            checked.append(check_all(h, metric, tol, name, provenance))
-        except SingularMatrix:
-            warn.extend(f"metric '{name}' is singular; {kind} check skipped" for kind in KINDS)
-            metric = np.array(metric, dtype=np.complex128)
-            checked.append({kind: MetricReport(kind, name, metric, math.inf, False, provenance)
-                            for kind in KINDS})
-
-    for name, metric in (candidates or {}).items():
-        metric = as_matrix(metric)
-        if metric.shape != h.shape:
-            raise DimensionMismatch(
-                f"candidate '{name}' has shape {metric.shape}, expected {h.shape}"
-            )
-        run(name, metric, "user")
-
-    if spectrum is not None:
-        try:
-            d = build_diagonalizer(spectrum, tol)
-            for name, construct, _ in DIAGONALIZER_METRICS:
-                run(name, construct(d), "from_diagonalizer")
-        except (NearDefective, SingularMatrix) as exc:
-            warn.append(f"diagonalizer metrics suppressed: {exc}")
+    warn: list[str] = []
+    checked = [reports for reports, _ in
+               _checked_metrics(as_matrix(h), candidates, spectrum, tol or DEFAULT_TOL, warn)]
     return checked, warn
 
 
-def _colinearity(rho_inv: np.ndarray, psi: np.ndarray, tol: ToleranceConfig,
-                 eigen_index: int, metric_name: str) -> RealityCheck:
-    w = rho_inv @ psi.conj()
-    eps = complex((psi.conj() @ w) / (psi.conj() @ psi))
-    residual = float(np.linalg.norm(w - eps * psi) / np.linalg.norm(w))
+# Eigenvectors per matrix product of the reality check: enough columns for
+# a matrix-matrix product, few enough that the n x block temporaries stay
+# small next to the n x n inverse.
+REALITY_BLOCK = 64
+
+
+def _colinearity(rho_inv: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Colinearity of ``w = rho^-1 conj(psi)`` with ``psi``, for each vector ``psi``.
+
+    Returns ``eps = psi^H w / psi^H psi`` and ``||w - eps psi|| / ||w||``
+    per vector, from one matrix product per block of ``REALITY_BLOCK``
+    vectors.  The residual is the norm of the difference itself: the
+    shortcut ``||w||^2 - |psi^H w|^2`` cancels to noise near colinearity.
+    """
+    count = len(vectors)
+    eps = np.empty(count, dtype=np.complex128)
+    residual = np.empty(count)
+    for start in range(0, count, REALITY_BLOCK):
+        block = slice(start, min(start + REALITY_BLOCK, count))
+        v = np.column_stack(vectors[block])
+        v_conj = v.conj()
+        w = rho_inv @ v_conj
+        e = np.einsum("ij,ij->j", v_conj, w) / np.einsum("ij,ij->j", v_conj, v)
+        eps[block] = e
+        residual[block] = np.linalg.norm(w - e * v, axis=0) / np.linalg.norm(w, axis=0)
+    return eps, residual
+
+
+def _reality_check(eigen_index: int, metric_name: str, eps, residual,
+                   tol: ToleranceConfig) -> RealityCheck:
     return RealityCheck(
         eigen_index=eigen_index,
         metric_name=metric_name,
-        epsilon=eps,
-        colinearity_residual=residual,
+        epsilon=complex(eps),
+        colinearity_residual=float(residual),
         holds=bool(residual <= tol.metric_tol),
     )
 
@@ -292,7 +339,8 @@ def eigenstate_reality_check(rho, psi, tol: ToleranceConfig | None = None,
     if float(np.linalg.norm(psi)) == 0.0:
         raise ZeroVector("eigenstate reality check needs a nonzero vector")
     rho_inv, _ = inverse(rho)
-    return _colinearity(rho_inv, psi, tol, eigen_index, metric_name)
+    eps, residual = _colinearity(rho_inv, [psi])
+    return _reality_check(eigen_index, metric_name, eps[0], residual[0], tol)
 
 
 def default_parity(n: int) -> np.ndarray:
@@ -351,7 +399,18 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
             spectrum = eigendecompose(h, tol)
         except ConvergenceFailure as exc:
             failure = f"eigendecomposition failed: {exc}"
-    checked, warn = check_metrics(h, candidates, spectrum, tol)
+
+    # Each holding pseudo-reality metric runs its reality checks while its
+    # inverse is at hand; the inverse is dropped before the next metric's.
+    warn: list[str] = []
+    checked, reality = [], []
+    vectors = [pair.eigenvector for pair in spectrum.pairs] if spectrum is not None else []
+    for reports, metric_inv in _checked_metrics(h, candidates, spectrum, tol, warn):
+        checked.append(reports)
+        rep = reports[PSEUDO_REAL]
+        if rep.holds and vectors:
+            reality.append((rep.name, *_colinearity(metric_inv, vectors)))
+        del metric_inv
     if failure is not None:
         warn.append(failure)
     pseudo_real, pseudo_adjoint, pseudo_hermitian = (tuple(r[k] for r in checked) for k in KINDS)
@@ -359,29 +418,23 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     parity = as_matrix(parity) if parity is not None else default_parity(n)
     if parity.shape != h.shape:
         raise DimensionMismatch("parity matrix dimension mismatch")
+    # A candidate equal to the parity already holds this residual.  A
+    # singular one (residual inf) falls through to similarity_residual,
+    # which raises for it.
+    pt_res = next((reports[PSEUDO_REAL].residual
+                   for reports, metric in zip(checked, (candidates or {}).values())
+                   if math.isfinite(reports[PSEUDO_REAL].residual)
+                   and np.array_equal(metric, parity)), None)
     try:
-        pt_res = similarity_residual(parity, h, h.conj())
+        if pt_res is None:
+            pt_res = similarity_residual(parity, h, h.conj())
         pt = (parity_name, float(pt_res), bool(pt_res <= tol.metric_tol))
     except SingularMatrix:
         warn.append("parity matrix is singular; PT check skipped")
         pt = None
 
-    reality_checks: list[RealityCheck] = []
-    if spectrum is not None:
-        # invert each holding metric once; the check itself is then a matvec
-        holding_rhos = []
-        for rep in pseudo_real:
-            if not rep.holds:
-                continue
-            try:
-                holding_rhos.append((rep, inverse(rep.metric)[0]))
-            except SingularMatrix:
-                warn.append(f"reality check with '{rep.name}' skipped (singular)")
-        for k, pair in enumerate(spectrum.pairs):
-            for rep, rho_inv in holding_rhos:
-                reality_checks.append(_colinearity(
-                    rho_inv, pair.eigenvector, tol,
-                    eigen_index=k, metric_name=rep.name))
+    reality_checks = tuple(_reality_check(k, name, eps[k], residual[k], tol)
+                           for k in range(len(vectors)) for name, eps, residual in reality)
 
     return ClassificationReport(
         hermitian=hermitian,
@@ -391,6 +444,6 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
         pseudo_hermitian=pseudo_hermitian,
         pt_symmetric=pt,
         spectrum=spectrum,
-        reality_checks=tuple(reality_checks),
+        reality_checks=reality_checks,
         warnings=tuple(warn),
     )

@@ -1,12 +1,13 @@
 """Command line contract: interchange round trips, exit codes, reports."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from pseudoherm import dumps_matrix, h6, load_matrix, loads_matrix, save_matrix
+from pseudoherm import dumps_matrix, h6, load_matrix, loads_matrix, metrics, save_matrix
 from pseudoherm.cli import main, sweep_family, sweep_values
 from pseudoherm.linalg import MatrixFormatError
 
@@ -113,6 +114,17 @@ class TestAnalyze:
         assert doc["spectrum"]["residuals"] == [0, 0]
         assert doc["classification"]["hermitian"] == {"holds": True, "residual": 0}
 
+    def test_huge_entries_give_finite_report(self, tmp_path):
+        # the sum of squares in the Frobenius norm overflows at these entries
+        mat = tmp_path / "huge.json"
+        save_matrix(mat, np.diag([1e200, 2e200, -3e200]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, doc = run(tmp_path, "analyze", "--matrix", str(mat))
+        assert code == 0
+        assert doc["classification"]["hermitian"]["holds"]
+        assert [tag["tag"] for tag in doc["spectrum"]["reality"]] == ["real"] * 3
+
     def test_deterministic_bytes(self, tmp_path):
         mat = tmp_path / "h.json"
         save_matrix(mat, h6(0.3, 1.0, 2.0))
@@ -215,6 +227,33 @@ class TestDiscretize:
                         "--xmax", "6", "--n", "64", "--states", "3")
         assert code == 0 and len(doc["spectrum"]["eigenvalues"]) == 3
         assert calls == [(64, 64)]
+
+    def test_one_factorization_per_metric(self, tmp_path, monkeypatch):
+        lu_calls, similarity_calls = [], []
+        lu_factor, similarity_residual = scipy.linalg.lu_factor, metrics.similarity_residual
+
+        def counting_lu(*args, **kwargs):
+            lu_calls.append(args[0].shape)
+            return lu_factor(*args, **kwargs)
+
+        def counting_similarity(*args, **kwargs):
+            similarity_calls.append(args[0].shape)
+            return similarity_residual(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counting_lu)
+        monkeypatch.setattr(metrics, "similarity_residual", counting_similarity)
+        code, doc = run(tmp_path, "discretize", "--family", "harmonic", "--alpha", "1",
+                        "--xmax", "10", "--n", "256")
+        assert code == 0
+        # eigenvector condition; identity and parity; three diagonalizer
+        # metrics, each built and checked
+        assert len(lu_calls) <= 9
+        # the PT residual is the parity candidate's pseudo-real residual
+        cls = doc["classification"]
+        parity = next(r for r in cls["pseudo_real"] if r["name"] == "parity")
+        assert similarity_calls == []
+        assert cls["pt_symmetric"]["residual"] == parity["residual"]
+        assert len(cls["reality_checks"]) == 5 * 256
 
     def test_invalid_grid_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "discretize", "--family", "harmonic", "--alpha", "1",

@@ -1,5 +1,7 @@
 """Core matrix algebra: involutions, inversion, eigendecomposition, residuals."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,28 @@ from pseudoherm.linalg import EPS, DimensionMismatch, _reality_tags, fro
 
 def random_complex(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+class TestFro:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(-300.0, 300.0),
+           st.sampled_from(["whole", "transpose", "column", "strided", "real"]))
+    def test_equals_numpy_norm_or_rescaled_norm(self, n, seed, log_scale, view):
+        rng = np.random.default_rng(seed)
+        m = random_complex(rng, n) * 10.0 ** log_scale
+        m = {"whole": m, "transpose": m.T, "column": m[:, 0], "strided": m[::2, 1::3],
+             "real": m.real}[view]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            plain = float(np.linalg.norm(m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = fro(m)
+        if plain < np.inf:
+            assert got == plain
+        else:
+            top = float(np.abs(m).max())
+            assert got == top * float(np.linalg.norm(m / top)) < np.inf
 
 
 class TestInvolutions:

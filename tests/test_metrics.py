@@ -1,8 +1,12 @@
 """Symmetry checks, metric construction and the reality dichotomy."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudoherm import (
     SIGMA_X,
@@ -32,8 +36,9 @@ from pseudoherm import (
     similarity_residual,
     symmetry_generator,
 )
-from pseudoherm.linalg import build_diagonalizer, fro, inverse
-from pseudoherm.metrics import PSEUDO_ADJOINT, PSEUDO_HERMITIAN, PSEUDO_REAL
+from pseudoherm import metrics
+from pseudoherm.linalg import DEFAULT_TOL, build_diagonalizer, fro, inverse
+from pseudoherm.metrics import PSEUDO_ADJOINT, PSEUDO_HERMITIAN, PSEUDO_REAL, RealityCheck
 
 ID2 = np.eye(2, dtype=complex)
 
@@ -234,7 +239,74 @@ class TestDiagonalizerMetrics:
             eta_plus_from_diagonalizer(dg), h8_eta_plus(a, b, c, d), atol=1e-12)
 
 
+def reference_colinearity(rho_inv, psi, tol, eigen_index, metric_name):
+    """The per-vector reality check as it was before batching (reference)."""
+    w = rho_inv @ psi.conj()
+    eps = complex((psi.conj() @ w) / (psi.conj() @ psi))
+    residual = float(np.linalg.norm(w - eps * psi) / np.linalg.norm(w))
+    return RealityCheck(
+        eigen_index=eigen_index,
+        metric_name=metric_name,
+        epsilon=eps,
+        colinearity_residual=residual,
+        holds=bool(residual <= tol.metric_tol),
+    )
+
+
+def reference_reality_checks(report, tol):
+    """The reality loop of classify as it was before batching (reference)."""
+    holding_rhos = [(rep, inverse(rep.metric)[0]) for rep in report.pseudo_real if rep.holds]
+    return [reference_colinearity(rho_inv, pair.eigenvector, tol, k, rep.name)
+            for k, pair in enumerate(report.spectrum.pairs) for rep, rho_inv in holding_rhos]
+
+
+@st.composite
+def pseudo_real_systems(draw):
+    """H = S diag(lam) S^-1 with real and conjugate-pair lam, and a rho certifying it.
+
+    With P the permutation swapping the members of each pair,
+    rho = conj(S) P S^-1 satisfies rho H rho^-1 = conj(H); it is returned
+    times a random complex factor, so its canonical pivot is not 1.
+    """
+    n_real = draw(st.integers(1, 5))
+    n_pairs = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = n_real + 2 * n_pairs
+    centers = rng.permutation(np.arange(-8, 9))[:n_real + n_pairs] * 0.5
+    lam = list(centers[:n_real] + rng.uniform(-0.1, 0.1, n_real))
+    swap = list(range(n_real))
+    for a in centers[n_real:]:
+        b = rng.uniform(0.5, 2.0)
+        swap += [len(lam) + 1, len(lam)]
+        lam += [a + 1j * b, a - 1j * b]
+    noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    s = np.eye(n) + (0.3 / np.sqrt(2.0 * n)) * noise
+    s_inv = np.linalg.inv(s)
+    h = s @ np.diag(lam) @ s_inv
+    rho = s.conj() @ np.eye(n)[swap] @ s_inv
+    factor = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
+    return h, factor * rho
+
+
 class TestRealityCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(pseudo_real_systems(), st.sampled_from([1, 2, 3, metrics.REALITY_BLOCK]))
+    def test_batched_checks_match_per_vector_loop(self, system, block):
+        h, rho = system
+        with mock.patch.object(metrics, "REALITY_BLOCK", block):
+            report = classify(h, {"rho": rho})
+        assert report.pseudo_real[0].holds
+        expected = reference_reality_checks(report, DEFAULT_TOL)
+        assert len(report.reality_checks) == len(expected) >= len(h)
+        for got, want in zip(report.reality_checks, expected):
+            assert (got.eigen_index, got.metric_name, got.holds) == (
+                want.eigen_index, want.metric_name, want.holds)
+            assert abs(got.colinearity_residual - want.colinearity_residual) <= 1e-12
+            assert abs(got.epsilon - want.epsilon) <= 1e-12
+        tags = [tag.kind for tag in report.spectrum.reality]
+        assert [c.holds for c in report.reality_checks if c.metric_name == "rho"] == [
+            kind == "real" for kind in tags]
+
     def test_h5_real_eigenvector(self):
         # hand evaluation: sigma_x conj(psi) = (0.8 + 0.6i) psi
         psi = np.array([1.0, 0.8 - 0.6j])
