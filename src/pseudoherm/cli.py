@@ -82,23 +82,23 @@ def _spectrum_doc(spec: Spectrum | None) -> dict | None:
     }
 
 
-def _metric_report_doc(rep: metrics.MetricReport) -> dict:
-    return {
-        "name": rep.name,
-        "provenance": rep.provenance,
-        "residual": _finite_or_none(rep.residual),
-        "holds": rep.holds,
-        "metric": _matrix_doc(rep.metric),
-    }
-
-
 def _classification_doc(report: metrics.ClassificationReport) -> dict:
+    entries = {kind: [] for kind in metrics.KINDS}
+    # the three reports of one metric share its matrix document
+    for reps in zip(report.pseudo_real, report.pseudo_adjoint, report.pseudo_hermitian):
+        matrix = _matrix_doc(reps[0].metric)
+        for rep in reps:
+            entries[rep.kind].append({
+                "name": rep.name,
+                "provenance": rep.provenance,
+                "residual": _finite_or_none(rep.residual),
+                "holds": rep.holds,
+                "metric": matrix,
+            })
     doc = {
         "hermitian": {"holds": report.hermitian[0], "residual": report.hermitian[1]},
         "self_adjoint": {"holds": report.self_adjoint[0], "residual": report.self_adjoint[1]},
-        "pseudo_real": [_metric_report_doc(r) for r in report.pseudo_real],
-        "pseudo_adjoint": [_metric_report_doc(r) for r in report.pseudo_adjoint],
-        "pseudo_hermitian": [_metric_report_doc(r) for r in report.pseudo_hermitian],
+        **entries,
         "pt_symmetric": None,
         "reality_checks": [
             {
@@ -139,6 +139,7 @@ def build_report(h, candidates, tol: ToleranceConfig, input_doc: dict,
     ``gram_spectrum`` selects the states the Gram reports run over
     (defaults to the classification spectrum).
     """
+    parity = parity if parity is not None else metrics.default_parity(h.shape[0])
     report = metrics.classify(h, candidates, tol, parity=parity,
                               parity_name=parity_name, spectrum=spectrum)
     warnings = list(report.warnings)
@@ -156,8 +157,7 @@ def build_report(h, candidates, tol: ToleranceConfig, input_doc: dict,
                     inner.eta_gram(states, rep.metric, eigenvalues, tol), rep.name))
         if report.pt_symmetric is not None:
             name = report.pt_symmetric[0]
-            par = as_matrix(parity) if parity is not None else metrics.default_parity(h.shape[0])
-            grams.append(_gram_doc(inner.pt_gram(states, par, eigenvalues, tol), name))
+            grams.append(_gram_doc(inner.pt_gram(states, parity, eigenvalues, tol), name))
 
     return {
         "input": input_doc,
@@ -322,7 +322,7 @@ def _cmd_discretize(args) -> int:
     parity = None
     parity_name = "reversal"
     if grid.symmetric:
-        parity = schrodinger.build_operators(grid).Par
+        parity = metrics.default_parity(grid.n_points)
         parity_name = "grid_reversal"
         candidates["parity"] = parity
     gauge = schrodinger.gauge_metric(pot, grid)

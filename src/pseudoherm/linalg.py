@@ -210,6 +210,13 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
     """
     h = as_matrix(h)
     tol = tol or DEFAULT_TOL
+    # zgeev leaves unscaled the eigenvalues of a matrix whose largest entry is
+    # outside about [6.7e-139, 1.5e138]: solve it scaled by a power of two
+    top = max(float(np.abs(h.real).max()), float(np.abs(h.imag).max()))
+    scale = 1.0
+    if top > 2.0**400 or 0.0 < top < 2.0**-400:
+        scale = math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
+        h = h * scale
     try:
         w, v = scipy.linalg.eig(h, check_finite=False)
     except Exception as exc:  # LAPACK reports non-convergence via LinAlgError
@@ -238,7 +245,7 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
         res = fro(h @ vec - w[k] * vec) / ((norm_h or 1.0) * fro(vec))
         if res > tol.residual_tol:
             flags.append(f"residual_above_tolerance:index={k},residual={res:.3e}")
-        pairs.append(EigenPair(complex(w[k]), vec, res))
+        pairs.append(EigenPair(complex(w[k] / scale), vec, res))
 
     try:
         _, cond = inverse(v)
@@ -247,7 +254,7 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
 
     return Spectrum(
         pairs=tuple(pairs),
-        reality=_reality_tags(w, tol, max(1.0, norm_h)),
+        reality=_reality_tags(w / scale, tol, max(1.0, norm_h / scale)),
         diagonalizer_condition=float(cond),
         flags=tuple(flags),
     )

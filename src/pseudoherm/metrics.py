@@ -122,31 +122,36 @@ def canonical_normalize(m) -> np.ndarray:
     return m / _pivot(m)
 
 
+def _residuals(h: np.ndarray, metric: np.ndarray, metric_inv: np.ndarray
+               ) -> tuple[float, float, float]:
+    """Relative residuals of ``S H S^-1`` against conj(H), H^T and H^dagger."""
+    similar = metric @ h @ metric_inv
+    scale = max(1.0, fro(h))
+    h_conj = h.conj()
+    return tuple(fro(similar - target) / scale for target in (h_conj, h.T, h_conj.T))
+
+
 def _check(h: np.ndarray, metric: np.ndarray, tol: ToleranceConfig, name: str,
-           provenance: str) -> tuple[dict[str, MetricReport], np.ndarray]:
-    """The reports of :func:`check_all`, and the inverse of the canonical metric."""
+           provenance: str, vectors=None
+           ) -> tuple[dict[str, MetricReport], tuple[np.ndarray, np.ndarray] | None]:
+    """The reports of :func:`check_all`, and the reality checks of ``vectors``.
+
+    The colinearity ``(eps, residual)`` of each vector is taken under the
+    canonical metric when ``vectors`` are given and the metric is
+    pseudo-real, and is ``None`` otherwise.
+    """
     if metric.shape != h.shape:
         raise DimensionMismatch(f"shape mismatch: S {metric.shape}, H {h.shape}")
     metric_inv, _ = inverse(metric)
-    similar = metric @ h @ metric_inv
-    scale = max(1.0, fro(h))
     pivot = _pivot(metric)
     canonical = metric / pivot
-    h_conj = h.conj()
-    reports = {}
-    for kind, target in ((PSEUDO_REAL, h_conj), (PSEUDO_ADJOINT, h.T),
-                         (PSEUDO_HERMITIAN, h_conj.T)):
-        residual = fro(similar - target) / scale
-        reports[kind] = MetricReport(
-            kind=kind,
-            name=name,
-            metric=canonical,
-            residual=float(residual),
-            holds=bool(residual <= tol.metric_tol),
-            provenance=provenance,
-        )
+    reports = {kind: MetricReport(kind, name, canonical, residual,
+                                  bool(residual <= tol.metric_tol), provenance)
+               for kind, residual in zip(KINDS, _residuals(h, metric, metric_inv))}
+    if not (vectors and reports[PSEUDO_REAL].holds):
+        return reports, None
     metric_inv *= pivot  # (metric / pivot)^-1
-    return reports, metric_inv
+    return reports, _colinearity(metric_inv, vectors)
 
 
 def check_all(h, metric, tol: ToleranceConfig | None = None,
@@ -235,54 +240,50 @@ DIAGONALIZER_METRICS = (
 )
 
 
-def _checked_metrics(h: np.ndarray, candidates, spectrum: Spectrum | None,
-                     tol: ToleranceConfig, warn: list[str]):
-    """Yield ``(reports, inverse)`` for each metric :func:`check_metrics` tests.
-
-    ``inverse`` is that of the canonical metric, ``None`` for a singular
-    one; warnings are appended to ``warn``.  A metric is inverted only when
-    the next item is asked for, so a caller that drops each inverse first
-    holds at most one.
-    """
-    def run(name: str, metric: np.ndarray, provenance: str):
-        try:
-            return _check(h, metric, tol, name, provenance)
-        except SingularMatrix:
-            warn.extend(f"metric '{name}' is singular; {kind} check skipped" for kind in KINDS)
-            metric = np.array(metric, dtype=np.complex128)
-            return {kind: MetricReport(kind, name, metric, math.inf, False, provenance)
-                    for kind in KINDS}, None
-
-    for name, metric in (candidates or {}).items():
-        metric = as_matrix(metric)
-        if metric.shape != h.shape:
-            raise DimensionMismatch(
-                f"candidate '{name}' has shape {metric.shape}, expected {h.shape}"
-            )
-        yield run(name, metric, "user")
-
-    if spectrum is not None:
-        try:
-            d = build_diagonalizer(spectrum, tol)
-            for name, construct, _ in DIAGONALIZER_METRICS:
-                yield run(name, construct(d), "from_diagonalizer")
-        except (NearDefective, SingularMatrix) as exc:
-            warn.append(f"diagonalizer metrics suppressed: {exc}")
-
-
-def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig | None = None
-                  ) -> tuple[list[dict[str, MetricReport]], list[str]]:
+def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig | None = None,
+                  vectors=None) -> tuple[list[dict[str, MetricReport]], list[tuple], list[str]]:
     """Run :func:`check_all` on each candidate, then on the diagonalizer metrics.
 
-    Returns the reports of each metric, candidates first, and the warnings.
-    A singular metric fails every relation with residual ``inf``.  The
-    diagonalizer metrics need ``spectrum`` and are suppressed with a warning
-    when its eigenvector matrix is near-defective or singular.
+    Returns ``(checked, reality, warnings)``: the reports of each metric,
+    candidates first; ``(name, eps, residual)`` for each pseudo-real metric
+    whose reality checks ran on ``vectors``; and the warnings.  A singular
+    metric fails every relation with residual ``inf``.  The diagonalizer
+    metrics need ``spectrum`` and are suppressed with a warning when its
+    eigenvector matrix is near-defective or singular.  Each metric is built
+    and inverted in turn, so one inverse is alive at a time.
     """
-    warn: list[str] = []
-    checked = [reports for reports, _ in
-               _checked_metrics(as_matrix(h), candidates, spectrum, tol or DEFAULT_TOL, warn)]
-    return checked, warn
+    h = as_matrix(h)
+    tol = tol or DEFAULT_TOL
+    todo = [(name, as_matrix(metric), "user") for name, metric in (candidates or {}).items()]
+    if spectrum is not None:
+        todo += [(name, construct, "from_diagonalizer")
+                 for name, construct, _ in DIAGONALIZER_METRICS]
+    checked, reality, warn = [], [], []
+    d = None
+    for name, metric, provenance in todo:
+        if callable(metric):
+            try:
+                if d is None:
+                    d = build_diagonalizer(spectrum, tol)
+                metric = metric(d)
+            except (NearDefective, SingularMatrix) as exc:
+                warn.append(f"diagonalizer metrics suppressed: {exc}")
+                break
+        elif metric.shape != h.shape:
+            raise DimensionMismatch(
+                f"candidate '{name}' has shape {metric.shape}, expected {h.shape}")
+        try:
+            reports, colinearity = _check(h, metric, tol, name, provenance, vectors)
+        except SingularMatrix:
+            warn.extend(f"metric '{name}' is singular; {kind} check skipped" for kind in KINDS)
+            metric = metric.copy()
+            reports = {kind: MetricReport(kind, name, metric, math.inf, False, provenance)
+                       for kind in KINDS}
+            colinearity = None
+        checked.append(reports)
+        if colinearity is not None:
+            reality.append((name, *colinearity))
+    return checked, reality, warn
 
 
 # Eigenvectors per matrix product of the reality check: enough columns for
@@ -400,17 +401,8 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
         except ConvergenceFailure as exc:
             failure = f"eigendecomposition failed: {exc}"
 
-    # Each holding pseudo-reality metric runs its reality checks while its
-    # inverse is at hand; the inverse is dropped before the next metric's.
-    warn: list[str] = []
-    checked, reality = [], []
     vectors = [pair.eigenvector for pair in spectrum.pairs] if spectrum is not None else []
-    for reports, metric_inv in _checked_metrics(h, candidates, spectrum, tol, warn):
-        checked.append(reports)
-        rep = reports[PSEUDO_REAL]
-        if rep.holds and vectors:
-            reality.append((rep.name, *_colinearity(metric_inv, vectors)))
-        del metric_inv
+    checked, reality, warn = check_metrics(h, candidates, spectrum, tol, vectors)
     if failure is not None:
         warn.append(failure)
     pseudo_real, pseudo_adjoint, pseudo_hermitian = (tuple(r[k] for r in checked) for k in KINDS)

@@ -87,7 +87,7 @@ def sweep_family(family: str, parameter: str, values, fixed: dict,
         all_real = all(tag.kind == "real" for tag in spec.reality)
 
         found: dict[str, SweepPointMetric] = {}
-        checked, _ = metrics.check_metrics(h, candidates, spec, tol)
+        checked, _, _ = metrics.check_metrics(h, candidates, spec, tol)
         for reports in checked:
             first = reports[metrics.PSEUDO_REAL]
             kind = _BUILT_FOR.get(first.name)

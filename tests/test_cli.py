@@ -125,6 +125,17 @@ class TestAnalyze:
         assert doc["classification"]["hermitian"]["holds"]
         assert [tag["tag"] for tag in doc["spectrum"]["reality"]] == ["real"] * 3
 
+    @pytest.mark.parametrize("unit", [1e200, 1e-200])
+    def test_huge_and_tiny_entries_give_exact_eigenvalues(self, tmp_path, unit):
+        # both lie outside the range in which zgeev scales its eigenvalues back
+        mat = tmp_path / "diag.json"
+        save_matrix(mat, np.diag([1.0, 2.0, -3.0]) * unit)
+        code, doc = run(tmp_path, "analyze", "--matrix", str(mat))
+        assert code == 0
+        spec = doc["spectrum"]
+        assert spec["eigenvalues"] == [[-3 * unit, 0], [unit, 0], [2 * unit, 0]]
+        assert spec["residuals"] == [0, 0, 0] and spec["flags"] == []
+
     def test_deterministic_bytes(self, tmp_path):
         mat = tmp_path / "h.json"
         save_matrix(mat, h6(0.3, 1.0, 2.0))

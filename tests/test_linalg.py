@@ -157,6 +157,16 @@ class TestEigendecompose:
         assert [p.residual for p in spec.pairs] == [0.0, 0.0]
         assert not spec.flags
 
+    @pytest.mark.parametrize("exponent", [500, -500])
+    def test_eigenvalues_outside_lapack_scaling_range(self, exponent):
+        # zgeev alone returns these eigenvalues scaled down, with large residuals
+        m = random_complex(np.random.default_rng(8), 3)
+        factor = 2.0 ** exponent
+        base = eigendecompose(m)
+        spec = eigendecompose(m * factor)
+        np.testing.assert_allclose(spec.eigenvalues / factor, base.eigenvalues, rtol=1e-12)
+        assert not spec.flags
+
 
 def reference_reality_tags(w, tol, scale):
     """The nested greedy pairing loop that ``_reality_tags`` replaces, kept verbatim."""

@@ -239,6 +239,48 @@ class TestDiagonalizerMetrics:
             eta_plus_from_diagonalizer(dg), h8_eta_plus(a, b, c, d), atol=1e-12)
 
 
+@st.composite
+def covariance_systems(draw):
+    """H = S diag(lam) S^-1 with real lam, and the T it is transformed by.
+
+    S and T are the identity plus a random complex matrix of 2-norm at most
+    1/2, so both have condition number at most 3.
+    """
+    n = draw(st.integers(2, 6))
+    lam = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def near_identity():
+        e = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return np.eye(n) + rng.uniform(0.0, 0.5) * e / np.linalg.norm(e, 2)
+
+    s, t = near_identity(), near_identity()
+    return s @ np.diag(lam) @ np.linalg.inv(s), s, t
+
+
+class TestSimilarityCovariance:
+    @settings(max_examples=100, deadline=None)
+    @given(covariance_systems())
+    def test_transformed_metrics_certify_transformed_h(self, system):
+        h, s, t = system
+        t_inv = np.linalg.inv(t)
+        # each kind's metric of H, mapped to the one of T H T^-1
+        transforms = {
+            PSEUDO_REAL: lambda m: t.conj() @ m @ t_inv,
+            PSEUDO_ADJOINT: lambda m: t_inv.T @ m @ t_inv,
+            PSEUDO_HERMITIAN: lambda m: t_inv.conj().T @ m @ t_inv,
+        }
+        metrics_of_h = {
+            PSEUDO_REAL: rho_from_diagonalizer(s),
+            PSEUDO_ADJOINT: mu_from_diagonalizer(s),
+            PSEUDO_HERMITIAN: eta_plus_from_diagonalizer(s),
+        }
+        h_t = t @ h @ t_inv
+        for kind, metric in metrics_of_h.items():
+            assert check_all(h, metric)[kind].holds
+            assert check_all(h_t, transforms[kind](metric))[kind].holds
+
+
 def reference_colinearity(rho_inv, psi, tol, eigen_index, metric_name):
     """The per-vector reality check as it was before batching (reference)."""
     w = rho_inv @ psi.conj()
@@ -407,6 +449,20 @@ class TestClassify:
         report = classify(h5(0.0, 2.0, 1.0))
         name, residual, holds = report.pt_symmetric
         assert name == "reversal" and holds and residual <= 1e-14
+
+    def test_one_check_pass(self, monkeypatch):
+        calls = []
+        check_metrics = metrics.check_metrics
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return check_metrics(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "check_metrics", counting)
+        report = classify(h5(0.0, 0.6, 1.0), {"sigma_x": SIGMA_X})
+        assert len(calls) == 1
+        holding = {r.name for r in report.pseudo_real if r.holds}
+        assert {c.metric_name for c in report.reality_checks} == holding
 
     def test_reality_checks_cover_holding_rhos(self):
         report = classify(h5(0.0, 0.6, 1.0), {"sigma_x": SIGMA_X})

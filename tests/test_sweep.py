@@ -1,11 +1,14 @@
 """A sweep point carries the same verdicts as a full classification of its H."""
 
+import math
+
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pseudoherm import classify
+from pseudoherm import classify, metrics
 from pseudoherm.families import instantiate_builtin
-from pseudoherm.sweep import sweep_family
+from pseudoherm.sweep import sweep_family, sweep_values
 
 # The relation each diagonalizer construction is built to certify; every
 # other metric holds at a sweep point when it certifies any relation.
@@ -66,3 +69,28 @@ def test_h8_sweep_matches_classify(a, c, d, values):
 @given(omega=couplings, values=sweep_grids)
 def test_m3_sweep_matches_classify(omega, values):
     assert_sweep_matches_classify("M3", "g", values, {"omega": omega})
+
+
+def test_sweep_runs_no_reality_check(monkeypatch):
+    colinearity, lu = [], []
+    colinearity_of, lu_factor = metrics._colinearity, scipy.linalg.lu_factor
+
+    def counting_colinearity(*args, **kwargs):
+        colinearity.append(args)
+        return colinearity_of(*args, **kwargs)
+
+    def counting_lu(*args, **kwargs):
+        lu.append(args[0].shape)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_colinearity", counting_colinearity)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counting_lu)
+    a, c, d = 0.3, 1.0, 0.5
+    result = sweep_family("H8", "b", sweep_values(0.0, 2.0, 0.1), {"a": a, "c": c, "d": d})
+    lo, hi = result.breaking_point
+    assert lo <= math.hypot(c, d) <= hi
+    assert colinearity == []
+    # per point: the eigenvector condition, one per metric checked and one per
+    # diagonalizer metric built; 11 at the 12 real-phase points (four
+    # candidates), 8 at the 9 broken ones (sigma_x only)
+    assert len(lu) == 12 * 11 + 9 * 8
