@@ -10,13 +10,17 @@ Pseudo-reality is the necessary condition for a real spectrum; an
 eigenvalue is actually real exactly when its eigenvector additionally
 satisfies the colinearity condition rho^-1 conj(psi) = eps * psi (checked
 by :func:`eigenstate_reality_check`).  When H is diagonalizable by D the
-three metrics can be constructed directly:
+three metrics, and their inverses, can be constructed directly:
 
-* rho  = conj(D) D^-1           (real spectrum; satisfies rho conj(rho) = 1),
-* mu   = (D D^T)^-1             (any diagonalizable H; symmetric),
-* eta+ = (D D^dagger)^-1        (real spectrum; Hermitian positive definite),
+* rho  = conj(D) D^-1,              rho^-1  = D conj(D^-1)
+  (real spectrum; satisfies rho conj(rho) = 1),
+* mu   = (D D^T)^-1 = D^-T D^-1,    mu^-1   = D D^T
+  (any diagonalizable H; symmetric),
+* eta+ = (D D^dagger)^-1 = D^-dagger D^-1,   eta+^-1 = D D^dagger
+  (real spectrum; Hermitian positive definite),
 
-and a pseudo-real + pseudo-adjoint pair composes into a pseudo-Hermiticity
+so one inverse of D gives all six matrices by products alone.  A
+pseudo-real + pseudo-adjoint pair composes into a pseudo-Hermiticity
 metric eta = (mu rho^-1)^T.
 
 Metrics are meaningful only up to a nonzero complex scalar, so reports
@@ -127,22 +131,33 @@ def _residuals(h: np.ndarray, metric: np.ndarray, metric_inv: np.ndarray
     """Relative residuals of ``S H S^-1`` against conj(H), H^T and H^dagger."""
     similar = metric @ h @ metric_inv
     scale = max(1.0, fro(h))
-    h_conj = h.conj()
-    return tuple(fro(similar - target) / scale for target in (h_conj, h.T, h_conj.T))
+    # One buffer holds each target and difference in turn.  It is C-ordered
+    # whatever the order of H, as the temporary similar - target was: fro
+    # sums in memory order, so another order would change the last bits.
+    diff = np.empty_like(h, order="C")
+    residuals = []
+    for target, conjugate in ((h, True), (h.T, False), (h.T, True)):
+        if conjugate:
+            target = np.conjugate(target, out=diff)
+        np.subtract(similar, target, out=diff)
+        residuals.append(fro(diff) / scale)
+    return tuple(residuals)
 
 
 def _check(h: np.ndarray, metric: np.ndarray, tol: ToleranceConfig, name: str,
-           provenance: str, vectors=None
+           provenance: str, vectors=None, metric_inv: np.ndarray | None = None
            ) -> tuple[dict[str, MetricReport], tuple[np.ndarray, np.ndarray] | None]:
     """The reports of :func:`check_all`, and the reality checks of ``vectors``.
 
-    The colinearity ``(eps, residual)`` of each vector is taken under the
-    canonical metric when ``vectors`` are given and the metric is
-    pseudo-real, and is ``None`` otherwise.
+    The metric is inverted unless its inverse is given; a given
+    ``metric_inv`` is scaled in place.  The colinearity ``(eps, residual)``
+    of each vector is taken under the canonical metric when ``vectors`` are
+    given and the metric is pseudo-real, and is ``None`` otherwise.
     """
     if metric.shape != h.shape:
         raise DimensionMismatch(f"shape mismatch: S {metric.shape}, H {h.shape}")
-    metric_inv, _ = inverse(metric)
+    if metric_inv is None:
+        metric_inv, _ = inverse(metric)
     pivot = _pivot(metric)
     canonical = metric / pivot
     reports = {kind: MetricReport(kind, name, canonical, residual,
@@ -197,46 +212,59 @@ def compose_eta(rho, mu) -> np.ndarray:
     return (mu @ rho_inv).T.copy()
 
 
+def _rho_pair(d: np.ndarray, d_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return d.conj() @ d_inv, d @ d_inv.conj()
+
+
+def _mu_pair(d: np.ndarray, d_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # both averaged with their transposes: a projection onto the symmetry
+    # the exact expressions have
+    mu = d_inv.T @ d_inv
+    mu_inv = d @ d.T
+    return (mu + mu.T) / 2.0, (mu_inv + mu_inv.T) / 2.0
+
+
+def _eta_plus_pair(d: np.ndarray, d_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # both averaged with their daggers, so exactly Hermitian
+    eta = d_inv.conj().T @ d_inv
+    eta_inv = d @ d.conj().T
+    return (eta + eta.conj().T) / 2.0, (eta_inv + eta_inv.conj().T) / 2.0
+
+
 def rho_from_diagonalizer(d) -> np.ndarray:
     """Pseudo-reality metric ``conj(D) D^-1`` of a real-spectrum Hamiltonian.
 
     Satisfies ``rho conj(rho) = 1`` to machine precision.
     """
     d = as_matrix(d)
-    d_inv, _ = inverse(d)
-    return d.conj() @ d_inv
+    return _rho_pair(d, inverse(d)[0])[0]
 
 
 def mu_from_diagonalizer(d) -> np.ndarray:
-    """Pseudo-adjointness metric ``(D D^T)^-1`` of a diagonalizable Hamiltonian.
+    """Pseudo-adjointness metric ``D^-T D^-1 = (D D^T)^-1`` of a diagonalizable H.
 
-    The result is made exactly transpose-symmetric by averaging, which is
-    a projection onto the symmetry the exact expression has.
+    The result is made exactly transpose-symmetric by averaging.
     """
     d = as_matrix(d)
-    s = d @ d.T
-    s = (s + s.T) / 2.0
-    mu, _ = inverse(s)
-    return (mu + mu.T) / 2.0
+    return _mu_pair(d, inverse(d)[0])[0]
 
 
 def eta_plus_from_diagonalizer(d) -> np.ndarray:
-    """Positive-definite metric ``(D D^dagger)^-1`` of a real-spectrum Hamiltonian.
+    """Positive-definite metric ``D^-dagger D^-1 = (D D^dagger)^-1`` of a real-spectrum H.
 
     Exactly Hermitian by construction (averaged with its own dagger).
     """
     d = as_matrix(d)
-    s = d @ d.conj().T
-    s = (s + s.conj().T) / 2.0
-    eta, _ = inverse(s)
-    return (eta + eta.conj().T) / 2.0
+    return _eta_plus_pair(d, inverse(d)[0])[0]
 
 
-# Metrics built from the diagonalizer: (name, constructor, relation it certifies).
+# Metrics built from the diagonalizer D: (name, builder, relation it
+# certifies).  A builder maps (D, D^-1) to (metric, metric^-1) by matrix
+# products alone.
 DIAGONALIZER_METRICS = (
-    ("from_D_rho", rho_from_diagonalizer, PSEUDO_REAL),
-    ("from_D_mu", mu_from_diagonalizer, PSEUDO_ADJOINT),
-    ("from_D_eta_plus", eta_plus_from_diagonalizer, PSEUDO_HERMITIAN),
+    ("from_D_rho", _rho_pair, PSEUDO_REAL),
+    ("from_D_mu", _mu_pair, PSEUDO_ADJOINT),
+    ("from_D_eta_plus", _eta_plus_pair, PSEUDO_HERMITIAN),
 )
 
 
@@ -249,23 +277,28 @@ def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig
     whose reality checks ran on ``vectors``; and the warnings.  A singular
     metric fails every relation with residual ``inf``.  The diagonalizer
     metrics need ``spectrum`` and are suppressed with a warning when its
-    eigenvector matrix is near-defective or singular.  Each metric is built
-    and inverted in turn, so one inverse is alive at a time.
+    eigenvector matrix is near-defective or singular.  Each metric is built,
+    with its inverse, in turn, so one metric inverse is alive at a time.
+    The diagonalizer metrics take D^-1 from the spectrum; D is inverted
+    only for a spectrum that carries no inverse.
     """
     h = as_matrix(h)
     tol = tol or DEFAULT_TOL
     todo = [(name, as_matrix(metric), "user") for name, metric in (candidates or {}).items()]
     if spectrum is not None:
-        todo += [(name, construct, "from_diagonalizer")
-                 for name, construct, _ in DIAGONALIZER_METRICS]
+        todo += [(name, build, "from_diagonalizer") for name, build, _ in DIAGONALIZER_METRICS]
     checked, reality, warn = [], [], []
     d = None
     for name, metric, provenance in todo:
+        metric_inv = None
         if callable(metric):
             try:
                 if d is None:
                     d = build_diagonalizer(spectrum, tol)
-                metric = metric(d)
+                    d_inv = spectrum.diagonalizer_inverse
+                    if d_inv is None:
+                        d_inv, _ = inverse(d)
+                metric, metric_inv = metric(d, d_inv)
             except (NearDefective, SingularMatrix) as exc:
                 warn.append(f"diagonalizer metrics suppressed: {exc}")
                 break
@@ -273,7 +306,7 @@ def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig
             raise DimensionMismatch(
                 f"candidate '{name}' has shape {metric.shape}, expected {h.shape}")
         try:
-            reports, colinearity = _check(h, metric, tol, name, provenance, vectors)
+            reports, colinearity = _check(h, metric, tol, name, provenance, vectors, metric_inv)
         except SingularMatrix:
             warn.extend(f"metric '{name}' is singular; {kind} check skipped" for kind in KINDS)
             metric = metric.copy()
@@ -411,15 +444,17 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     if parity.shape != h.shape:
         raise DimensionMismatch("parity matrix dimension mismatch")
     # A candidate equal to the parity already holds this residual.  A
-    # singular one (residual inf) falls through to similarity_residual,
-    # which raises for it.
+    # singular one (residual inf) falls through to the inversion, which
+    # raises for it.
     pt_res = next((reports[PSEUDO_REAL].residual
                    for reports, metric in zip(checked, (candidates or {}).values())
                    if math.isfinite(reports[PSEUDO_REAL].residual)
                    and np.array_equal(metric, parity)), None)
     try:
         if pt_res is None:
-            pt_res = similarity_residual(parity, h, h.conj())
+            # the pseudo-real residual of the parity, as similarity_residual
+            # gives it, without a second n x n temporary
+            pt_res = _residuals(h, parity, inverse(parity)[0])[0]
         pt = (parity_name, float(pt_res), bool(pt_res <= tol.metric_tol))
     except SingularMatrix:
         warn.append("parity matrix is singular; PT check skipped")

@@ -1,9 +1,11 @@
 """Core matrix algebra: involutions, inversion, eigendecomposition, residuals."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +21,7 @@ from pseudoherm import (
     similarity_residual,
 )
 from pseudoherm.families import SIGMA_X, SIGMA_Y, SIGMA_Z, h5, h8
+from pseudoherm import linalg
 from pseudoherm.linalg import EPS, DimensionMismatch, _reality_tags, fro
 
 
@@ -89,6 +92,19 @@ class TestInverse:
     def test_rank_deficient_raises(self):
         with pytest.raises(SingularMatrix):
             inverse([[1.0, 1.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-200])
+    def test_singular_at_any_scale(self, scale):
+        # at 1e-200 the squares of the entries underflow, and so did the
+        # singularity threshold n * eps * ||m||_F
+        with pytest.raises(SingularMatrix):
+            inverse(scale * np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-200])
+    def test_regular_at_any_scale(self, scale):
+        m = np.array([[2.0, 1.0j], [1.0, 3.0]])
+        inv, _ = inverse(scale * m)
+        np.testing.assert_allclose(inv * scale, np.linalg.inv(m), rtol=1e-14)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_residual_contract(self, seed):
@@ -166,6 +182,47 @@ class TestEigendecompose:
         spec = eigendecompose(m * factor)
         np.testing.assert_allclose(spec.eigenvalues / factor, base.eigenvalues, rtol=1e-12)
         assert not spec.flags
+
+
+def reference_eigenpair_residuals(h, spectrum, tol):
+    """The per-pair residual loop of eigendecompose before it was blocked (reference)."""
+    norm_h = fro(h)
+    residuals, flags = [], []
+    for k, pair in enumerate(spectrum.pairs):
+        vec = pair.eigenvector
+        res = fro(h @ vec - pair.eigenvalue * vec) / ((norm_h or 1.0) * fro(vec))
+        if res > tol.residual_tol:
+            flags.append(f"residual_above_tolerance:index={k},residual={res:.3e}")
+        residuals.append(res)
+    return residuals, flags
+
+
+class TestEigenpairResiduals:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 140), st.integers(0, 2**32 - 1),
+           st.sampled_from([1, 2, 3, linalg.RESIDUAL_BLOCK]))
+    def test_blocks_match_per_pair_loop(self, n, seed, block):
+        rng = np.random.default_rng(seed)
+        h = random_complex(rng, n)
+        # the solver's eigenvalues, some moved by 1e-6 to 1e-2 of ||H||_F, so
+        # that residuals land on both sides of the tolerance, far from it
+        moved = rng.random(n) < 0.3
+        shift = moved * 10.0 ** rng.uniform(-6.0, -2.0, n) * np.exp(2j * np.pi * rng.random(n))
+        eig = scipy.linalg.eig
+
+        def perturbed_eig(*args, **kwargs):
+            w, v = eig(*args, **kwargs)
+            return w + shift * np.linalg.norm(h), v
+
+        tol = ToleranceConfig()
+        with mock.patch.object(linalg, "RESIDUAL_BLOCK", block), \
+                mock.patch.object(scipy.linalg, "eig", perturbed_eig):
+            spec = eigendecompose(h, tol)
+        residuals, flags = reference_eigenpair_residuals(h, spec, tol)
+        assert len(flags) == moved.sum()
+        assert spec.flags == tuple(flags)
+        for pair, want in zip(spec.pairs, residuals):
+            assert abs(pair.residual - want) <= 1e-15
 
 
 def reference_reality_tags(w, tol, scale):

@@ -1,5 +1,6 @@
 """Symmetry checks, metric construction and the reality dichotomy."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -239,6 +240,62 @@ class TestDiagonalizerMetrics:
             eta_plus_from_diagonalizer(dg), h8_eta_plus(a, b, c, d), atol=1e-12)
 
 
+def reference_residuals(h, metric, metric_inv):
+    """``_residuals`` as it was before its buffer, with one temporary per target (reference)."""
+    similar = metric @ h @ metric_inv
+    scale = max(1.0, fro(h))
+    h_conj = h.conj()
+    return tuple(fro(similar - target) / scale for target in (h_conj, h.T, h_conj.T))
+
+
+def buffer_in_order_of_h_residuals(h, metric, metric_inv):
+    """A mutant of ``_residuals`` whose buffer takes the memory order of H."""
+    similar = metric @ h @ metric_inv
+    scale = max(1.0, fro(h))
+    diff = np.empty_like(h)
+    residuals = []
+    for target, conjugate in ((h, True), (h.T, False), (h.T, True)):
+        if conjugate:
+            target = np.conjugate(target, out=diff)
+        np.subtract(similar, target, out=diff)
+        residuals.append(fro(diff) / scale)
+    return tuple(residuals)
+
+
+def residual_mismatches(residuals):
+    """Memory orders of H on which ``residuals`` differs from the reference."""
+    rng = np.random.default_rng(17)
+    missed = []
+    for n in (1, 2, 3, 8, 17, 40):
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        s_inv = np.linalg.inv(s)
+        for order in "CF":
+            h_ordered = np.asarray(h, order=order)
+            if residuals(h_ordered, s, s_inv) != reference_residuals(h_ordered, s, s_inv):
+                missed.append(order)
+    return missed
+
+
+class TestResiduals:
+    def test_buffer_equals_temporaries_bit_for_bit(self):
+        assert residual_mismatches(metrics._residuals) == []
+
+    def test_buffer_order_is_checked(self):
+        # the comparison above sees a buffer that inherits the order of H
+        assert "F" in residual_mismatches(buffer_in_order_of_h_residuals)
+
+    @pytest.mark.parametrize("order", "CF")
+    def test_pt_residual_equals_similarity_residual(self, order):
+        rng = np.random.default_rng(21)
+        for n in (2, 5, 17, 40):
+            h = np.asarray(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), order=order)
+            parities = (default_parity(n), rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            for parity in parities:
+                pt = classify(h, parity=parity).pt_symmetric
+                assert pt[1] == similarity_residual(parity, h, h.conj())
+
+
 @st.composite
 def covariance_systems(draw):
     """H = S diag(lam) S^-1 with real lam, and the T it is transformed by.
@@ -328,6 +385,59 @@ def pseudo_real_systems(draw):
     rho = s.conj() @ np.eye(n)[swap] @ s_inv
     factor = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
     return h, factor * rho
+
+
+@st.composite
+def conditioned_diagonalizers(draw):
+    """A random complex D = U diag(sigma) V with condition number at most 1e4."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = np.logspace(0.0, -draw(st.floats(0.0, 4.0)), n)
+    return (random_unitary(rng, n) * sigma) @ random_unitary(rng, n)
+
+
+class TestDiagonalizerPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(conditioned_diagonalizers())
+    def test_builders_return_metric_and_inverse(self, d):
+        d_inv, _ = inverse(d)
+        cond = np.linalg.cond(d)
+        for name, build, _ in metrics.DIAGONALIZER_METRICS:
+            metric, metric_inv = build(d, d_inv)
+            assert fro(metric @ metric_inv - np.eye(len(d))) <= 1e-10 * cond, name
+
+    @settings(max_examples=100, deadline=None)
+    @given(pseudo_real_systems())
+    def test_verdicts_equal_public_constructors(self, system):
+        h, _ = system
+        spectrum = eigendecompose(h)
+        checked, _, warn = metrics.check_metrics(h, None, spectrum)
+        assert warn == [] and len(checked) == 3
+        d = build_diagonalizer(spectrum)
+        public = (rho_from_diagonalizer, mu_from_diagonalizer, eta_plus_from_diagonalizer)
+        for reports, construct in zip(checked, public):
+            name = reports[PSEUDO_REAL].name
+            want = check_all(h, construct(d), name=name, provenance="from_diagonalizer")
+            for kind in metrics.KINDS:
+                assert reports[kind].holds == want[kind].holds, (name, kind)
+                np.testing.assert_array_equal(reports[kind].metric, want[kind].metric)
+
+    def test_spectrum_inverse_saves_the_diagonalizer_factorization(self, monkeypatch):
+        h = random_real_spectrum(np.random.default_rng(3), 6)
+        spectrum = eigendecompose(h)
+        calls = []
+        lu_factor = scipy.linalg.lu_factor
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return lu_factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+        metrics.check_metrics(h, None, spectrum)
+        assert calls == []
+        # a spectrum without the inverse has D inverted once
+        metrics.check_metrics(h, None, dataclasses.replace(spectrum, diagonalizer_inverse=None))
+        assert calls == [(6, 6)]
 
 
 class TestRealityCheck:

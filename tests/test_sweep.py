@@ -90,7 +90,8 @@ def test_sweep_runs_no_reality_check(monkeypatch):
     lo, hi = result.breaking_point
     assert lo <= math.hypot(c, d) <= hi
     assert colinearity == []
-    # per point: the eigenvector condition, one per metric checked and one per
-    # diagonalizer metric built; 11 at the 12 real-phase points (four
-    # candidates), 8 at the 9 broken ones (sigma_x only)
-    assert len(lu) == 12 * 11 + 9 * 8
+    # per point: the eigenvector matrix and one per candidate checked; the
+    # diagonalizer metrics and their inverses are products of its inverse.
+    # 5 at the 12 real-phase points (four candidates), 2 at the 9 broken ones
+    # (sigma_x only)
+    assert len(lu) == 12 * 5 + 9 * 2

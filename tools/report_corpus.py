@@ -1,4 +1,4 @@
-"""Byte-identity corpus of pseudoherm reports.
+"""Corpus of pseudoherm reports: byte identity, and a verdict-level diff.
 
 Runs a fixed list of ``builtin``, ``analyze``, ``discretize`` and
 ``sweep`` invocations in process through ``pseudoherm.cli.main`` and
@@ -17,13 +17,42 @@ BLAS is pinned to one thread, because a threaded BLAS may sum in a
 different order from run to run.
 
     python3 tools/report_corpus.py
+    python3 tools/report_corpus.py --src ../base/src --save base
+    python3 tools/report_corpus.py --save change
+    python3 tools/report_corpus.py --compare base change
+
+``--src`` picks the source tree to run (default: this checkout's).
+``--save DIR`` also keeps the lines in ``DIR/index.txt`` and each report
+as ``DIR/<index>.json``.  ``--compare DIR_A DIR_B`` compares two saved
+corpora field by field, prints every field that moved, and exits 1 when
+a move breaks a rule:
+
+* the argv, the exit code and the presence of each report, the keys and
+  list lengths, and every string, boolean, integer and null must match
+  exactly: ``holds``, reality tags and partners, Gram signatures, the PT
+  verdict, warnings and flags;
+* a fingerprint may differ only inside a metric named ``from_D_*``, the
+  metrics built from the diagonalizer;
+* a residual (``residual``, ``residuals``, ``colinearity_residual``,
+  ``offdiag_max``) must agree within ``RESIDUAL_ABS`` absolute.  Under a
+  ``from_D_*`` metric the bound is ``eps * cond(D)`` when that is larger,
+  with ``cond(D)`` the report's ``diagonalizer_condition``: such a metric
+  and its inverse carry the rounding error of D^-1.  A residual of a check
+  that fails on both sides may move freely: its verdict is compared
+  exactly, and how far a failing check misses is not a verdict;
+* any other float must agree within ``FLOAT_REL`` times the largest
+  magnitude of the same field (the path with list indices dropped) in
+  that report.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
+import math
 import os
 import shlex
 import sys
@@ -32,6 +61,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+RESIDUAL_FIELDS = ("residual", "residuals", "colinearity_residual", "offdiag_max")
+RESIDUAL_ABS = 1e-12
+FLOAT_REL = 1e-9
+EPS = 2.0**-52
 
 DISCRETIZE = [
     ["--family", "harmonic", "--alpha", "1.0", "--xmax", "10.0", "--n", "512"],
@@ -109,13 +143,21 @@ def write_inputs() -> list[list[str]]:
     ]
 
 
-def main() -> int:
+def run(src: Path, save: Path | None) -> None:
+    """Run the corpus on the source tree ``src``; print, and optionally save, each report."""
     for var in BLAS_ENV:
         os.environ[var] = "1"
-    sys.path.insert(0, str(SRC))
+    sys.path.insert(0, str(src))
+    import pseudoherm
     from pseudoherm.cli import main as cli_main
 
+    if Path(pseudoherm.__file__).resolve().parents[1] != src:
+        raise SystemExit(f"pseudoherm was imported from {pseudoherm.__file__}, not {src}")
+
     start = os.getcwd()
+    if save is not None:
+        save.mkdir(parents=True, exist_ok=True)
+    lines = []
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
@@ -129,10 +171,132 @@ def main() -> int:
                 out.unlink(missing_ok=True)
                 with contextlib.redirect_stderr(io.StringIO()):
                     code = cli_main([*argv, "--json", out.name])
-                digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
-                print(index, code, digest, shlex.join(argv), flush=True)
+                digest = "-"
+                if out.exists():
+                    report = out.read_bytes()
+                    digest = hashlib.sha256(report).hexdigest()
+                    if save is not None:
+                        (save / f"{index}.json").write_bytes(report)
+                lines.append(f"{index} {code} {digest} {shlex.join(argv)}")
+                print(lines[-1], flush=True)
         finally:
             os.chdir(start)
+    if save is not None:
+        (save / "index.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def _field(path: tuple) -> str:
+    return ".".join("*" if isinstance(key, int) else key for key in path)
+
+
+def _magnitudes(node, path: tuple, top: dict) -> None:
+    """Largest magnitude of each float field of ``node``, into ``top``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _magnitudes(value, (*path, key), top)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _magnitudes(value, (*path, i), top)
+    elif isinstance(node, float):
+        field = _field(path)
+        top[field] = max(top.get(field, 0.0), abs(node))
+
+
+def compare_reports(a, b) -> tuple[list[str], list[str]]:
+    """The fields that moved between two reports, and the rules those moves break."""
+    top: dict[str, float] = {}
+    _magnitudes(a, (), top)
+    _magnitudes(b, (), top)
+    conds = [(doc.get("spectrum") or {}).get("diagonalizer_condition") for doc in (a, b)]
+    from_d_abs = max([RESIDUAL_ABS] + [EPS * c for c in conds if isinstance(c, (int, float))])
+    moved, broken = [], []
+
+    def walk(x, y, path: tuple, owner: str | None, failing: bool) -> None:
+        where = ".".join(map(str, path))
+        if type(x) is not type(y) and not {type(x), type(y)} <= {int, float}:
+            broken.append(f"{where}: {x!r} -> {y!r} (type)")
+        elif isinstance(x, dict):
+            if list(x) != list(y):
+                broken.append(f"{where}: keys {list(x)} -> {list(y)}")
+                return
+            # the metric a check, reality check or Gram belongs to
+            name = x.get("name", x.get("metric"))
+            if isinstance(name, str):
+                owner = name
+            # a check that fails on both sides; its verdict is compared as a field
+            fails = x.get("holds") is False and y.get("holds") is False
+            for key in x:
+                inner_owner = key if path and path[-1] == "metrics" else owner
+                walk(x[key], y[key], (*path, key), inner_owner, fails)
+        elif isinstance(x, list):
+            if len(x) != len(y):
+                broken.append(f"{where}: length {len(x)} -> {len(y)}")
+                return
+            for i, (u, v) in enumerate(zip(x, y)):
+                walk(u, v, (*path, i), owner, failing)
+        elif x == y:
+            return
+        elif isinstance(x, float) or isinstance(y, float):
+            moved.append(f"{where}: {x!r} -> {y!r}")
+            name = next(key for key in reversed(path) if isinstance(key, str))
+            if name in RESIDUAL_FIELDS:
+                bound = from_d_abs if (owner or "").startswith("from_D_") else RESIDUAL_ABS
+                if not (failing or abs(x - y) <= bound):
+                    broken.append(f"{where}: {x!r} -> {y!r} (residual beyond {bound:g})")
+            elif not abs(x - y) <= FLOAT_REL * top[_field(path)]:
+                broken.append(f"{where}: {x!r} -> {y!r} (beyond {FLOAT_REL:g} of the field)")
+        elif path and path[-1] == "fingerprint" and (owner or "").startswith("from_D_"):
+            moved.append(f"{where}: {x} -> {y}")
+        else:
+            moved.append(f"{where}: {x!r} -> {y!r}")
+            broken.append(f"{where}: {x!r} -> {y!r}")
+
+    walk(a, b, (), None, False)
+    return moved, broken
+
+
+def compare(dir_a: Path, dir_b: Path) -> int:
+    """Compare two saved corpora; print every moved field; 1 when a rule is broken."""
+    index_a = (dir_a / "index.txt").read_text(encoding="utf-8").splitlines()
+    index_b = (dir_b / "index.txt").read_text(encoding="utf-8").splitlines()
+    if len(index_a) != len(index_b):
+        print(f"FAIL corpus size {len(index_a)} -> {len(index_b)}")
+        return 1
+    failures = moves = 0
+    for line_a, line_b in zip(index_a, index_b):
+        index, code_a, digest_a, argv_a = line_a.split(" ", 3)
+        _, code_b, digest_b, argv_b = line_b.split(" ", 3)
+        if (code_a, argv_a, digest_a == "-") != (code_b, argv_b, digest_b == "-"):
+            print(f"{index} FAIL exit {code_a} -> {code_b}: {argv_a} | {argv_b}")
+            failures += 1
+            continue
+        if digest_a == digest_b:
+            print(f"{index} identical {argv_a}")
+            continue
+        moved, broken = compare_reports(
+            json.loads((dir_a / f"{index}.json").read_text(encoding="utf-8")),
+            json.loads((dir_b / f"{index}.json").read_text(encoding="utf-8")))
+        moves += len(moved)
+        failures += bool(broken)
+        print(f"{index} {'FAIL' if broken else 'ok'} {len(moved)} moved {argv_a}")
+        for line in moved:
+            print(f"  moved {line}")
+        for line in broken:
+            print(f"  FAIL {line}")
+    print(f"{len(index_a)} reports, {moves} fields moved, {failures} failing")
+    return 1 if failures else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--src", type=Path, default=SRC, help="source tree to run")
+    parser.add_argument("--save", type=Path, metavar="DIR", help="also keep every report in DIR")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="compare two saved corpora instead of running one")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    run(args.src.resolve(), args.save.resolve() if args.save else None)
     return 0
 
 
