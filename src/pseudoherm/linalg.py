@@ -60,10 +60,7 @@ RESIDUAL_BLOCK = 64
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Relative tolerances shared by the whole toolkit.
-
-    All values scale with ``max(1, ||H||_F)`` of the matrix under test.
-    """
+    """Tolerances shared by the whole toolkit, each relative to :func:`tolerance_scale`."""
 
     residual_tol: float = 1e-10
     reality_tol: float = 1e-8
@@ -77,6 +74,11 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+def tolerance_scale(norm: float) -> float:
+    """Scale of the residuals and tolerances of H: ``||H||_F``, and 1 (not 0) for H = 0."""
+    return norm or 1.0
 
 
 def as_matrix(obj) -> np.ndarray:
@@ -257,9 +259,8 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
     residuals = np.empty(len(w))
     for start in range(0, len(w), RESIDUAL_BLOCK):
         block = slice(start, start + RESIDUAL_BLOCK)
-        # the zero matrix has exact eigenpairs: residual 0, not 0/0
         residuals[block] = (np.linalg.norm(h @ v[:, block] - v[:, block] * w[block], axis=0)
-                            / ((norm_h or 1.0) * np.linalg.norm(v[:, block], axis=0)))
+                            / (tolerance_scale(norm_h) * np.linalg.norm(v[:, block], axis=0)))
     flags = [f"residual_above_tolerance:index={k},residual={res:.3e}"
              for k, res in enumerate(residuals) if res > tol.residual_tol]
     pairs = tuple(EigenPair(complex(w[k] / scale), v[:, k], float(residuals[k]))
@@ -272,7 +273,7 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
 
     return Spectrum(
         pairs=pairs,
-        reality=_reality_tags(w / scale, tol, max(1.0, norm_h / scale)),
+        reality=_reality_tags(w / scale, tol, tolerance_scale(norm_h / scale)),
         diagonalizer_condition=float(cond),
         flags=tuple(flags),
         diagonalizer_inverse=v_inv,
@@ -333,7 +334,7 @@ def build_diagonalizer(spectrum: Spectrum, tol: ToleranceConfig | None = None) -
 
 
 def similarity_residual(s, h, target) -> float:
-    """Relative residual ``||S H S^-1 - target||_F / max(1, ||H||_F)``.
+    """Relative residual ``||S H S^-1 - target||_F / ||H||_F`` (``/ 1`` for H = 0).
 
     Invariant under rescaling of ``S`` by any nonzero complex number.
     """
@@ -345,7 +346,7 @@ def similarity_residual(s, h, target) -> float:
             f"shape mismatch: S {s.shape}, H {h.shape}, target {target.shape}"
         )
     s_inv, _ = inverse(s)
-    return fro(s @ h @ s_inv - target) / max(1.0, fro(h))
+    return fro(s @ h @ s_inv - target) / tolerance_scale(fro(h))
 
 
 # ---------------------------------------------------------------------------

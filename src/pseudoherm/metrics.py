@@ -50,7 +50,7 @@ from .linalg import (
     eigendecompose,
     fro,
     inverse,
-    similarity_residual,
+    tolerance_scale,
 )
 
 PSEUDO_REAL = "pseudo_real"
@@ -126,11 +126,9 @@ def canonical_normalize(m) -> np.ndarray:
     return m / _pivot(m)
 
 
-def _residuals(h: np.ndarray, metric: np.ndarray, metric_inv: np.ndarray
-               ) -> tuple[float, float, float]:
-    """Relative residuals of ``S H S^-1`` against conj(H), H^T and H^dagger."""
-    similar = metric @ h @ metric_inv
-    scale = max(1.0, fro(h))
+def _residuals(h: np.ndarray, similar: np.ndarray) -> tuple[float, float, float]:
+    """Relative residuals of ``similar`` = S H S^-1 against conj(H), H^T and H^dagger."""
+    scale = tolerance_scale(fro(h))
     # One buffer holds each target and difference in turn.  It is C-ordered
     # whatever the order of H, as the temporary similar - target was: fro
     # sums in memory order, so another order would change the last bits.
@@ -162,7 +160,7 @@ def _check(h: np.ndarray, metric: np.ndarray, tol: ToleranceConfig, name: str,
     canonical = metric / pivot
     reports = {kind: MetricReport(kind, name, canonical, residual,
                                   bool(residual <= tol.metric_tol), provenance)
-               for kind, residual in zip(KINDS, _residuals(h, metric, metric_inv))}
+               for kind, residual in zip(KINDS, _residuals(h, metric @ h @ metric_inv))}
     if not (vectors and reports[PSEUDO_REAL].holds):
         return reports, None
     metric_inv *= pivot  # (metric / pivot)^-1
@@ -420,10 +418,8 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     h = as_matrix(h)
     tol = tol or DEFAULT_TOL
     n = h.shape[0]
-    scale = max(1.0, fro(h))
 
-    herm_res = fro(h - h.conj().T) / scale
-    sa_res = fro(h - h.T) / scale
+    _, sa_res, herm_res = _residuals(h, h)  # S = 1: symmetry and Hermiticity of H
     hermitian = (bool(herm_res <= tol.metric_tol), float(herm_res))
     self_adjoint = (bool(sa_res <= tol.metric_tol), float(sa_res))
 
@@ -452,9 +448,9 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
                    and np.array_equal(metric, parity)), None)
     try:
         if pt_res is None:
-            # the pseudo-real residual of the parity, as similarity_residual
-            # gives it, without a second n x n temporary
-            pt_res = _residuals(h, parity, inverse(parity)[0])[0]
+            # inverted first, so parity @ h is not alive while the inverse is allocated
+            parity_inv, _ = inverse(parity)
+            pt_res = _residuals(h, parity @ h @ parity_inv)[0]
         pt = (parity_name, float(pt_res), bool(pt_res <= tol.metric_tol))
     except SingularMatrix:
         warn.append("parity matrix is singular; PT check skipped")

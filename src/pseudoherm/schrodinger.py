@@ -46,6 +46,7 @@ from .linalg import (
     ToleranceConfig,
     eigendecompose,
 )
+from .metrics import default_parity
 
 # Edge amplitude above this fraction of the peak disqualifies a state as a
 # bound state of the open-line problem.
@@ -157,30 +158,33 @@ class DiscreteOperators:
     Par: np.ndarray
 
 
+def _kinetic(grid: GridSpec) -> np.ndarray:
+    """Central-stencil kinetic energy p^2/(2m) with Dirichlet boundaries."""
+    n = grid.n_points
+    h = grid.spacing
+    m = grid.mass
+    off = np.arange(n - 1)
+    K = np.zeros((n, n), dtype=np.complex128)
+    K[np.arange(n), np.arange(n)] = 1.0 / (m * h * h)
+    K[off, off + 1] = -1.0 / (2.0 * m * h * h)
+    K[off + 1, off] = -1.0 / (2.0 * m * h * h)
+    return K
+
+
 def build_operators(grid: GridSpec) -> DiscreteOperators:
     """Central-stencil operators satisfying the adjointness identities exactly."""
     n = grid.n_points
-    x = grid.points()
     h = grid.spacing
-    m = grid.mass
 
     X = np.zeros((n, n), dtype=np.complex128)
-    X[np.arange(n), np.arange(n)] = x
+    X[np.arange(n), np.arange(n)] = grid.points()
 
     Pm = np.zeros((n, n), dtype=np.complex128)
     off = np.arange(n - 1)
     Pm[off, off + 1] = -1j / (2.0 * h)
     Pm[off + 1, off] = 1j / (2.0 * h)
 
-    K = np.zeros((n, n), dtype=np.complex128)
-    K[np.arange(n), np.arange(n)] = 1.0 / (m * h * h)
-    K[off, off + 1] = -1.0 / (2.0 * m * h * h)
-    K[off + 1, off] = -1.0 / (2.0 * m * h * h)
-
-    Par = np.zeros((n, n), dtype=np.complex128)
-    Par[np.arange(n), np.arange(n)[::-1]] = 1.0
-
-    return DiscreteOperators(X=X, Pm=Pm, K=K, Par=Par)
+    return DiscreteOperators(X=X, Pm=Pm, K=_kinetic(grid), Par=default_parity(n))
 
 
 def _sequential_power(z: np.ndarray, k: int) -> np.ndarray:
@@ -215,26 +219,24 @@ def build_hamiltonian(pot: PotentialSpec, grid: GridSpec) -> np.ndarray:
     O(h) matrix discrepancy, and leaves the spectrum exactly gauge
     independent.
     """
-    ops = build_operators(grid)
     x = grid.points()
     n = grid.n_points
     m = grid.mass
 
-    kinetic = ops.K.copy()
+    h_mat = _kinetic(grid)
     if pot.family == "gauged_oscillator":
         beta = pot.params["beta"]
         expo = 0.5 * beta * (x[:, None] ** 2 - x[None, :] ** 2)
-        kinetic = kinetic * np.exp(expo)
+        h_mat = h_mat * np.exp(expo)
     elif pot.family == "gauged_hermitian":
         gamma = pot.params["gamma"]
         x3 = _sequential_power(x, 3)
         phase = gamma * (x3[:, None] - x3[None, :])
-        kinetic = kinetic * np.exp(1j * phase)
+        h_mat = h_mat * np.exp(1j * phase)
 
     v = _diagonal_potential(pot, x)
     if pot.family in ("harmonic", "gauged_oscillator", "gauged_hermitian"):
         v = m * v
-    h_mat = kinetic
     h_mat[np.arange(n), np.arange(n)] += v
     if not np.isfinite(h_mat).all():
         raise ParameterOutOfRange("potential overflows on this grid")
@@ -254,7 +256,7 @@ def gauge_metric(pot: PotentialSpec, grid: GridSpec) -> tuple[str, np.ndarray] |
         return "gauge_mu", np.diag(np.exp(-pot.params["beta"] * x * x)).astype(np.complex128)
     if pot.family == "gauged_hermitian" and grid.symmetric:
         x3 = _sequential_power(x, 3)
-        par = build_operators(grid).Par
+        par = default_parity(grid.n_points)
         return "gauge_eta", par @ np.diag(np.exp(-2j * pot.params["gamma"] * x3))
     return None
 

@@ -240,29 +240,30 @@ class TestDiscretize:
         assert calls == [(64, 64)]
 
     def test_one_factorization_per_metric(self, tmp_path, monkeypatch):
-        lu_calls, similarity_calls = [], []
-        lu_factor, similarity_residual = scipy.linalg.lu_factor, metrics.similarity_residual
+        lu_calls, residual_calls = [], []
+        lu_factor, residuals = scipy.linalg.lu_factor, metrics._residuals
 
         def counting_lu(*args, **kwargs):
             lu_calls.append(args[0].shape)
             return lu_factor(*args, **kwargs)
 
-        def counting_similarity(*args, **kwargs):
-            similarity_calls.append(args[0].shape)
-            return similarity_residual(*args, **kwargs)
+        def counting_residuals(*args, **kwargs):
+            residual_calls.append(args[0].shape)
+            return residuals(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "lu_factor", counting_lu)
-        monkeypatch.setattr(metrics, "similarity_residual", counting_similarity)
+        monkeypatch.setattr(metrics, "_residuals", counting_residuals)
         code, doc = run(tmp_path, "discretize", "--family", "harmonic", "--alpha", "1",
                         "--xmax", "10", "--n", "256")
         assert code == 0
         # the eigenvector matrix, and the identity and parity candidates; the
         # diagonalizer metrics come with their inverses from its inverse
         assert len(lu_calls) == 3
-        # the PT residual is the parity candidate's pseudo-real residual
+        # H's own relations, the identity and parity candidates and the three
+        # diagonalizer metrics; the PT residual is the parity candidate's
         cls = doc["classification"]
         parity = next(r for r in cls["pseudo_real"] if r["name"] == "parity")
-        assert similarity_calls == []
+        assert len(residual_calls) == 6
         assert cls["pt_symmetric"]["residual"] == parity["residual"]
         assert len(cls["reality_checks"]) == 5 * 256
 

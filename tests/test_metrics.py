@@ -6,15 +6,17 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pseudoherm import (
+    GridSpec,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     SingularMatrix,
     ZeroVector,
+    build_hamiltonian,
     canonical_normalize,
     check_all,
     check_pseudo_adjoint,
@@ -31,14 +33,16 @@ from pseudoherm import (
     h7,
     h8,
     h8_diagonalizer,
+    harmonic,
     m3,
+    monomial_pt,
     mu_from_diagonalizer,
     rho_from_diagonalizer,
     similarity_residual,
     symmetry_generator,
 )
 from pseudoherm import metrics
-from pseudoherm.linalg import DEFAULT_TOL, build_diagonalizer, fro, inverse
+from pseudoherm.linalg import DEFAULT_TOL, build_diagonalizer, fro, inverse, tolerance_scale
 from pseudoherm.metrics import PSEUDO_ADJOINT, PSEUDO_HERMITIAN, PSEUDO_REAL, RealityCheck
 
 ID2 = np.eye(2, dtype=complex)
@@ -240,18 +244,16 @@ class TestDiagonalizerMetrics:
             eta_plus_from_diagonalizer(dg), h8_eta_plus(a, b, c, d), atol=1e-12)
 
 
-def reference_residuals(h, metric, metric_inv):
+def reference_residuals(h, similar):
     """``_residuals`` as it was before its buffer, with one temporary per target (reference)."""
-    similar = metric @ h @ metric_inv
-    scale = max(1.0, fro(h))
+    scale = tolerance_scale(fro(h))
     h_conj = h.conj()
     return tuple(fro(similar - target) / scale for target in (h_conj, h.T, h_conj.T))
 
 
-def buffer_in_order_of_h_residuals(h, metric, metric_inv):
+def buffer_in_order_of_h_residuals(h, similar):
     """A mutant of ``_residuals`` whose buffer takes the memory order of H."""
-    similar = metric @ h @ metric_inv
-    scale = max(1.0, fro(h))
+    scale = tolerance_scale(fro(h))
     diff = np.empty_like(h)
     residuals = []
     for target, conjugate in ((h, True), (h.T, False), (h.T, True)):
@@ -272,7 +274,8 @@ def residual_mismatches(residuals):
         s_inv = np.linalg.inv(s)
         for order in "CF":
             h_ordered = np.asarray(h, order=order)
-            if residuals(h_ordered, s, s_inv) != reference_residuals(h_ordered, s, s_inv):
+            similar = s @ h_ordered @ s_inv
+            if residuals(h_ordered, similar) != reference_residuals(h_ordered, similar):
                 missed.append(order)
     return missed
 
@@ -294,6 +297,18 @@ class TestResiduals:
             for parity in parities:
                 pt = classify(h, parity=parity).pt_symmetric
                 assert pt[1] == similarity_residual(parity, h, h.conj())
+
+    @pytest.mark.parametrize("order", "CF")
+    def test_hermitian_and_self_adjoint_residuals_equal_direct_formulas(self, order):
+        rng = np.random.default_rng(22)
+        for n in (1, 2, 5, 17, 40):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            for h in (a, a + a.T, a + a.conj().T):
+                h = np.asarray(h, order=order)
+                report = classify(h)
+                scale = tolerance_scale(fro(h))
+                assert report.hermitian[1] == fro(h - h.conj().T) / scale
+                assert report.self_adjoint[1] == fro(h - h.T) / scale
 
 
 @st.composite
@@ -580,6 +595,54 @@ class TestClassify:
         assert "sigma_x" in names
         by_index = {(c.eigen_index, c.metric_name): c for c in report.reality_checks}
         assert all(c.holds for c in by_index.values())
+
+
+def scale_candidates(n):
+    cand = {"identity": np.eye(n, dtype=complex), "reversal": default_parity(n)}
+    if n == 2:
+        cand.update(sigma_x=SIGMA_X, sigma_y=SIGMA_Y, sigma_z=SIGMA_Z)
+    return cand
+
+
+# Two-level families on both sides of the exceptional point (c = 1, and for
+# H8 d = 1/2, so it breaks at b = sqrt(5)/2), M3 and two grids
+SCALE_INPUTS = (
+    [family(0.3, b, 1.0) for family in (h5, h6, h7) for b in (0.6, 0.99, 1.01, 1.5)]
+    + [h8(0.3, b, 1.0, 0.5) for b in (0.5, 1.0, 2.0)]
+    + [m3()]
+    + [build_hamiltonian(pot, GridSpec(-6.0, 6.0, 32)) for pot in (harmonic(), monomial_pt())]
+)
+
+
+def report_verdicts(report, order):
+    """Every verdict of ``report``, with eigenvalue ``k`` renamed ``order[k]``."""
+    metric_holds = {(r.kind, r.name): r.holds
+                    for r in report.pseudo_real + report.pseudo_adjoint + report.pseudo_hermitian}
+    tags = {order[k]: (tag.kind, None if tag.partner is None else order[tag.partner])
+            for k, tag in enumerate(report.spectrum.reality)}
+    checks = {(order[c.eigen_index], c.metric_name): c.holds for c in report.reality_checks}
+    return (report.hermitian[0], report.self_adjoint[0], report.pt_symmetric[2],
+            metric_holds, tags, checks)
+
+
+class TestScaleInvariance:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.sampled_from([(h, {}) for h in SCALE_INPUTS]),
+                     pseudo_real_systems().map(lambda system: (system[0], {"rho": system[1]}))),
+           st.integers(-60, 60), st.sampled_from([1.0, -1.0]))
+    @example((h5(0.0, 1.5, 1.0), {}), -29, 1.0)
+    def test_verdicts_do_not_depend_on_scale_of_h(self, system, k, sign):
+        # c H is exact for c = +-2^k, so any change of verdict is a defect
+        h, candidates = system
+        c = sign * 2.0**k
+        candidates = {**scale_candidates(len(h)), **candidates}
+        base = classify(h, candidates)
+        scaled = classify(c * h, candidates)
+        w = base.spectrum.eigenvalues
+        # a negative c reorders the eigenvalues: match each to c times H's
+        order = [int(np.argmin(np.abs(c * w - x))) for x in scaled.spectrum.eigenvalues]
+        assert sorted(order) == list(range(len(w)))
+        assert report_verdicts(scaled, order) == report_verdicts(base, range(len(w)))
 
 
 class TestSymmetryGenerator:

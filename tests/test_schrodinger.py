@@ -25,7 +25,12 @@ from pseudoherm import (
     morse,
 )
 from pseudoherm.linalg import fro
-from pseudoherm.schrodinger import PotentialSpec
+from pseudoherm.schrodinger import (
+    DiscreteOperators,
+    PotentialSpec,
+    _diagonal_potential,
+    _sequential_power,
+)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +93,97 @@ class TestStructuralIdentities:
         assert np.count_nonzero(pm) == 2 * 15
         h = (2.0) / 17
         assert pm[0, 1] == -1j / (2 * h)
+
+
+def reference_operators(grid):
+    """``build_operators`` as it was when every builder made all four (reference)."""
+    n = grid.n_points
+    x = grid.points()
+    h = grid.spacing
+    m = grid.mass
+
+    X = np.zeros((n, n), dtype=np.complex128)
+    X[np.arange(n), np.arange(n)] = x
+
+    Pm = np.zeros((n, n), dtype=np.complex128)
+    off = np.arange(n - 1)
+    Pm[off, off + 1] = -1j / (2.0 * h)
+    Pm[off + 1, off] = 1j / (2.0 * h)
+
+    K = np.zeros((n, n), dtype=np.complex128)
+    K[np.arange(n), np.arange(n)] = 1.0 / (m * h * h)
+    K[off, off + 1] = -1.0 / (2.0 * m * h * h)
+    K[off + 1, off] = -1.0 / (2.0 * m * h * h)
+
+    Par = np.zeros((n, n), dtype=np.complex128)
+    Par[np.arange(n), np.arange(n)[::-1]] = 1.0
+
+    return DiscreteOperators(X=X, Pm=Pm, K=K, Par=Par)
+
+
+def reference_hamiltonian(pot, grid):
+    """``build_hamiltonian`` as it was, on all four operators (reference)."""
+    ops = reference_operators(grid)
+    x = grid.points()
+    n = grid.n_points
+    m = grid.mass
+
+    kinetic = ops.K.copy()
+    if pot.family == "gauged_oscillator":
+        beta = pot.params["beta"]
+        expo = 0.5 * beta * (x[:, None] ** 2 - x[None, :] ** 2)
+        kinetic = kinetic * np.exp(expo)
+    elif pot.family == "gauged_hermitian":
+        gamma = pot.params["gamma"]
+        x3 = _sequential_power(x, 3)
+        phase = gamma * (x3[:, None] - x3[None, :])
+        kinetic = kinetic * np.exp(1j * phase)
+
+    v = _diagonal_potential(pot, x)
+    if pot.family in ("harmonic", "gauged_oscillator", "gauged_hermitian"):
+        v = m * v
+    h_mat = kinetic
+    h_mat[np.arange(n), np.arange(n)] += v
+    return h_mat
+
+
+def reference_gauge_metric(pot, grid):
+    """``gauge_metric`` as it was, on all four operators (reference)."""
+    x = grid.points()
+    if pot.family == "gauged_oscillator":
+        return "gauge_mu", np.diag(np.exp(-pot.params["beta"] * x * x)).astype(np.complex128)
+    if pot.family == "gauged_hermitian" and grid.symmetric:
+        x3 = _sequential_power(x, 3)
+        par = reference_operators(grid).Par
+        return "gauge_eta", par @ np.diag(np.exp(-2j * pot.params["gamma"] * x3))
+    return None
+
+
+BUILDER_GRIDS = (GridSpec(-6.0, 6.0, 16), GridSpec(-8.0, 8.0, 255),
+                 GridSpec(-4.0, 14.0, 64, mass=0.5))
+
+
+class TestBuildersEqualReference:
+    """Each builder makes only the operators it uses, with the same bytes."""
+
+    @pytest.mark.parametrize("grid", BUILDER_GRIDS)
+    def test_operators(self, grid):
+        got, want = build_operators(grid), reference_operators(grid)
+        for name in ("X", "Pm", "K", "Par"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("shift", [0.0, 0.3])
+    @pytest.mark.parametrize("family", [harmonic(1.3), gauged_oscillator(1.0, 0.2),
+                                        gauged_hermitian(1.0, 0.1), morse(3.5, 2.0),
+                                        monomial_pt(1.0, 3)])
+    def test_hamiltonian_and_gauge_metric(self, family, shift):
+        pot = PotentialSpec(family.family, family.params, shift)
+        for grid in BUILDER_GRIDS:
+            assert build_hamiltonian(pot, grid).tobytes() == reference_hamiltonian(pot, grid).tobytes()
+            got, want = gauge_metric(pot, grid), reference_gauge_metric(pot, grid)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
 
 class TestPotentialValidation:
