@@ -134,15 +134,48 @@ def involutions(m) -> Involutions:
     return Involutions(m.conj(), m.T.copy(), m.conj().T.copy())
 
 
+def permutation_of(m: np.ndarray) -> np.ndarray | None:
+    """Index array ``p`` with ``m[i, p[i]] = 1`` if ``m`` is a permutation matrix, else ``None``.
+
+    A permutation matrix has one entry equal to 1+0j, bit for bit, in each
+    row and each column, and zeros elsewhere.  Products with it add exact
+    zeros to one exact product, so they equal index gathers up to the sign
+    of a zero.  A scaled permutation (i P, -P, 2 P) is none: its products
+    round.
+    """
+    n = m.shape[0]
+    if np.count_nonzero(m) != n:
+        return None
+    rows, cols = np.nonzero(m)
+    ones = m[rows, cols]
+    if not (np.array_equal(rows, np.arange(n)) and (ones == 1.0).all()
+            and not np.signbit(ones.imag).any()
+            and np.array_equal(np.sort(cols), np.arange(n))):
+        return None
+    return cols
+
+
 def inverse(m) -> tuple[np.ndarray, float]:
     """Invert ``m``, returning ``(inv, condition_estimate)``.
 
     The condition estimate is the exact one-norm condition number of the
     computed pair; it is only meant to be read to order of magnitude.
     Raises :class:`SingularMatrix` when an LU pivot falls below
-    ``n * eps * ||m||_F``.
+    ``n * eps * ||m||_F``.  A permutation matrix (:func:`permutation_of`)
+    is not factored: its inverse is its transpose, with condition 1, the
+    same bits LU gives.
     """
     m = as_matrix(m)
+    p = permutation_of(m)
+    if p is None:
+        return _lu_inverse(m)
+    n = m.shape[0]
+    inv = np.zeros((n, n), dtype=np.complex128, order="F")
+    inv[p, np.arange(n)] = 1.0
+    return inv, 1.0
+
+
+def _lu_inverse(m: np.ndarray) -> tuple[np.ndarray, float]:
     n = m.shape[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -333,10 +366,29 @@ def build_diagonalizer(spectrum: Spectrum, tol: ToleranceConfig | None = None) -
     return spectrum.eigenvectors
 
 
+def _similarity(s: np.ndarray, h: np.ndarray, s_inv: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``(S H S^-1, S^-1)``, with S inverted unless ``s_inv`` is given.
+
+    A permutation S (:func:`permutation_of`) is neither inverted nor
+    multiplied: ``S H S^-1`` is the gather ``H[p_i, p_j]``, and the index
+    array ``p`` is returned in place of ``S^-1``.  The gather differs from
+    the products only in the sign of a zero, which :func:`fro` squares away.
+    """
+    if s_inv is None:
+        p = permutation_of(s)
+        if p is not None:
+            return h[np.ix_(p, p)], p
+        s_inv, _ = _lu_inverse(s)
+    return s @ h @ s_inv, s_inv
+
+
 def similarity_residual(s, h, target) -> float:
     """Relative residual ``||S H S^-1 - target||_F / ||H||_F`` (``/ 1`` for H = 0).
 
-    Invariant under rescaling of ``S`` by any nonzero complex number.
+    Invariant under rescaling of ``S`` by any nonzero complex number.  A
+    permutation S takes no factorization and no product, with the same
+    result (see :func:`_similarity`).
     """
     s = as_matrix(s)
     h = as_matrix(h)
@@ -345,8 +397,7 @@ def similarity_residual(s, h, target) -> float:
         raise DimensionMismatch(
             f"shape mismatch: S {s.shape}, H {h.shape}, target {target.shape}"
         )
-    s_inv, _ = inverse(s)
-    return fro(s @ h @ s_inv - target) / tolerance_scale(fro(h))
+    return fro(_similarity(s, h)[0] - target) / tolerance_scale(fro(h))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .linalg import (
     Spectrum,
     ToleranceConfig,
     ZeroVector,
+    _similarity,
     as_matrix,
     as_vector,
     build_diagonalizer,
@@ -148,22 +149,25 @@ def _check(h: np.ndarray, metric: np.ndarray, tol: ToleranceConfig, name: str,
     """The reports of :func:`check_all`, and the reality checks of ``vectors``.
 
     The metric is inverted unless its inverse is given; a given
-    ``metric_inv`` is scaled in place.  The colinearity ``(eps, residual)``
-    of each vector is taken under the canonical metric when ``vectors`` are
-    given and the metric is pseudo-real, and is ``None`` otherwise.
+    ``metric_inv`` is scaled in place.  A permutation metric without a
+    given inverse is neither inverted nor multiplied: ``S H S^-1`` and the
+    reality checks are index gathers (see :func:`pseudoherm.linalg._similarity`),
+    with the same results.  The colinearity ``(eps, residual)`` of each
+    vector is taken under the canonical metric when ``vectors`` are given
+    and the metric is pseudo-real, and is ``None`` otherwise.
     """
     if metric.shape != h.shape:
         raise DimensionMismatch(f"shape mismatch: S {metric.shape}, H {h.shape}")
-    if metric_inv is None:
-        metric_inv, _ = inverse(metric)
+    similar, metric_inv = _similarity(metric, h, metric_inv)
     pivot = _pivot(metric)
     canonical = metric / pivot
     reports = {kind: MetricReport(kind, name, canonical, residual,
                                   bool(residual <= tol.metric_tol), provenance)
-               for kind, residual in zip(KINDS, _residuals(h, metric @ h @ metric_inv))}
+               for kind, residual in zip(KINDS, _residuals(h, similar))}
     if not (vectors and reports[PSEUDO_REAL].holds):
         return reports, None
-    metric_inv *= pivot  # (metric / pivot)^-1
+    if metric_inv.ndim == 2:  # a permutation's index array needs none: its pivot is 1
+        metric_inv *= pivot  # (metric / pivot)^-1
     return reports, _colinearity(metric_inv, vectors)
 
 
@@ -330,7 +334,12 @@ def _colinearity(rho_inv: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
     per vector, from one matrix product per block of ``REALITY_BLOCK``
     vectors.  The residual is the norm of the difference itself: the
     shortcut ``||w||^2 - |psi^H w|^2`` cancels to noise near colinearity.
+    ``rho_inv`` may also be the index array ``p`` of a permutation rho
+    (``rho[i, p[i]] = 1``); ``w`` is then the row gather
+    ``conj(psi)[argsort(p)]``, which differs from the product only in the
+    sign of a zero, and the sums and norms ``w`` enters drop that sign.
     """
+    gather = np.argsort(rho_inv) if rho_inv.ndim == 1 else None
     count = len(vectors)
     eps = np.empty(count, dtype=np.complex128)
     residual = np.empty(count)
@@ -338,7 +347,7 @@ def _colinearity(rho_inv: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
         block = slice(start, min(start + REALITY_BLOCK, count))
         v = np.column_stack(vectors[block])
         v_conj = v.conj()
-        w = rho_inv @ v_conj
+        w = v_conj[gather] if gather is not None else rho_inv @ v_conj
         e = np.einsum("ij,ij->j", v_conj, w) / np.einsum("ij,ij->j", v_conj, v)
         eps[block] = e
         residual[block] = np.linalg.norm(w - e * v, axis=0) / np.linalg.norm(w, axis=0)
@@ -448,9 +457,7 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
                    and np.array_equal(metric, parity)), None)
     try:
         if pt_res is None:
-            # inverted first, so parity @ h is not alive while the inverse is allocated
-            parity_inv, _ = inverse(parity)
-            pt_res = _residuals(h, parity @ h @ parity_inv)[0]
+            pt_res = _residuals(h, _similarity(parity, h)[0])[0]
         pt = (parity_name, float(pt_res), bool(pt_res <= tol.metric_tol))
     except SingularMatrix:
         warn.append("parity matrix is singular; PT check skipped")

@@ -256,9 +256,10 @@ class TestDiscretize:
         code, doc = run(tmp_path, "discretize", "--family", "harmonic", "--alpha", "1",
                         "--xmax", "10", "--n", "256")
         assert code == 0
-        # the eigenvector matrix, and the identity and parity candidates; the
-        # diagonalizer metrics come with their inverses from its inverse
-        assert len(lu_calls) == 3
+        # the eigenvector matrix only: the identity and parity candidates are
+        # permutations, which take index gathers, and the diagonalizer metrics
+        # come with their inverses from its inverse
+        assert len(lu_calls) == 1
         # H's own relations, the identity and parity candidates and the three
         # diagonalizer metrics; the PT residual is the parity candidate's
         cls = doc["classification"]

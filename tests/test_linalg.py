@@ -115,6 +115,126 @@ class TestInverse:
         assert fro(m @ inv - np.eye(24)) <= 24 * EPS * cond
 
 
+def lu_inverse(m):
+    """``inverse`` as it was before its permutation branch, kept verbatim (reference)."""
+    m = linalg.as_matrix(m)
+    n = m.shape[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+    pivots = np.abs(np.diag(lu))
+    norm = fro(m)
+    if norm < linalg._FRO_UNDERFLOW:
+        top = float(np.abs(m).max())
+        if top > 0.0:
+            norm = top * fro(m / top)
+    threshold = n * EPS * norm
+    if pivots.min() <= threshold:
+        raise SingularMatrix(f"pivot {pivots.min():.3e} below threshold {threshold:.3e}")
+    inv = scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=np.complex128), check_finite=False)
+    cond = max(linalg._norm1(m) * linalg._norm1(inv), 1.0)
+    return inv, float(cond)
+
+
+def permutation_matrix(p):
+    n = len(p)
+    m = np.zeros((n, n), dtype=np.complex128)
+    m[np.arange(n), p] = 1.0
+    return m
+
+
+@st.composite
+def permutations(draw, max_n=70):
+    """An index array p: the identity, the reversal or a random permutation."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["identity", "reversal", "random"]))
+    if kind == "identity":
+        return np.arange(n)
+    if kind == "reversal":
+        return np.arange(n)[::-1].copy()
+    return np.array(draw(st.permutations(range(n))), dtype=np.intp)
+
+
+def not_permutations(p):
+    """Matrices near the permutation matrix of ``p`` that must keep the LU path."""
+    m = permutation_matrix(p)
+    n = len(p)
+    off = m.copy()
+    off[0, (p[0] + 1) % n] = 1e-300
+    conj_one = m.copy()
+    conj_one[0, p[0]] = complex(1.0, -0.0)  # LU inverts it with other zero signs
+    out = {"i P": 1j * m, "-P": -m, "2 P": 2.0 * m, "conj one": conj_one}
+    if n > 1:
+        out["off-pattern 1e-300"] = off
+    return out
+
+
+class TestPermutations:
+    @settings(max_examples=150, deadline=None)
+    @given(permutations())
+    def test_detector_returns_the_index_array(self, p):
+        np.testing.assert_array_equal(linalg.permutation_of(permutation_matrix(p)), p)
+        for name, m in not_permutations(p).items():
+            assert linalg.permutation_of(m) is None, name
+
+    def test_detector_rejects_non_permutations(self):
+        rejected = [np.zeros((3, 3)), np.ones((2, 2)), np.eye(3)[[0, 0, 1]],
+                    np.eye(3)[:, [0, 0, 1]], np.array([[1.0, 1.0], [0.0, 0.0]])]
+        for m in rejected:
+            assert linalg.permutation_of(np.asarray(m, dtype=np.complex128)) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(permutations())
+    def test_inverse_equals_lu_bit_for_bit_without_factoring(self, p):
+        m = permutation_matrix(p)
+        with mock.patch.object(scipy.linalg, "lu_factor") as lu_factor:
+            inv, cond = inverse(m)
+        lu_factor.assert_not_called()
+        want, want_cond = lu_inverse(m)
+        assert inv.tobytes() == want.tobytes() and inv.flags.f_contiguous
+        assert cond == want_cond == 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(permutations(), st.integers(0, 2**32 - 1), st.sampled_from("CF"), st.booleans())
+    def test_similarity_residual_equals_lu_and_products(self, p, seed, order, sparse):
+        rng = np.random.default_rng(seed)
+        n = len(p)
+        m = permutation_matrix(p)
+        h = random_complex(rng, n)
+        if sparse:  # about half the entries exactly 0
+            h[rng.random((n, n)) < 0.5] = 0.0
+        h = np.asarray(h, order=order)
+        targets = (h.conj(), h.T, random_complex(rng, n))
+        with mock.patch.object(scipy.linalg, "lu_factor") as lu_factor:
+            got = [similarity_residual(m, h, t) for t in targets]
+        lu_factor.assert_not_called()
+        m_inv = lu_inverse(m)[0]
+        scale = linalg.tolerance_scale(fro(h))
+        assert got == [fro(m @ h @ m_inv - t) / scale for t in targets]
+
+    @settings(max_examples=60, deadline=None)
+    @given(permutations(max_n=20), st.integers(0, 2**32 - 1))
+    def test_near_permutations_keep_the_lu_path(self, p, seed):
+        rng = np.random.default_rng(seed)
+        h = random_complex(rng, len(p))
+        lu_factor = scipy.linalg.lu_factor
+        for name, m in not_permutations(p).items():
+            with mock.patch.object(scipy.linalg, "lu_factor", side_effect=lu_factor) as spy:
+                inv, cond = inverse(m)
+                residual = similarity_residual(m, h, h.conj())
+            assert spy.call_count == 2, name
+            want, want_cond = lu_inverse(m)
+            assert inv.tobytes() == want.tobytes() and cond == want_cond, name
+            assert residual == fro(m @ h @ want - h.conj()) / fro(h), name
+
+    def test_repeated_column_is_singular(self):
+        m = np.eye(4, dtype=np.complex128)[:, [0, 1, 1, 3]]
+        with pytest.raises(SingularMatrix):
+            inverse(m)
+        with pytest.raises(SingularMatrix):
+            similarity_residual(m, np.eye(4), np.eye(4))
+
+
 class TestEigendecompose:
     def test_sigma_z(self):
         spec = eigendecompose(SIGMA_Z)

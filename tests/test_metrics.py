@@ -15,6 +15,7 @@ from pseudoherm import (
     SIGMA_Y,
     SIGMA_Z,
     SingularMatrix,
+    ToleranceConfig,
     ZeroVector,
     build_hamiltonian,
     canonical_normalize,
@@ -27,21 +28,27 @@ from pseudoherm import (
     default_parity,
     eigendecompose,
     eigenstate_reality_check,
+    eta_gram,
     eta_plus_from_diagonalizer,
+    gauge_metric,
+    gauged_hermitian,
     h5,
     h6,
     h7,
     h8,
     h8_diagonalizer,
     harmonic,
+    hermitian_gram,
     m3,
     monomial_pt,
     mu_from_diagonalizer,
+    pt_gram,
     rho_from_diagonalizer,
     similarity_residual,
     symmetry_generator,
+    transpose_gram,
 )
-from pseudoherm import metrics
+from pseudoherm import inner, linalg, metrics
 from pseudoherm.linalg import DEFAULT_TOL, build_diagonalizer, fro, inverse, tolerance_scale
 from pseudoherm.metrics import PSEUDO_ADJOINT, PSEUDO_HERMITIAN, PSEUDO_REAL, RealityCheck
 
@@ -137,6 +144,9 @@ class TestCheckAll:
             return lu_factor(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+        check_all(h7(0.0, 1.0, 2.0), SIGMA_Y)
+        assert calls == [(2, 2)]
+        # a permutation metric takes none
         check_all(h5(0.0, 0.6, 1.0), SIGMA_X)
         assert calls == [(2, 2)]
 
@@ -625,6 +635,24 @@ def report_verdicts(report, order):
             metric_holds, tags, checks)
 
 
+def gram_signatures(report, order):
+    """The signature of each Gram a report shows, with eigenvalue ``k`` renamed ``order[k]``.
+
+    The PT Gram is left out where PT does not hold: its signature is then
+    no verdict.
+    """
+    states = [pair.eigenvector for pair in report.spectrum.pairs]
+    eigenvalues = report.spectrum.eigenvalues
+    grams = {"hermitian": hermitian_gram(states),
+             "transpose": transpose_gram(states, eigenvalues)}
+    grams.update((f"eta {rep.name}", eta_gram(states, rep.metric, eigenvalues))
+                 for rep in report.pseudo_hermitian if rep.holds)
+    if report.pt_symmetric[2]:
+        grams["pt"] = pt_gram(states, default_parity(len(states)), eigenvalues)
+    return {kind: {order[k]: sign for k, sign in enumerate(gram.signature)}
+            for kind, gram in grams.items()}
+
+
 class TestScaleInvariance:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(st.sampled_from([(h, {}) for h in SCALE_INPUTS]),
@@ -643,6 +671,7 @@ class TestScaleInvariance:
         order = [int(np.argmin(np.abs(c * w - x))) for x in scaled.spectrum.eigenvalues]
         assert sorted(order) == list(range(len(w)))
         assert report_verdicts(scaled, order) == report_verdicts(base, range(len(w)))
+        assert gram_signatures(scaled, order) == gram_signatures(base, range(len(w)))
 
 
 class TestSymmetryGenerator:
@@ -679,3 +708,168 @@ class TestPropositionBounds:
             _, k_mu = inverse(mu)
             res = check_pseudo_hermitian(h, compose_eta(rho, mu)).residual
             assert res <= 100.0 * (e1 + e2 + 1e-15) * k_rho * k_mu
+
+
+def reference_block_colinearity(rho_inv, vectors):
+    """``_colinearity`` as it was before its permutation branch, kept verbatim (reference)."""
+    count = len(vectors)
+    eps = np.empty(count, dtype=np.complex128)
+    residual = np.empty(count)
+    for start in range(0, count, metrics.REALITY_BLOCK):
+        block = slice(start, min(start + metrics.REALITY_BLOCK, count))
+        v = np.column_stack(vectors[block])
+        v_conj = v.conj()
+        w = rho_inv @ v_conj
+        e = np.einsum("ij,ij->j", v_conj, w) / np.einsum("ij,ij->j", v_conj, v)
+        eps[block] = e
+        residual[block] = np.linalg.norm(w - e * v, axis=0) / np.linalg.norm(w, axis=0)
+    return eps, residual
+
+
+def reference_check(h, metric, vectors):
+    """``_check`` by LU and products, as it was before its permutation branch (reference).
+
+    ``linalg._lu_inverse`` is that LU path; ``tests/test_linalg.py`` pins it to a
+    verbatim copy of the old ``inverse``.
+    """
+    metric_inv, _ = linalg._lu_inverse(metric)
+    pivot = metrics._pivot(metric)
+    residuals = metrics._residuals(h, metric @ h @ metric_inv)
+    return metric / pivot, residuals, reference_block_colinearity(metric_inv * pivot, vectors)
+
+
+def reference_pt_gram(states, parity, eigenvalues, tol):
+    """``pt_gram`` with the product ``P conj(Psi)``, as it was before its gather (reference)."""
+    v = np.column_stack(states)
+    gram = (parity @ v.conj()).T @ v
+    return inner._report(inner.PT_GRAM, gram, fro(parity), np.linalg.norm(v, axis=0),
+                         eigenvalues, True, tol)
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.complex128).tobytes()
+
+
+@st.composite
+def permutation_systems(draw):
+    """A permutation matrix P (identity, reversal or random; n in 1..70) and an H.
+
+    H is C- or F-ordered and dense, half zeros, or real diagonal (whose
+    eigenvectors have exact zeros).  When P is an involution, H is made
+    pseudo-real under it half the time, so the reality checks run at the
+    default tolerance.
+    """
+    n = draw(st.integers(1, 70))
+    kind = draw(st.sampled_from(["identity", "reversal", "random"]))
+    p = {"identity": np.arange(n), "reversal": np.arange(n)[::-1].copy(),
+         "random": np.array(draw(st.permutations(range(n))), dtype=np.intp)}[kind]
+    m = np.zeros((n, n), dtype=np.complex128)
+    m[np.arange(n), p] = 1.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    structure = draw(st.sampled_from(["dense", "sparse", "diagonal"]))
+    if structure == "diagonal":
+        h = np.diag(rng.normal(size=n)).astype(np.complex128)
+    else:
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if structure == "sparse":
+            h[rng.random((n, n)) < 0.5] = 0.0
+        if np.array_equal(p[p], np.arange(n)) and draw(st.booleans()):
+            h = h + m @ h.conj() @ m.T
+    return m, np.asarray(h, order=draw(st.sampled_from("CF")))
+
+
+# Every metric holds under it, so the reality checks run on every H
+LOOSE_TOL = ToleranceConfig(metric_tol=1e300)
+
+
+class TestPermutationMetrics:
+    """Permutation metrics take index gathers, with the bits of LU and products."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(permutation_systems(), st.sampled_from([DEFAULT_TOL, LOOSE_TOL]))
+    def test_check_equals_lu_and_products_bit_for_bit(self, system, tol):
+        m, h = system
+        vectors = list(eigendecompose(h).eigenvectors.T)
+        with mock.patch.object(scipy.linalg, "lu_factor") as lu_factor:
+            reports, colinearity = metrics._check(h, m, tol, "P", "user", vectors)
+        lu_factor.assert_not_called()
+        canonical, residuals, (eps, residual) = reference_check(h, m, vectors)
+        assert [reports[kind].residual for kind in metrics.KINDS] == list(residuals)
+        assert [reports[kind].holds for kind in metrics.KINDS] == [
+            r <= tol.metric_tol for r in residuals]
+        for kind in metrics.KINDS:
+            assert reports[kind].metric.tobytes() == canonical.tobytes()
+        if reports[PSEUDO_REAL].holds:
+            assert bits(colinearity[0]) == bits(eps)
+            assert colinearity[1].tobytes() == residual.tobytes()
+        else:
+            assert colinearity is None
+        public = check_all(h, m, tol, "P")
+        assert [public[kind].residual for kind in metrics.KINDS] == list(residuals)
+
+    @settings(max_examples=80, deadline=None)
+    @given(permutation_systems(), st.sampled_from([DEFAULT_TOL, LOOSE_TOL]))
+    def test_classify_equals_lu_and_products_bit_for_bit(self, system, tol):
+        m, h = system
+        report = classify(h, {"P": m}, tol, parity=m)
+        bare = classify(h, None, tol, parity=m)
+        vectors = [pair.eigenvector for pair in report.spectrum.pairs]
+        _, residuals, (eps, residual) = reference_check(h, m, vectors)
+        assert report.pt_symmetric[1] == bare.pt_symmetric[1] == residuals[0]
+        checks = [c for c in report.reality_checks if c.metric_name == "P"]
+        if report.pseudo_real[0].holds:
+            assert [c.eigen_index for c in checks] == list(range(len(h)))
+            assert bits([c.epsilon for c in checks]) == bits(eps)
+            assert [c.colinearity_residual for c in checks] == list(residual)
+        else:
+            assert checks == []
+        eigenvalues = report.spectrum.eigenvalues
+        got = pt_gram(vectors, m, eigenvalues, tol)
+        want = reference_pt_gram(vectors, m, eigenvalues, tol)
+        assert got.gram.tobytes() == want.gram.tobytes()
+        assert (got.offdiag_max, bits(got.norms), got.signature) == (
+            want.offdiag_max, bits(want.norms), want.signature)
+
+    @settings(max_examples=40, deadline=None)
+    @given(permutation_systems())
+    def test_near_permutations_keep_lu_and_products(self, system):
+        perm, h = system
+        n = len(h)
+        near = {"i P": 1j * perm, "-P": -perm, "2 P": 2.0 * perm}
+        if n > 1:
+            near["off-pattern 1e-300"] = perm.copy()
+            near["off-pattern 1e-300"][0, (int(np.argmax(perm[0].real)) + 1) % n] = 1e-300
+        if n >= 16:  # the smallest grid
+            grid = GridSpec(-5.0, 5.0, n)
+            near["gauge_eta"] = gauge_metric(gauged_hermitian(1.0, 0.5), grid)[1]
+        vectors = list(eigendecompose(h).eigenvectors.T)
+        lu_factor = scipy.linalg.lu_factor
+        for name, m in near.items():
+            with mock.patch.object(scipy.linalg, "lu_factor", side_effect=lu_factor) as spy:
+                reports, colinearity = metrics._check(h, m, LOOSE_TOL, name, "user", vectors)
+            assert spy.call_count == 1, name
+            canonical, residuals, (eps, residual) = reference_check(h, m, vectors)
+            assert [reports[kind].residual for kind in metrics.KINDS] == list(residuals), name
+            assert reports[PSEUDO_REAL].metric.tobytes() == canonical.tobytes(), name
+            assert bits(colinearity[0]) == bits(eps), name
+            assert colinearity[1].tobytes() == residual.tobytes(), name
+
+    def test_pt_gram_keeps_the_product(self):
+        # conj(Psi) of H6's eigenvectors has negative zeros; the product with
+        # the reversal drops them and a gather would keep them, and the Gram
+        # product carries that into a norm that a report writes as 0 or -0
+        h = h6(1.0, 1.0, 2.0)
+        spectrum = eigendecompose(h)
+        vectors = [pair.eigenvector for pair in spectrum.pairs]
+        got = pt_gram(vectors, default_parity(2), spectrum.eigenvalues)
+        want = reference_pt_gram(vectors, default_parity(2), spectrum.eigenvalues, DEFAULT_TOL)
+        assert got.gram.tobytes() == want.gram.tobytes()
+        assert bits(got.norms) == bits(want.norms)
+
+    def test_repeated_column_is_singular(self):
+        h = np.random.default_rng(5).normal(size=(4, 4)).astype(np.complex128)
+        flat = np.eye(4, dtype=np.complex128)[:, [0, 1, 1, 3]]
+        with pytest.raises(SingularMatrix):
+            check_all(h, flat)
+        report = classify(h, {"flat": flat}, parity=flat)
+        assert report.pseudo_real[0].residual == np.inf and report.pt_symmetric is None

@@ -90,8 +90,9 @@ def test_sweep_runs_no_reality_check(monkeypatch):
     lo, hi = result.breaking_point
     assert lo <= math.hypot(c, d) <= hi
     assert colinearity == []
-    # per point: the eigenvector matrix and one per candidate checked; the
+    # per point: the eigenvector matrix and one per candidate checked other
+    # than the permutation sigma_x, which takes index gathers; the
     # diagonalizer metrics and their inverses are products of its inverse.
-    # 5 at the 12 real-phase points (four candidates), 2 at the 9 broken ones
-    # (sigma_x only)
-    assert len(lu) == 12 * 5 + 9 * 2
+    # 4 at the 12 real-phase points (sigma_x and the three closed forms), 1 at
+    # the 9 broken ones (sigma_x only)
+    assert len(lu) == 12 * 4 + 9 * 1

@@ -129,6 +129,7 @@ def write_inputs() -> list[list[str]]:
         "huge.json": np.diag([1e200, 2e200, -3e200]),
         "tiny.json": np.diag([1e-200, 2e-200, -3e-200]),
     }
+    files.update(permutation_inputs(np.random.default_rng(21)))
     for name, m in files.items():
         save_matrix(name, m)
     return [
@@ -140,7 +141,35 @@ def write_inputs() -> list[list[str]]:
         ["--matrix", "zero.json"],
         ["--matrix", "huge.json"],
         ["--matrix", "tiny.json"],
+        ["--matrix", "perm.json", "--rho", "perm_rho.json"],
+        ["--matrix", "perm.json", "--parity", "i_reversal.json"],
     ]
+
+
+def permutation_inputs(rng) -> dict:
+    """An n = 64 matrix pseudo-real under a permutation P, P, and i times the reversal.
+
+    P has ten cycles of length 4 and eight of length 3, so it has order 12
+    and is not an involution: P^-1 != P.  The matrix is the sum of a random
+    A over the group of X -> P conj(X) P^T, which maps it to itself.  P is
+    a permutation metric, which takes index gathers; i times the reversal
+    is a scaled permutation, which is factored.
+    """
+    import numpy as np
+
+    n = 64
+    order = rng.permutation(n)
+    p = np.arange(n)
+    for cycle in np.split(order, np.cumsum([4] * 10 + [3] * 7)):
+        p[cycle] = np.roll(cycle, -1)
+    perm = np.eye(n)[p]
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = np.zeros((n, n), dtype=np.complex128)
+    for _ in range(12):
+        h += x
+        x = perm @ x.conj() @ perm.T
+    return {"perm.json": h, "perm_rho.json": perm,
+            "i_reversal.json": 1j * np.fliplr(np.eye(n))}
 
 
 def run(src: Path, save: Path | None) -> None:
