@@ -161,21 +161,9 @@ def inverse(m) -> tuple[np.ndarray, float]:
     The condition estimate is the exact one-norm condition number of the
     computed pair; it is only meant to be read to order of magnitude.
     Raises :class:`SingularMatrix` when an LU pivot falls below
-    ``n * eps * ||m||_F``.  A permutation matrix (:func:`permutation_of`)
-    is not factored: its inverse is its transpose, with condition 1, the
-    same bits LU gives.
+    ``n * eps * ||m||_F``.
     """
     m = as_matrix(m)
-    p = permutation_of(m)
-    if p is None:
-        return _lu_inverse(m)
-    n = m.shape[0]
-    inv = np.zeros((n, n), dtype=np.complex128, order="F")
-    inv[p, np.arange(n)] = 1.0
-    return inv, 1.0
-
-
-def _lu_inverse(m: np.ndarray) -> tuple[np.ndarray, float]:
     n = m.shape[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -371,16 +359,22 @@ def _similarity(s: np.ndarray, h: np.ndarray, s_inv: np.ndarray | None = None
     """``(S H S^-1, S^-1)``, with S inverted unless ``s_inv`` is given.
 
     A permutation S (:func:`permutation_of`) is neither inverted nor
-    multiplied: ``S H S^-1`` is the gather ``H[p_i, p_j]``, and the index
-    array ``p`` is returned in place of ``S^-1``.  The gather differs from
-    the products only in the sign of a zero, which :func:`fro` squares away.
+    multiplied: ``S H S^-1`` is the gather ``H[p_i, p_j]``, and S^-1 is
+    returned as the row gather ``argsort(p)``; apply it with
+    :func:`_inverse_times`.  The gather differs from the products only in
+    the sign of a zero, which :func:`fro` squares away.
     """
     if s_inv is None:
         p = permutation_of(s)
         if p is not None:
-            return h[np.ix_(p, p)], p
-        s_inv, _ = _lu_inverse(s)
+            return h[np.ix_(p, p)], np.argsort(p)
+        s_inv, _ = inverse(s)
     return s @ h @ s_inv, s_inv
+
+
+def _inverse_times(s_inv: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``S^-1 x`` for S^-1 as :func:`_similarity` returns it: a matrix, or a row gather."""
+    return x[s_inv] if s_inv.ndim == 1 else s_inv @ x
 
 
 def similarity_residual(s, h, target) -> float:

@@ -44,6 +44,7 @@ from .linalg import (
     Spectrum,
     ToleranceConfig,
     ZeroVector,
+    _inverse_times,
     _similarity,
     as_matrix,
     as_vector,
@@ -149,12 +150,13 @@ def _check(h: np.ndarray, metric: np.ndarray, tol: ToleranceConfig, name: str,
     """The reports of :func:`check_all`, and the reality checks of ``vectors``.
 
     The metric is inverted unless its inverse is given; a given
-    ``metric_inv`` is scaled in place.  A permutation metric without a
-    given inverse is neither inverted nor multiplied: ``S H S^-1`` and the
-    reality checks are index gathers (see :func:`pseudoherm.linalg._similarity`),
-    with the same results.  The colinearity ``(eps, residual)`` of each
-    vector is taken under the canonical metric when ``vectors`` are given
-    and the metric is pseudo-real, and is ``None`` otherwise.
+    ``metric_inv`` is scaled in place by the canonical pivot, unless that
+    is 1.  A permutation metric without a given inverse is neither
+    inverted nor multiplied: ``S H S^-1`` and the reality checks are index
+    gathers (see :func:`pseudoherm.linalg._similarity`), with the same
+    results.  The colinearity ``(eps, residual)`` of each vector is taken
+    under the canonical metric when ``vectors`` are given and the metric
+    is pseudo-real, and is ``None`` otherwise.
     """
     if metric.shape != h.shape:
         raise DimensionMismatch(f"shape mismatch: S {metric.shape}, H {h.shape}")
@@ -166,7 +168,7 @@ def _check(h: np.ndarray, metric: np.ndarray, tol: ToleranceConfig, name: str,
                for kind, residual in zip(KINDS, _residuals(h, similar))}
     if not (vectors and reports[PSEUDO_REAL].holds):
         return reports, None
-    if metric_inv.ndim == 2:  # a permutation's index array needs none: its pivot is 1
+    if pivot != 1:
         metric_inv *= pivot  # (metric / pivot)^-1
     return reports, _colinearity(metric_inv, vectors)
 
@@ -177,7 +179,8 @@ def check_all(h, metric, tol: ToleranceConfig | None = None,
 
     Returns the pseudo-real, pseudo-adjoint and pseudo-Hermitian reports,
     keyed by kind in that order.  The metric is inverted once and
-    ``S H S^-1`` formed once; each residual equals
+    ``S H S^-1`` formed once, or, for a permutation metric, gathered from
+    H by index with neither an inverse nor a product; each residual equals
     ``similarity_residual(metric, h, target)`` for its target.  Raises
     :class:`SingularMatrix` when the metric cannot be inverted.
     """
@@ -334,12 +337,11 @@ def _colinearity(rho_inv: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
     per vector, from one matrix product per block of ``REALITY_BLOCK``
     vectors.  The residual is the norm of the difference itself: the
     shortcut ``||w||^2 - |psi^H w|^2`` cancels to noise near colinearity.
-    ``rho_inv`` may also be the index array ``p`` of a permutation rho
-    (``rho[i, p[i]] = 1``); ``w`` is then the row gather
-    ``conj(psi)[argsort(p)]``, which differs from the product only in the
-    sign of a zero, and the sums and norms ``w`` enters drop that sign.
+    ``rho_inv`` is as :func:`pseudoherm.linalg._similarity` returns it; for
+    a permutation rho, ``w`` is a row gather of ``conj(psi)``, which differs
+    from the product only in the sign of a zero, and the sums and norms
+    ``w`` enters drop that sign.
     """
-    gather = np.argsort(rho_inv) if rho_inv.ndim == 1 else None
     count = len(vectors)
     eps = np.empty(count, dtype=np.complex128)
     residual = np.empty(count)
@@ -347,7 +349,7 @@ def _colinearity(rho_inv: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
         block = slice(start, min(start + REALITY_BLOCK, count))
         v = np.column_stack(vectors[block])
         v_conj = v.conj()
-        w = v_conj[gather] if gather is not None else rho_inv @ v_conj
+        w = _inverse_times(rho_inv, v_conj)
         e = np.einsum("ij,ij->j", v_conj, w) / np.einsum("ij,ij->j", v_conj, v)
         eps[block] = e
         residual[block] = np.linalg.norm(w - e * v, axis=0) / np.linalg.norm(w, axis=0)

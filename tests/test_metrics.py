@@ -48,7 +48,7 @@ from pseudoherm import (
     symmetry_generator,
     transpose_gram,
 )
-from pseudoherm import inner, linalg, metrics
+from pseudoherm import inner, metrics
 from pseudoherm.linalg import DEFAULT_TOL, build_diagonalizer, fro, inverse, tolerance_scale
 from pseudoherm.metrics import PSEUDO_ADJOINT, PSEUDO_HERMITIAN, PSEUDO_REAL, RealityCheck
 
@@ -727,12 +727,8 @@ def reference_block_colinearity(rho_inv, vectors):
 
 
 def reference_check(h, metric, vectors):
-    """``_check`` by LU and products, as it was before its permutation branch (reference).
-
-    ``linalg._lu_inverse`` is that LU path; ``tests/test_linalg.py`` pins it to a
-    verbatim copy of the old ``inverse``.
-    """
-    metric_inv, _ = linalg._lu_inverse(metric)
+    """``_check`` by LU and products, as it was before its permutation branch (reference)."""
+    metric_inv, _ = inverse(metric)
     pivot = metrics._pivot(metric)
     residuals = metrics._residuals(h, metric @ h @ metric_inv)
     return metric / pivot, residuals, reference_block_colinearity(metric_inv * pivot, vectors)
