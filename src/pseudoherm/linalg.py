@@ -118,6 +118,13 @@ def fro(m: np.ndarray) -> float:
     return norm
 
 
+def _unit_scale(m: np.ndarray) -> tuple[float, float]:
+    """The largest magnitude ``top`` of a real or imaginary part of ``m``, and the
+    power of two that scales ``top`` into [1/2, 1) (at most 2^1023; 1 for m = 0)."""
+    top = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
+    return top, math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
+
+
 def _norm1(m: np.ndarray) -> float:
     return float(np.abs(m).sum(axis=0).max())
 
@@ -210,15 +217,16 @@ class Spectrum:
     Eigenvalues are sorted ascending by real part, ties broken by imaginary
     part.  Eigenvectors have unit norm with the largest-magnitude component
     rotated to the positive real axis; the convention is deterministic and
-    makes a Hermitian input yield a unitary diagonalizer.
-    ``diagonalizer_inverse`` is the inverse of the eigenvector matrix, from
-    the same factorization as ``diagonalizer_condition``; it is ``None``
-    when that matrix is singular or the spectrum was assembled by hand.
+    makes a Hermitian input yield a unitary diagonalizer.  They are the
+    columns of ``eigenvectors`` (read-only as :func:`eigendecompose` stores
+    it); its inverse ``diagonalizer_inverse`` comes from the factorization
+    that gives ``diagonalizer_condition`` (``None`` when singular or not square).
     """
 
     pairs: tuple[EigenPair, ...]
     reality: tuple[RealityTag, ...]
     diagonalizer_condition: float
+    eigenvectors: np.ndarray = field(repr=False, compare=False)
     flags: tuple[str, ...] = ()
     diagonalizer_inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -231,11 +239,6 @@ class Spectrum:
     @property
     def eigenvalues(self) -> np.ndarray:
         return np.array([p.eigenvalue for p in self.pairs])
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """Eigenvectors as the columns of one matrix."""
-        return np.column_stack([p.eigenvector for p in self.pairs])
 
 
 def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
@@ -252,11 +255,11 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
     tol = tol or DEFAULT_TOL
     # zgeev leaves unscaled the eigenvalues of a matrix whose largest entry is
     # outside about [6.7e-139, 1.5e138]: solve it scaled by a power of two
-    top = max(float(np.abs(h.real).max()), float(np.abs(h.imag).max()))
-    scale = 1.0
+    top, scale = _unit_scale(h)
     if top > 2.0**400 or 0.0 < top < 2.0**-400:
-        scale = math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
         h = h * scale
+    else:
+        scale = 1.0
     try:
         w, v = scipy.linalg.eig(h, check_finite=False)
     except Exception as exc:  # LAPACK reports non-convergence via LinAlgError
@@ -284,6 +287,7 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
                             / (tolerance_scale(norm_h) * np.linalg.norm(v[:, block], axis=0)))
     flags = [f"residual_above_tolerance:index={k},residual={res:.3e}"
              for k, res in enumerate(residuals) if res > tol.residual_tol]
+    v.flags.writeable = False  # before the pairs take their column views
     pairs = tuple(EigenPair(complex(w[k] / scale), v[:, k], float(residuals[k]))
                   for k in range(len(w)))
 
@@ -296,6 +300,7 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
         pairs=pairs,
         reality=_reality_tags(w / scale, tol, tolerance_scale(norm_h / scale)),
         diagonalizer_condition=float(cond),
+        eigenvectors=v,
         flags=tuple(flags),
         diagonalizer_inverse=v_inv,
     )
@@ -337,7 +342,7 @@ def _reality_tags(w: np.ndarray, tol: ToleranceConfig, scale: float) -> tuple[Re
 
 
 def build_diagonalizer(spectrum: Spectrum, tol: ToleranceConfig | None = None) -> np.ndarray:
-    """Assemble the diagonalizer whose k-th column is the k-th eigenvector.
+    """The diagonalizer whose k-th column is the k-th eigenvector: ``spectrum.eigenvectors``.
 
     Raises :class:`NearDefective` when the eigenvector matrix condition
     exceeds ``1 / metric_tol``: metrics built from such a diagonalizer
@@ -481,7 +486,10 @@ def matrix_from_doc(doc) -> np.ndarray:
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
             ):
                 raise MatrixFormatError(f"entry ({i},{j}) is not a [re, im] pair")
-            m[i, j] = complex(entry[0], entry[1])
+            try:
+                m[i, j] = complex(entry[0], entry[1])
+            except OverflowError as exc:
+                raise MatrixFormatError(f"entry ({i},{j}) is too large for a float") from exc
     if not np.isfinite(m).all():
         raise MatrixFormatError("entries must be finite")
     return m

@@ -46,6 +46,7 @@ from .linalg import (
     ZeroVector,
     _inverse_times,
     _similarity,
+    _unit_scale,
     as_matrix,
     as_vector,
     build_diagonalizer,
@@ -147,26 +148,21 @@ def _residuals(h: np.ndarray, similar: np.ndarray) -> tuple[float, float, float]
 def _check(h: np.ndarray, metric: np.ndarray, tol: ToleranceConfig, name: str,
            provenance: str, vectors=None, metric_inv: np.ndarray | None = None
            ) -> tuple[dict[str, MetricReport], tuple[np.ndarray, np.ndarray] | None]:
-    """The reports of :func:`check_all`, and the reality checks of ``vectors``.
+    """The reports of :func:`check_all`, and the colinearity ``(eps, residual)`` of the
+    columns of ``vectors`` under the canonical metric if pseudo-real (else ``None``).
 
-    The metric is inverted unless its inverse is given; a given
-    ``metric_inv`` is scaled in place by the canonical pivot, unless that
-    is 1.  A permutation metric without a given inverse is neither
-    inverted nor multiplied: ``S H S^-1`` and the reality checks are index
-    gathers (see :func:`pseudoherm.linalg._similarity`), with the same
-    results.  The colinearity ``(eps, residual)`` of each vector is taken
-    under the canonical metric when ``vectors`` are given and the metric
-    is pseudo-real, and is ``None`` otherwise.
+    The metric is inverted, or gathered if a permutation (see :func:`_similarity`),
+    unless ``metric_inv`` is given; that is scaled in place by the pivot unless it is 1.
     """
     if metric.shape != h.shape:
-        raise DimensionMismatch(f"shape mismatch: S {metric.shape}, H {h.shape}")
+        raise DimensionMismatch(f"metric '{name}' has shape {metric.shape}, expected {h.shape}")
     similar, metric_inv = _similarity(metric, h, metric_inv)
     pivot = _pivot(metric)
     canonical = metric / pivot
     reports = {kind: MetricReport(kind, name, canonical, residual,
                                   bool(residual <= tol.metric_tol), provenance)
                for kind, residual in zip(KINDS, _residuals(h, similar))}
-    if not (vectors and reports[PSEUDO_REAL].holds):
+    if vectors is None or not reports[PSEUDO_REAL].holds:
         return reports, None
     if pivot != 1:
         metric_inv *= pivot  # (metric / pivot)^-1
@@ -178,11 +174,10 @@ def check_all(h, metric, tol: ToleranceConfig | None = None,
     """Test ``metric`` against all three similarity targets of H.
 
     Returns the pseudo-real, pseudo-adjoint and pseudo-Hermitian reports,
-    keyed by kind in that order.  The metric is inverted once and
-    ``S H S^-1`` formed once, or, for a permutation metric, gathered from
-    H by index with neither an inverse nor a product; each residual equals
-    ``similarity_residual(metric, h, target)`` for its target.  Raises
-    :class:`SingularMatrix` when the metric cannot be inverted.
+    keyed by kind in that order.  ``S H S^-1`` is formed once, by one
+    inversion or, for a permutation metric, by an index gather; each
+    residual equals ``similarity_residual(metric, h, target)`` for its
+    target.  Raises :class:`SingularMatrix` when the metric cannot be inverted.
     """
     return _check(as_matrix(h), as_matrix(metric), tol or DEFAULT_TOL, name, provenance)[0]
 
@@ -279,37 +274,17 @@ def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig
 
     Returns ``(checked, reality, warnings)``: the reports of each metric,
     candidates first; ``(name, eps, residual)`` for each pseudo-real metric
-    whose reality checks ran on ``vectors``; and the warnings.  A singular
-    metric fails every relation with residual ``inf``.  The diagonalizer
-    metrics need ``spectrum`` and are suppressed with a warning when its
-    eigenvector matrix is near-defective or singular.  Each metric is built,
-    with its inverse, in turn, so one metric inverse is alive at a time.
-    The diagonalizer metrics take D^-1 from the spectrum; D is inverted
-    only for a spectrum that carries no inverse.
+    whose reality checks ran on the columns of ``vectors``; and the
+    warnings.  A singular metric fails every relation with residual
+    ``inf``.  The diagonalizer metrics are products of the spectrum's D and
+    D^-1, suppressed with a warning when D is near-defective or has no
+    stored inverse; each pair is released before the next is built.
     """
     h = as_matrix(h)
     tol = tol or DEFAULT_TOL
-    todo = [(name, as_matrix(metric), "user") for name, metric in (candidates or {}).items()]
-    if spectrum is not None:
-        todo += [(name, build, "from_diagonalizer") for name, build, _ in DIAGONALIZER_METRICS]
     checked, reality, warn = [], [], []
-    d = None
-    for name, metric, provenance in todo:
-        metric_inv = None
-        if callable(metric):
-            try:
-                if d is None:
-                    d = build_diagonalizer(spectrum, tol)
-                    d_inv = spectrum.diagonalizer_inverse
-                    if d_inv is None:
-                        d_inv, _ = inverse(d)
-                metric, metric_inv = metric(d, d_inv)
-            except (NearDefective, SingularMatrix) as exc:
-                warn.append(f"diagonalizer metrics suppressed: {exc}")
-                break
-        elif metric.shape != h.shape:
-            raise DimensionMismatch(
-                f"candidate '{name}' has shape {metric.shape}, expected {h.shape}")
+
+    def check(name, metric, metric_inv, provenance):
         try:
             reports, colinearity = _check(h, metric, tol, name, provenance, vectors, metric_inv)
         except SingularMatrix:
@@ -321,6 +296,19 @@ def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig
         checked.append(reports)
         if colinearity is not None:
             reality.append((name, *colinearity))
+
+    for name, metric in (candidates or {}).items():
+        check(name, as_matrix(metric), None, "user")
+    if spectrum is not None:
+        try:
+            d = build_diagonalizer(spectrum, tol)
+            if spectrum.diagonalizer_inverse is None:
+                raise SingularMatrix("the spectrum carries no inverse of D")
+        except (NearDefective, SingularMatrix) as exc:
+            warn.append(f"diagonalizer metrics suppressed: {exc}")
+        else:
+            for name, build, _ in DIAGONALIZER_METRICS:
+                check(name, *build(d, spectrum.diagonalizer_inverse), "from_diagonalizer")
     return checked, reality, warn
 
 
@@ -330,24 +318,24 @@ def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig
 REALITY_BLOCK = 64
 
 
-def _colinearity(rho_inv: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
-    """Colinearity of ``w = rho^-1 conj(psi)`` with ``psi``, for each vector ``psi``.
+def _colinearity(rho_inv: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Colinearity of ``w = rho^-1 conj(psi)`` with each column ``psi`` of ``vectors``.
 
     Returns ``eps = psi^H w / psi^H psi`` and ``||w - eps psi|| / ||w||``
-    per vector, from one matrix product per block of ``REALITY_BLOCK``
-    vectors.  The residual is the norm of the difference itself: the
+    per column, from one matrix product per block of ``REALITY_BLOCK``
+    columns.  The residual is the norm of the difference itself: the
     shortcut ``||w||^2 - |psi^H w|^2`` cancels to noise near colinearity.
     ``rho_inv`` is as :func:`pseudoherm.linalg._similarity` returns it; for
     a permutation rho, ``w`` is a row gather of ``conj(psi)``, which differs
     from the product only in the sign of a zero, and the sums and norms
     ``w`` enters drop that sign.
     """
-    count = len(vectors)
+    count = vectors.shape[1]
     eps = np.empty(count, dtype=np.complex128)
     residual = np.empty(count)
     for start in range(0, count, REALITY_BLOCK):
-        block = slice(start, min(start + REALITY_BLOCK, count))
-        v = np.column_stack(vectors[block])
+        block = slice(start, start + REALITY_BLOCK)
+        v = vectors[:, block]
         v_conj = v.conj()
         w = _inverse_times(rho_inv, v_conj)
         e = np.einsum("ij,ij->j", v_conj, w) / np.einsum("ij,ij->j", v_conj, v)
@@ -382,7 +370,7 @@ def eigenstate_reality_check(rho, psi, tol: ToleranceConfig | None = None,
     if float(np.linalg.norm(psi)) == 0.0:
         raise ZeroVector("eigenstate reality check needs a nonzero vector")
     rho_inv, _ = inverse(rho)
-    eps, residual = _colinearity(rho_inv, [psi])
+    eps, residual = _colinearity(rho_inv, psi[:, None])
     return _reality_check(eigen_index, metric_name, eps[0], residual[0], tol)
 
 
@@ -398,14 +386,16 @@ def symmetry_generator(eta_i, eta_j, h) -> tuple[np.ndarray, float]:
     two relations gives eta_j^-1 eta_i H = H eta_j^-1 eta_i, so the product
     in that order is the commuting generator; the function returns it with
     its relative commutator residual.  (Writing the product with the
-    inverse on the right commutes with H^dagger instead, not H.)
+    inverse on the right commutes with H^dagger instead, not H.)  Powers of
+    two scale H and the generator: the same residual, free of over/underflow.
     """
     eta_i = as_matrix(eta_i)
     h = as_matrix(h)
     eta_j_inv, _ = inverse(eta_j)
     gen = eta_j_inv @ eta_i
-    denom = fro(h) * fro(gen)
-    residual = fro(h @ gen - gen @ h) / denom if denom > 0 else 0.0
+    h_s, gen_s = (m * _unit_scale(m)[1] for m in (h, gen))
+    denom = fro(h_s) * fro(gen_s)
+    residual = fro(h_s @ gen_s - gen_s @ h_s) / denom if denom > 0 else 0.0
     return gen, float(residual)
 
 
@@ -428,7 +418,6 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     """
     h = as_matrix(h)
     tol = tol or DEFAULT_TOL
-    n = h.shape[0]
 
     _, sa_res, herm_res = _residuals(h, h)  # S = 1: symmetry and Hermiticity of H
     hermitian = (bool(herm_res <= tol.metric_tol), float(herm_res))
@@ -441,13 +430,13 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
         except ConvergenceFailure as exc:
             failure = f"eigendecomposition failed: {exc}"
 
-    vectors = [pair.eigenvector for pair in spectrum.pairs] if spectrum is not None else []
+    vectors = spectrum.eigenvectors if spectrum is not None else None
     checked, reality, warn = check_metrics(h, candidates, spectrum, tol, vectors)
     if failure is not None:
         warn.append(failure)
     pseudo_real, pseudo_adjoint, pseudo_hermitian = (tuple(r[k] for r in checked) for k in KINDS)
 
-    parity = as_matrix(parity) if parity is not None else default_parity(n)
+    parity = as_matrix(parity) if parity is not None else default_parity(h.shape[0])
     if parity.shape != h.shape:
         raise DimensionMismatch("parity matrix dimension mismatch")
     # A candidate equal to the parity already holds this residual.  A
@@ -466,7 +455,8 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
         pt = None
 
     reality_checks = tuple(_reality_check(k, name, eps[k], residual[k], tol)
-                           for k in range(len(vectors)) for name, eps, residual in reality)
+                           for k in range(len(spectrum) if spectrum else 0)
+                           for name, eps, residual in reality)
 
     return ClassificationReport(
         hermitian=hermitian,

@@ -309,5 +309,6 @@ def bound_spectrum(h, grid: GridSpec, k: int, tol: ToleranceConfig | None = None
         pairs=tuple(full.pairs[i] for i in selected),
         reality=tuple(reality),
         diagonalizer_condition=full.diagonalizer_condition,
+        eigenvectors=full.eigenvectors[:, selected],
         flags=tuple(flags),
     )

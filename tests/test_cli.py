@@ -73,6 +73,13 @@ class TestAnalyze:
         code, _ = run(tmp_path, "analyze", "--matrix", str(bad))
         assert code == 2
 
+    def test_exit_2_on_integer_entry_beyond_float(self, tmp_path, capsys):
+        mat = tmp_path / "huge_int.json"
+        mat.write_text('{"n": 1, "rows": [[[1' + "0" * 400 + ', 0]]]}')
+        code, doc = run(tmp_path, "analyze", "--matrix", str(mat))
+        assert code == 2 and doc is None
+        assert "entry (0,0)" in capsys.readouterr().err
+
     def test_exit_2_on_missing_file(self, tmp_path):
         code, _ = run(tmp_path, "analyze", "--matrix", str(tmp_path / "absent.json"))
         assert code == 2
@@ -143,6 +150,38 @@ class TestAnalyze:
         assert main(["analyze", "--matrix", str(mat), "--json", str(out1)]) == 0
         assert main(["analyze", "--matrix", str(mat), "--json", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestToleranceFlags:
+    FLAGS = {"--tol-residual": "residual", "--tol-reality": "reality", "--tol-metric": "metric"}
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_flag_reaches_the_report(self, tmp_path, flag):
+        code, doc = run(tmp_path, "builtin", "H5", "a=0", "b=0.6", "c=1", flag, "2.5e-6")
+        assert code == 0
+        defaults = {"residual": 1e-10, "reality": 1e-8, "metric": 1e-8}
+        assert doc["input"]["tolerances"] == {**defaults, self.FLAGS[flag]: 2.5e-6}
+
+    def test_metric_tolerance_decides_the_verdict(self, tmp_path):
+        from pseudoherm import h5
+        mat, rho = tmp_path / "h5.json", tmp_path / "rho.json"
+        save_matrix(mat, h5(0.0, 0.6, 1.0))
+        save_matrix(rho, np.array([[1e-6, 1.0], [1.0, 0.0]]))  # sigma_x, perturbed
+        verdicts = []
+        for tol in ("1e-8", "1e-4"):
+            code, doc = run(tmp_path, "analyze", "--matrix", str(mat),
+                            "--rho", f"rho={rho}", "--tol-metric", tol)
+            assert code == 0
+            report = doc["classification"]["pseudo_real"][0]
+            assert 1e-8 < report["residual"] < 1e-4
+            verdicts.append(report["holds"])
+        assert verdicts == [False, True]
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_zero_tolerance_exits_2(self, tmp_path, capsys, flag):
+        code, doc = run(tmp_path, "builtin", "H5", "a=0", "b=0.6", "c=1", flag, "0")
+        assert code == 2 and doc is None
+        assert "must be strictly positive" in capsys.readouterr().err
 
 
 class TestBuiltin:

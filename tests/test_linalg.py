@@ -253,6 +253,15 @@ class TestEigendecompose:
         assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
         assert a.reality == b.reality
 
+    def test_eigenvectors_are_the_stored_read_only_matrix(self):
+        spec = eigendecompose(random_complex(np.random.default_rng(3), 5))
+        v = spec.eigenvectors
+        assert v is spec.eigenvectors is build_diagonalizer(spec)
+        assert not v.flags.writeable
+        for k, pair in enumerate(spec.pairs):
+            assert np.shares_memory(pair.eigenvector, v[:, k])
+            assert not pair.eigenvector.flags.writeable
+
     def test_zero_matrix_residuals_are_zero(self):
         spec = eigendecompose(np.zeros((2, 2)))
         assert [p.residual for p in spec.pairs] == [0.0, 0.0]

@@ -1,6 +1,7 @@
 """Symmetry checks, metric construction and the reality dichotomy."""
 
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -460,9 +461,11 @@ class TestDiagonalizerPairs:
         monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
         metrics.check_metrics(h, None, spectrum)
         assert calls == []
-        # a spectrum without the inverse has D inverted once
-        metrics.check_metrics(h, None, dataclasses.replace(spectrum, diagonalizer_inverse=None))
-        assert calls == [(6, 6)]
+        # a spectrum without the inverse suppresses the diagonalizer metrics
+        checked, _, warn = metrics.check_metrics(
+            h, None, dataclasses.replace(spectrum, diagonalizer_inverse=None))
+        assert (checked, calls) == ([], [])
+        assert warn == ["diagonalizer metrics suppressed: the spectrum carries no inverse of D"]
 
 
 class TestRealityCheck:
@@ -692,6 +695,18 @@ class TestSymmetryGenerator:
         gen, res = symmetry_generator(SIGMA_Z, ID2, h)
         assert res > 0.1
 
+    def test_residual_is_the_same_at_every_power_of_two(self):
+        # [diag(1, 2), sigma_x] is nonzero: the residual is sqrt(2) / (sqrt(5) sqrt(2))
+        h = np.diag([1.0, 2.0]).astype(np.complex128)
+        _, want = symmetry_generator(SIGMA_X, ID2, h)
+        assert abs(want - 1.0 / math.sqrt(5.0)) <= 1e-15
+        # an overflow RuntimeWarning fails the test (pyproject's filterwarnings)
+        for k in range(-1000, 1001):
+            for gen_scale, h_scale in ((k, k), (k, -k)):
+                _, res = symmetry_generator(math.ldexp(1.0, gen_scale) * SIGMA_X, ID2,
+                                            math.ldexp(1.0, h_scale) * h)
+                assert res == want, (gen_scale, h_scale)
+
 
 class TestPropositionBounds:
     def test_compose_eta_error_bound(self):
@@ -785,9 +800,10 @@ class TestPermutationMetrics:
     @given(permutation_systems(), st.sampled_from([DEFAULT_TOL, LOOSE_TOL]))
     def test_check_equals_lu_and_products_bit_for_bit(self, system, tol):
         m, h = system
-        vectors = list(eigendecompose(h).eigenvectors.T)
+        d = eigendecompose(h).eigenvectors
+        vectors = list(d.T)
         with mock.patch.object(scipy.linalg, "lu_factor") as lu_factor:
-            reports, colinearity = metrics._check(h, m, tol, "P", "user", vectors)
+            reports, colinearity = metrics._check(h, m, tol, "P", "user", d)
         lu_factor.assert_not_called()
         canonical, residuals, (eps, residual) = reference_check(h, m, vectors)
         assert [reports[kind].residual for kind in metrics.KINDS] == list(residuals)
@@ -838,11 +854,12 @@ class TestPermutationMetrics:
         if n >= 16:  # the smallest grid
             grid = GridSpec(-5.0, 5.0, n)
             near["gauge_eta"] = gauge_metric(gauged_hermitian(1.0, 0.5), grid)[1]
-        vectors = list(eigendecompose(h).eigenvectors.T)
+        d = eigendecompose(h).eigenvectors
+        vectors = list(d.T)
         lu_factor = scipy.linalg.lu_factor
         for name, m in near.items():
             with mock.patch.object(scipy.linalg, "lu_factor", side_effect=lu_factor) as spy:
-                reports, colinearity = metrics._check(h, m, LOOSE_TOL, name, "user", vectors)
+                reports, colinearity = metrics._check(h, m, LOOSE_TOL, name, "user", d)
             assert spy.call_count == 1, name
             canonical, residuals, (eps, residual) = reference_check(h, m, vectors)
             assert [reports[kind].residual for kind in metrics.KINDS] == list(residuals), name

@@ -366,6 +366,9 @@ class TestBoundSpectrum:
             assert a.eigenvalue == b.eigenvalue and a.residual == b.residual
             np.testing.assert_array_equal(a.eigenvector, b.eigenvector)
         assert given.reality == own.reality
+        np.testing.assert_array_equal(given.eigenvectors, own.eigenvectors)
+        np.testing.assert_array_equal(
+            given.eigenvectors, np.column_stack([p.eigenvector for p in given.pairs]))
         assert given.diagonalizer_condition == own.diagonalizer_condition
         assert given.flags == own.flags
 

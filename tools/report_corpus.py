@@ -25,7 +25,9 @@ different order from run to run.
 ``--save DIR`` also keeps the lines in ``DIR/index.txt`` and each report
 as ``DIR/<index>.json``.  ``--compare DIR_A DIR_B`` compares two saved
 corpora field by field, prints every field that moved, and exits 1 when
-a move breaks a rule:
+a move breaks a rule.  A zero whose sign flipped has moved: a report
+writes -0.0 as ``-0``, which is read back as -0.0, and floats are compared
+by sign bit as well as by value, since ``-0.0 == 0.0``.  The rules:
 
 * the argv, the exit code and the presence of each report, the keys and
   list lengths, and every string, boolean, integer and null must match
@@ -231,6 +233,18 @@ def _magnitudes(node, path: tuple, top: dict) -> None:
         top[field] = max(top.get(field, 0.0), abs(node))
 
 
+def _parse_int(text: str):
+    """``-0`` as the float -0.0 it was written from; any other integer as an int."""
+    return -0.0 if text == "-0" else int(text)
+
+
+def _same(x, y) -> bool:
+    """Equal, and, when either is a float, with the same sign bit."""
+    if isinstance(x, float) or isinstance(y, float):
+        return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+    return x == y
+
+
 def compare_reports(a, b) -> tuple[list[str], list[str]]:
     """The fields that moved between two reports, and the rules those moves break."""
     top: dict[str, float] = {}
@@ -263,7 +277,7 @@ def compare_reports(a, b) -> tuple[list[str], list[str]]:
                 return
             for i, (u, v) in enumerate(zip(x, y)):
                 walk(u, v, (*path, i), owner, failing)
-        elif x == y:
+        elif _same(x, y):
             return
         elif isinstance(x, float) or isinstance(y, float):
             moved.append(f"{where}: {x!r} -> {y!r}")
@@ -303,8 +317,8 @@ def compare(dir_a: Path, dir_b: Path) -> int:
             print(f"{index} identical {argv_a}")
             continue
         moved, broken = compare_reports(
-            json.loads((dir_a / f"{index}.json").read_text(encoding="utf-8")),
-            json.loads((dir_b / f"{index}.json").read_text(encoding="utf-8")))
+            *(json.loads((d / f"{index}.json").read_text(encoding="utf-8"), parse_int=_parse_int)
+              for d in (dir_a, dir_b)))
         moves += len(moved)
         failures += bool(broken)
         print(f"{index} {'FAIL' if broken else 'ok'} {len(moved)} moved {argv_a}")
