@@ -47,8 +47,7 @@ def main():
     print(f"  {name} pseudo-Hermiticity residual: "
           f"{check_pseudo_hermitian(h4, eta).residual:.2e}")
     bound4 = bound_spectrum(h4, grid, 6)
-    rep = eta_gram([p.eigenvector for p in bound4.pairs], eta,
-                   eigenvalues=bound4.eigenvalues)
+    rep = eta_gram(bound4.eigenvectors, eta, eigenvalues=bound4.eigenvalues)
     print(f"  pseudo-norm signature of the lowest six states: {rep.signature}")
     print(f"  norms: {np.round([x.real for x in rep.norms], 4)}")
 
@@ -69,9 +68,9 @@ def main():
     print(f"  parity pseudo-reality residual: "
           f"{similarity_residual(par, h_c, h_c.conj()):.1e} (exact)")
     bound_c = bound_spectrum(h_c, grid_c, 5)
-    for pair in bound_c.pairs:
-        chk = eigenstate_reality_check(par, pair.eigenvector)
-        print(f"  E = {pair.eigenvalue.real:9.5f}  |Im| {abs(pair.eigenvalue.imag):.1e}"
+    for k, value in enumerate(bound_c.eigenvalues):
+        chk = eigenstate_reality_check(par, bound_c.eigenvectors[:, k])
+        print(f"  E = {value.real:9.5f}  |Im| {abs(value.imag):.1e}"
               f"  eigenstate condition holds: {chk.holds}")
 
 

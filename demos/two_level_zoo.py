@@ -48,15 +48,15 @@ def main():
         h = h5(0.0, b_val, 1.0)
         spec = eigendecompose(h)
         rows = []
-        for pair in spec.pairs:
-            chk = eigenstate_reality_check(SIGMA_X, pair.eigenvector)
-            rows.append(f"lambda={pair.eigenvalue:+.3f} colinear={chk.holds}")
+        for k, value in enumerate(spec.eigenvalues):
+            chk = eigenstate_reality_check(SIGMA_X, spec.eigenvectors[:, k])
+            rows.append(f"lambda={value:+.3f} colinear={chk.holds}")
         print(f"  b={b_val:4.1f}: " + "   ".join(rows))
 
     print("\n--- pseudo-norms of H5 under eta = sigma_x ---")
     for b_val in (0.6, 1.25):
         spec = eigendecompose(h5(0.0, b_val, 1.0))
-        rep = eta_gram(spec.eigenvectors.T, SIGMA_X, eigenvalues=spec.eigenvalues)
+        rep = eta_gram(spec.eigenvectors, SIGMA_X, eigenvalues=spec.eigenvalues)
         phase = "real" if b_val < 1 else "broken"
         print(f"  b={b_val} ({phase} phase): norms {np.round(rep.norms, 6)}"
               f"  signature {rep.signature}")

@@ -11,7 +11,6 @@ operators enter through the finite-difference builders in
 from .linalg import (
     ConvergenceFailure,
     DimensionMismatch,
-    EigenPair,
     MatrixFormatError,
     NearDefective,
     RealityTag,

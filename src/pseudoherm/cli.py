@@ -74,8 +74,8 @@ def _spectrum_doc(spec: Spectrum | None) -> dict | None:
             entry["partner"] = int(tag.partner)
         reality.append(entry)
     return {
-        "eigenvalues": [complex(p.eigenvalue) for p in spec.pairs],
-        "residuals": [float(p.residual) for p in spec.pairs],
+        "eigenvalues": spec.eigenvalues,
+        "residuals": spec.residuals,
         "reality": reality,
         "diagonalizer_condition": _finite_or_none(spec.diagonalizer_condition),
         "flags": list(spec.flags),
@@ -147,8 +147,7 @@ def build_report(h, candidates, tol: ToleranceConfig, input_doc: dict,
 
     grams: list[dict] = []
     if shown is not None and len(shown) > 0:
-        states = [p.eigenvector for p in shown.pairs]
-        eigenvalues = [p.eigenvalue for p in shown.pairs]
+        states, eigenvalues = shown.eigenvectors, shown.eigenvalues
         grams.append(_gram_doc(inner.hermitian_gram(states, tol), None))
         grams.append(_gram_doc(inner.transpose_gram(states, eigenvalues, tol), None))
         for rep in report.pseudo_hermitian:
@@ -215,8 +214,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="write the report here instead of stdout")
 
 
-def _parse_metric_specs(specs, kind: str) -> dict:
-    out = {}
+def _parse_metric_specs(specs, kind: str, out: dict) -> None:
+    """Load the ``[NAME=]PATH`` specs of ``--kind`` into ``out``; a taken name is rejected."""
     for spec in specs or ():
         if "=" in spec:
             name, _, path = spec.partition("=")
@@ -225,8 +224,9 @@ def _parse_metric_specs(specs, kind: str) -> dict:
             name = Path(spec).stem
         if not name:
             raise MatrixFormatError(f"empty metric name in --{kind} {spec!r}")
+        if name in out or any(name == d[0] for d in metrics.DIAGONALIZER_METRICS):
+            raise MatrixFormatError(f"metric name {name!r} of --{kind} {spec!r} is already taken")
         out[name] = load_matrix(path)
-    return out
 
 
 def _parse_assignments(pairs) -> dict:
@@ -266,7 +266,7 @@ def _cmd_analyze(args) -> int:
     h = load_matrix(args.matrix)
     candidates = {}
     for kind in ("rho", "mu", "eta"):
-        candidates.update(_parse_metric_specs(getattr(args, kind), kind))
+        _parse_metric_specs(getattr(args, kind), kind, candidates)
     parity = None
     parity_name = "reversal"
     if args.parity:

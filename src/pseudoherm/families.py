@@ -108,7 +108,7 @@ def h8_eigenvectors(a: float, b: float, c: float, d: float) -> tuple[np.ndarray,
 def h8_diagonalizer(a: float, b: float, c: float, d: float) -> np.ndarray:
     """Diagonalizer with the closed-form eigenvectors as columns."""
     psi1, psi2 = h8_eigenvectors(a, b, c, d)
-    return np.column_stack([psi1, psi2])
+    return np.stack([psi1, psi2], axis=1)
 
 
 def h8_rho(a: float, b: float, c: float, d: float) -> np.ndarray:

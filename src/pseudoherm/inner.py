@@ -1,6 +1,7 @@
 """Inner-product structures and norm signatures for eigenstate sets.
 
-Four Gram matrices over a list of states Psi_1..Psi_m:
+Four Gram matrices over states Psi_1..Psi_m, the columns of a matrix
+(the layout of ``Spectrum.eigenvectors``):
 
 * eta gram:        G[m, n] = Psi_m^dagger eta Psi_n          (pseudo-norms)
 * PT gram:         G[m, n] = (P conj(Psi_m))^T Psi_n
@@ -30,7 +31,6 @@ from .linalg import (
     ToleranceConfig,
     ZeroVector,
     as_matrix,
-    as_vector,
     fro,
 )
 
@@ -62,14 +62,15 @@ class GramReport:
     signature: tuple[str, ...]
 
 
-def _stack(states) -> np.ndarray:
-    vecs = [as_vector(s) for s in states]
-    if not vecs:
-        raise DimensionMismatch("need at least one state")
-    dims = {v.size for v in vecs}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"states have inconsistent dimensions {sorted(dims)}")
-    return np.column_stack(vecs)
+def _states(v) -> np.ndarray:
+    """``v`` as complex128, if a finite 2-D array with a column (a list of vectors is not)."""
+    if not isinstance(v, np.ndarray) or v.ndim != 2:
+        raise DimensionMismatch("states must be a 2-D array whose columns are the states")
+    if v.size == 0:
+        raise DimensionMismatch(f"need at least one nonempty state, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("state entries must be finite")
+    return np.asarray(v, dtype=np.complex128)
 
 
 def _offdiag_max(gram: np.ndarray, eigenvalues, conjugate_pairing: bool) -> float:
@@ -116,9 +117,9 @@ def _report(kind: str, gram: np.ndarray, metric_norm: float, state_norms: np.nda
 
 
 def eta_gram(states, eta, eigenvalues=None, tol: ToleranceConfig | None = None) -> GramReport:
-    """Pseudo-norm Gram matrix ``Psi_m^dagger eta Psi_n``."""
+    """Pseudo-norm Gram matrix ``Psi_m^dagger eta Psi_n`` of the columns of ``states`` (n x m)."""
     tol = tol or DEFAULT_TOL
-    v = _stack(states)
+    v = _states(states)
     eta = as_matrix(eta)
     if eta.shape[0] != v.shape[0]:
         raise DimensionMismatch(
@@ -132,9 +133,9 @@ def eta_gram(states, eta, eigenvalues=None, tol: ToleranceConfig | None = None) 
 
 
 def pt_gram(states, parity, eigenvalues=None, tol: ToleranceConfig | None = None) -> GramReport:
-    """PT Gram matrix ``(P conj(Psi_m))^T Psi_n``."""
+    """PT Gram matrix ``(P conj(Psi_m))^T Psi_n`` of the columns of ``states`` (n x m)."""
     tol = tol or DEFAULT_TOL
-    v = _stack(states)
+    v = _states(states)
     parity = as_matrix(parity)
     if parity.shape[0] != v.shape[0]:
         raise DimensionMismatch(
@@ -146,13 +147,13 @@ def pt_gram(states, parity, eigenvalues=None, tol: ToleranceConfig | None = None
 
 
 def transpose_gram(states, eigenvalues=None, tol: ToleranceConfig | None = None) -> GramReport:
-    """Bilinear Gram matrix ``Psi_m^T Psi_n`` (no conjugation).
+    """Bilinear Gram matrix ``Psi_m^T Psi_n`` (no conjugation) of the columns of ``states``.
 
     Nonzero vectors may still self-pair to zero here: the bilinear form
     has isotropic vectors such as (1, i).
     """
     tol = tol or DEFAULT_TOL
-    v = _stack(states)
+    v = _states(states)
     gram = v.T @ v
     state_norms = np.linalg.norm(v, axis=0)
     metric_norm = float(np.sqrt(v.shape[0]))
@@ -160,9 +161,9 @@ def transpose_gram(states, eigenvalues=None, tol: ToleranceConfig | None = None)
 
 
 def hermitian_gram(states, tol: ToleranceConfig | None = None) -> GramReport:
-    """Standard Gram matrix ``Psi_m^dagger Psi_n``; diagonal is positive."""
+    """Gram matrix ``Psi_m^dagger Psi_n`` of the columns of ``states``; its diagonal is > 0."""
     tol = tol or DEFAULT_TOL
-    v = _stack(states)
+    v = _states(states)
     gram = v.conj().T @ v
     state_norms = np.linalg.norm(v, axis=0)
     metric_norm = float(np.sqrt(v.shape[0]))

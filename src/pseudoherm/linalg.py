@@ -19,7 +19,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -192,13 +192,6 @@ def inverse(m) -> tuple[np.ndarray, float]:
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    eigenvalue: complex
-    eigenvector: np.ndarray
-    residual: float
-
-
-@dataclass(frozen=True)
 class RealityTag:
     """Reality classification of one eigenvalue.
 
@@ -212,18 +205,21 @@ class RealityTag:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full eigendecomposition with residuals and reality tags.
+    """Full eigendecomposition: eigenvalues, residuals, eigenvectors and reality tags.
 
-    Eigenvalues are sorted ascending by real part, ties broken by imaginary
-    part.  Eigenvectors have unit norm with the largest-magnitude component
+    ``eigenvalues`` are sorted ascending by real part, ties broken by
+    imaginary part, and ``residuals`` holds their relative residuals.
+    Eigenvectors have unit norm with the largest-magnitude component
     rotated to the positive real axis; the convention is deterministic and
     makes a Hermitian input yield a unitary diagonalizer.  They are the
-    columns of ``eigenvectors`` (read-only as :func:`eigendecompose` stores
-    it); its inverse ``diagonalizer_inverse`` comes from the factorization
-    that gives ``diagonalizer_condition`` (``None`` when singular or not square).
+    columns of ``eigenvectors``, whose inverse ``diagonalizer_inverse``
+    comes from the factorization that gives ``diagonalizer_condition``
+    (``None`` when singular or not square).  :func:`eigendecompose` stores
+    the three arrays read-only.
     """
 
-    pairs: tuple[EigenPair, ...]
+    eigenvalues: np.ndarray = field(compare=False)
+    residuals: np.ndarray = field(compare=False)
     reality: tuple[RealityTag, ...]
     diagonalizer_condition: float
     eigenvectors: np.ndarray = field(repr=False, compare=False)
@@ -231,14 +227,7 @@ class Spectrum:
     diagonalizer_inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self) -> Iterator[EigenPair]:
-        return iter(self.pairs)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([p.eigenvalue for p in self.pairs])
+        return len(self.eigenvalues)
 
 
 def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
@@ -287,9 +276,9 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
                             / (tolerance_scale(norm_h) * np.linalg.norm(v[:, block], axis=0)))
     flags = [f"residual_above_tolerance:index={k},residual={res:.3e}"
              for k, res in enumerate(residuals) if res > tol.residual_tol]
-    v.flags.writeable = False  # before the pairs take their column views
-    pairs = tuple(EigenPair(complex(w[k] / scale), v[:, k], float(residuals[k]))
-                  for k in range(len(w)))
+    w = w / scale
+    for a in (w, residuals, v):
+        a.flags.writeable = False
 
     try:
         v_inv, cond = inverse(v)
@@ -297,8 +286,9 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
         v_inv, cond = None, np.inf
 
     return Spectrum(
-        pairs=pairs,
-        reality=_reality_tags(w / scale, tol, tolerance_scale(norm_h / scale)),
+        eigenvalues=w,
+        residuals=residuals,
+        reality=_reality_tags(w, tol, tolerance_scale(norm_h / scale)),
         diagonalizer_condition=float(cond),
         eigenvectors=v,
         flags=tuple(flags),
@@ -349,7 +339,7 @@ def build_diagonalizer(spectrum: Spectrum, tol: ToleranceConfig | None = None) -
     are unreliable.
     """
     tol = tol or DEFAULT_TOL
-    if not spectrum.pairs:
+    if not len(spectrum):
         raise DimensionMismatch("empty spectrum")
     if spectrum.diagonalizer_condition > 1.0 / tol.metric_tol:
         raise NearDefective(

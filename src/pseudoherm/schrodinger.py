@@ -267,7 +267,8 @@ def bound_spectrum(h, grid: GridSpec, k: int, tol: ToleranceConfig | None = None
 
     States whose edge amplitude exceeds ``BOUNDARY_DECAY`` times their peak
     are artifacts of the Dirichlet box; they are skipped but recorded in
-    the returned spectrum's flags rather than silently dropped.  The full
+    the returned spectrum's flags rather than silently dropped; its three
+    arrays are those of the full spectrum at the kept indices.  The full
     ``spectrum`` of ``h``, when already computed, may be passed to avoid a
     second eigensolve.
     """
@@ -280,15 +281,15 @@ def bound_spectrum(h, grid: GridSpec, k: int, tol: ToleranceConfig | None = None
     full = spectrum if spectrum is not None else eigendecompose(h, tol)
     selected: list[int] = []
     flags: list[str] = list(full.flags)
-    for i, pair in enumerate(full.pairs):
-        vec = pair.eigenvector
+    for i, value in enumerate(full.eigenvalues):
+        vec = full.eigenvectors[:, i]
         edge = max(abs(vec[0]), abs(vec[-1]))
         if edge <= BOUNDARY_DECAY * float(np.abs(vec).max()):
             selected.append(i)
         else:
             flags.append(
                 f"boundary_filter_rejected:index={i},"
-                f"eigenvalue={pair.eigenvalue.real:.6g}{pair.eigenvalue.imag:+.6g}j"
+                f"eigenvalue={value.real:.6g}{value.imag:+.6g}j"
             )
         if len(selected) == k:
             break
@@ -306,7 +307,8 @@ def bound_spectrum(h, grid: GridSpec, k: int, tol: ToleranceConfig | None = None
             reality.append(tag)
 
     return Spectrum(
-        pairs=tuple(full.pairs[i] for i in selected),
+        eigenvalues=full.eigenvalues[selected],
+        residuals=full.residuals[selected],
         reality=tuple(reality),
         diagonalizer_condition=full.diagonalizer_condition,
         eigenvectors=full.eigenvectors[:, selected],

@@ -116,9 +116,9 @@ def test_criterion_3_reality_dichotomy_on_h5_sweep(verdict):
         h = h5(0.0, float(b), 1.0)
         spec = eigendecompose(h)
         scale = max(1.0, fro(h))
-        for pair in spec.pairs:
-            is_real = abs(pair.eigenvalue.imag) <= 1e-8 * scale
-            holds = eigenstate_reality_check(SIGMA_X, pair.eigenvector).holds
+        for k, value in enumerate(spec.eigenvalues):
+            is_real = abs(value.imag) <= 1e-8 * scale
+            holds = eigenstate_reality_check(SIGMA_X, spec.eigenvectors[:, k]).holds
             failures += int(holds != is_real)
             checked += 1
     verdict(3, "eigenstate condition holds iff the eigenvalue is real",
@@ -203,7 +203,7 @@ def test_criterion_6_orthogonality_and_norm_laws(verdict):
     for h, eta in cases:
         assert check_pseudo_hermitian(h, eta).residual <= 1e-12
         spec = eigendecompose(h)
-        rep = eta_gram(spec.eigenvectors.T, eta, eigenvalues=spec.eigenvalues)
+        rep = eta_gram(spec.eigenvectors, eta, eigenvalues=spec.eigenvalues)
         worst_off = max(worst_off, rep.offdiag_max / fro(eta))  # unit states
     ok &= worst_off <= 1e-8
     notes.append(f"worst off-diagonal {worst_off:.2e}")
@@ -213,7 +213,7 @@ def test_criterion_6_orthogonality_and_norm_laws(verdict):
     for b in (1.25, 2.0):
         h = h5(0.0, b, 1.0)
         spec = eigendecompose(h)
-        rep = eta_gram(spec.eigenvectors.T, SIGMA_X, eigenvalues=spec.eigenvalues)
+        rep = eta_gram(spec.eigenvectors, SIGMA_X, eigenvalues=spec.eigenvalues)
         worst_norm = max(worst_norm, max(abs(n_) for n_ in rep.norms) / fro(SIGMA_X))
     for b in (2.5, 3.0):  # H8 with c=2, d=1 breaks at sqrt(5)
         h = h8(0.0, b, 2.0, 1.0)
@@ -221,7 +221,7 @@ def test_criterion_6_orthogonality_and_norm_laws(verdict):
         d = build_diagonalizer(spec)
         eta = compose_eta(SIGMA_X, mu_from_diagonalizer(d))
         assert check_pseudo_hermitian(h, eta).residual <= 1e-10
-        rep = eta_gram(spec.eigenvectors.T, eta, eigenvalues=spec.eigenvalues)
+        rep = eta_gram(spec.eigenvectors, eta, eigenvalues=spec.eigenvalues)
         worst_norm = max(worst_norm, max(abs(n_) for n_ in rep.norms) / fro(eta))
     ok &= worst_norm <= 1e-8
     notes.append(f"worst broken-phase pseudo-norm {worst_norm:.2e}")
@@ -234,7 +234,7 @@ def test_criterion_6_orthogonality_and_norm_laws(verdict):
         b = np.sqrt(rng.uniform(0.0, c * c + d * d - 0.1))
         spec = eigendecompose(h8(a, b, c, d))
         eta_plus = eta_plus_from_diagonalizer(build_diagonalizer(spec))
-        rep = eta_gram(spec.eigenvectors.T, eta_plus, eigenvalues=spec.eigenvalues)
+        rep = eta_gram(spec.eigenvectors, eta_plus, eigenvalues=spec.eigenvalues)
         ok &= rep.signature == ("+", "+")
     verdict(6, "orthogonality, zero-norm and definiteness laws", bool(ok), "; ".join(notes))
 
@@ -277,7 +277,8 @@ def test_criterion_8_monomial_reality_and_3x3_parity(verdict):
     bound = bound_spectrum(h, grid, 5)
     ev = bound.eigenvalues
     worst_imag = float(np.max(np.abs(ev.imag) / np.abs(ev.real)))
-    checks = all(eigenstate_reality_check(par, p.eigenvector).holds for p in bound.pairs)
+    checks = all(eigenstate_reality_check(par, bound.eigenvectors[:, k]).holds
+                 for k in range(len(bound)))
     m3_holds = check_pseudo_real(m3(), PARITY_3).holds
     ok = worst_imag <= 1e-6 and residual == 0.0 and checks and m3_holds
     verdict(8, "i g x^3 reality and the 3x3 parity candidate", ok,

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pseudoherm import dumps_matrix, h6, load_matrix, loads_matrix, metrics, save_matrix
+from pseudoherm import (SIGMA_X, dumps_matrix, h5, h6, load_matrix, loads_matrix, metrics,
+                        save_matrix)
 from pseudoherm.cli import main, sweep_family, sweep_values
 from pseudoherm.linalg import MatrixFormatError
 
@@ -92,6 +93,23 @@ class TestAnalyze:
         for flag in ("--eta", "--parity"):
             code, _ = run(tmp_path, "analyze", "--matrix", str(mat), flag, str(big))
             assert code == 3, flag
+
+    @pytest.mark.parametrize("specs", [
+        ("--rho", "a.json", "--eta", "other/a.json"),
+        ("--rho", "x=a.json", "--rho", "x=other/a.json"),
+        ("--mu", "from_D_mu=a.json"),
+    ])
+    def test_exit_2_on_a_taken_metric_name(self, tmp_path, monkeypatch, capsys, specs):
+        # a repeated name must not replace the first metric, nor a
+        # candidate take the name of a diagonalizer metric
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "other").mkdir()
+        save_matrix("h.json", h5(0.0, 0.6, 1.0))
+        save_matrix("a.json", SIGMA_X)
+        save_matrix("other/a.json", np.eye(2))
+        code, doc = run(tmp_path, "analyze", "--matrix", "h.json", *specs)
+        assert code == 2 and doc is None
+        assert "already taken" in capsys.readouterr().err
 
     def test_no_symmetry_found_still_exits_zero(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -381,8 +381,9 @@ def reference_colinearity(rho_inv, psi, tol, eigen_index, metric_name):
 def reference_reality_checks(report, tol):
     """The reality loop of classify as it was before batching (reference)."""
     holding_rhos = [(rep, inverse(rep.metric)[0]) for rep in report.pseudo_real if rep.holds]
-    return [reference_colinearity(rho_inv, pair.eigenvector, tol, k, rep.name)
-            for k, pair in enumerate(report.spectrum.pairs) for rep, rho_inv in holding_rhos]
+    vectors = report.spectrum.eigenvectors
+    return [reference_colinearity(rho_inv, vectors[:, k], tol, k, rep.name)
+            for k in range(len(report.spectrum)) for rep, rho_inv in holding_rhos]
 
 
 @st.composite
@@ -503,8 +504,8 @@ class TestRealityCheck:
     def test_broken_phase_fails(self):
         # eigenvector of +0.75i: the conjugated partner is not colinear
         spec = eigendecompose(h5(0.0, 1.25, 1.0))
-        psi = spec.pairs[1].eigenvector
-        assert abs(spec.pairs[1].eigenvalue - 0.75j) < 1e-12
+        psi = spec.eigenvectors[:, 1]
+        assert abs(spec.eigenvalues[1] - 0.75j) < 1e-12
         check = eigenstate_reality_check(SIGMA_X, psi)
         assert not check.holds
         assert check.colinearity_residual > 0.01
@@ -525,10 +526,10 @@ class TestRealityCheck:
             assert check_pseudo_real(h, rho).residual <= 1e-12
             spec = eigendecompose(h)
             scale = max(1.0, fro(h))
-            for pair, tag in zip(spec.pairs, spec.reality):
-                is_real = abs(pair.eigenvalue.imag) <= 1e-8 * scale
+            for k, (value, tag) in enumerate(zip(spec.eigenvalues, spec.reality)):
+                is_real = abs(value.imag) <= 1e-8 * scale
                 assert (tag.kind == "real") == is_real
-                check = eigenstate_reality_check(rho, pair.eigenvector)
+                check = eigenstate_reality_check(rho, spec.eigenvectors[:, k])
                 assert check.holds == is_real
 
     def test_dichotomy_h8(self):
@@ -536,9 +537,9 @@ class TestRealityCheck:
             h = h8(0.0, b, 2.0, 1.0)
             spec = eigendecompose(h)
             scale = max(1.0, fro(h))
-            for pair in spec.pairs:
-                is_real = abs(pair.eigenvalue.imag) <= 1e-8 * scale
-                assert eigenstate_reality_check(SIGMA_X, pair.eigenvector).holds == is_real
+            for k, value in enumerate(spec.eigenvalues):
+                is_real = abs(value.imag) <= 1e-8 * scale
+                assert eigenstate_reality_check(SIGMA_X, spec.eigenvectors[:, k]).holds == is_real
 
 
 class TestClassify:
@@ -644,14 +645,14 @@ def gram_signatures(report, order):
     The PT Gram is left out where PT does not hold: its signature is then
     no verdict.
     """
-    states = [pair.eigenvector for pair in report.spectrum.pairs]
+    states = report.spectrum.eigenvectors
     eigenvalues = report.spectrum.eigenvalues
     grams = {"hermitian": hermitian_gram(states),
              "transpose": transpose_gram(states, eigenvalues)}
     grams.update((f"eta {rep.name}", eta_gram(states, rep.metric, eigenvalues))
                  for rep in report.pseudo_hermitian if rep.holds)
     if report.pt_symmetric[2]:
-        grams["pt"] = pt_gram(states, default_parity(len(states)), eigenvalues)
+        grams["pt"] = pt_gram(states, default_parity(states.shape[0]), eigenvalues)
     return {kind: {order[k]: sign for k, sign in enumerate(gram.signature)}
             for kind, gram in grams.items()}
 
@@ -825,7 +826,8 @@ class TestPermutationMetrics:
         m, h = system
         report = classify(h, {"P": m}, tol, parity=m)
         bare = classify(h, None, tol, parity=m)
-        vectors = [pair.eigenvector for pair in report.spectrum.pairs]
+        d = report.spectrum.eigenvectors
+        vectors = list(d.T)
         _, residuals, (eps, residual) = reference_check(h, m, vectors)
         assert report.pt_symmetric[1] == bare.pt_symmetric[1] == residuals[0]
         checks = [c for c in report.reality_checks if c.metric_name == "P"]
@@ -836,7 +838,7 @@ class TestPermutationMetrics:
         else:
             assert checks == []
         eigenvalues = report.spectrum.eigenvalues
-        got = pt_gram(vectors, m, eigenvalues, tol)
+        got = pt_gram(d, m, eigenvalues, tol)
         want = reference_pt_gram(vectors, m, eigenvalues, tol)
         assert got.gram.tobytes() == want.gram.tobytes()
         assert (got.offdiag_max, bits(got.norms), got.signature) == (
@@ -873,8 +875,9 @@ class TestPermutationMetrics:
         # product carries that into a norm that a report writes as 0 or -0
         h = h6(1.0, 1.0, 2.0)
         spectrum = eigendecompose(h)
-        vectors = [pair.eigenvector for pair in spectrum.pairs]
-        got = pt_gram(vectors, default_parity(2), spectrum.eigenvalues)
+        d = spectrum.eigenvectors
+        vectors = list(d.T)
+        got = pt_gram(d, default_parity(2), spectrum.eigenvalues)
         want = reference_pt_gram(vectors, default_parity(2), spectrum.eigenvalues, DEFAULT_TOL)
         assert got.gram.tobytes() == want.gram.tobytes()
         assert bits(got.norms) == bits(want.norms)

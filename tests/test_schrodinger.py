@@ -300,8 +300,7 @@ class TestGaugedHermitian:
         assert name == "gauge_eta"
         assert check_pseudo_hermitian(h, eta).holds
         bound = bound_spectrum(h, grid, 6)
-        rep = eta_gram([p.eigenvector for p in bound.pairs], eta,
-                       eigenvalues=bound.eigenvalues)
+        rep = eta_gram(bound.eigenvectors, eta, eigenvalues=bound.eigenvalues)
         assert rep.signature == ("+", "-", "+", "-", "+", "-")
         assert rep.offdiag_max <= 1e-8
 
@@ -334,8 +333,8 @@ class TestBoundSpectrum:
         ev = bound.eigenvalues
         assert np.max(np.abs(ev.imag) / np.abs(ev.real)) <= 1e-6
         par = build_operators(grid).Par
-        for pair in bound.pairs:
-            assert eigenstate_reality_check(par, pair.eigenvector).holds
+        for k in range(len(bound)):
+            assert eigenstate_reality_check(par, bound.eigenvectors[:, k]).holds
 
     def test_tight_box_flags_non_decaying_states(self):
         # in a [-6, 6] box only the lowest oscillator levels decay at the
@@ -344,8 +343,8 @@ class TestBoundSpectrum:
         grid = GridSpec(-6.0, 6.0, 64)
         h = build_hamiltonian(harmonic(1.0), grid)
         bound = bound_spectrum(h, grid, 12)
-        assert 0 < len(bound.pairs) < 12
-        exact = np.arange(len(bound.pairs)) + 0.5
+        assert 0 < len(bound) < 12
+        exact = np.arange(len(bound)) + 0.5
         np.testing.assert_allclose(bound.eigenvalues.real, exact, atol=5e-2)
         rejected = [f for f in bound.flags if f.startswith("boundary_filter_rejected")]
         assert rejected and "index=" in rejected[0]
@@ -359,16 +358,21 @@ class TestBoundSpectrum:
     ])
     def test_precomputed_spectrum_selects_the_same_states(self, pot, grid):
         h = build_hamiltonian(pot, grid)
+        full = eigendecompose(h)
         own = bound_spectrum(h, grid, 6)
-        given = bound_spectrum(h, grid, 6, spectrum=eigendecompose(h))
-        assert len(given.pairs) == len(own.pairs)
-        for a, b in zip(given.pairs, own.pairs):
-            assert a.eigenvalue == b.eigenvalue and a.residual == b.residual
-            np.testing.assert_array_equal(a.eigenvector, b.eigenvector)
+        given = bound_spectrum(h, grid, 6, spectrum=full)
+        assert len(given) == len(own)
+        # the kept states are the lowest ones the boundary filter did not reject
+        rejected = {int(f.split("index=")[1].split(",")[0]) for f in given.flags
+                    if f.startswith("boundary_filter_rejected")}
+        selected = [i for i in range(len(full)) if i not in rejected][:len(given)]
         assert given.reality == own.reality
+        np.testing.assert_array_equal(given.eigenvalues, own.eigenvalues)
+        np.testing.assert_array_equal(given.residuals, own.residuals)
         np.testing.assert_array_equal(given.eigenvectors, own.eigenvectors)
-        np.testing.assert_array_equal(
-            given.eigenvectors, np.column_stack([p.eigenvector for p in given.pairs]))
+        np.testing.assert_array_equal(given.eigenvalues, full.eigenvalues[selected])
+        np.testing.assert_array_equal(given.residuals, full.residuals[selected])
+        np.testing.assert_array_equal(given.eigenvectors, full.eigenvectors[:, selected])
         assert given.diagonalizer_condition == own.diagonalizer_condition
         assert given.flags == own.flags
 
