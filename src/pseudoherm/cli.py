@@ -31,7 +31,6 @@ from .linalg import (
     as_matrix,
     eigendecompose,
     load_matrix,
-    matrix_to_doc,
     save_matrix,
     to_json_text,
 )
@@ -44,20 +43,22 @@ EMBED_LIMIT = 16
 
 def fingerprint(m) -> str:
     """Short content hash of a matrix (shape header + raw complex128 bytes)."""
-    m = as_matrix(m)
-    digest = hashlib.sha256()
-    digest.update(f"{m.shape[0]}:".encode())
+    return _fingerprint(as_matrix(m))
+
+
+def _fingerprint(m: np.ndarray) -> str:
+    digest = hashlib.sha256(f"{m.shape[0]}:".encode())
     digest.update(np.ascontiguousarray(m).tobytes())
     return digest.hexdigest()[:16]
 
 
 def _matrix_doc(m) -> dict:
+    """``{"n", "rows", "fingerprint"}``, with the array itself as ``rows``: the
+    writer formats it as :func:`pseudoherm.linalg.matrix_to_doc` would."""
     m = as_matrix(m)
     if m.shape[0] <= EMBED_LIMIT:
-        doc = matrix_to_doc(m)
-        doc["fingerprint"] = fingerprint(m)
-        return doc
-    return {"n": int(m.shape[0]), "fingerprint": fingerprint(m)}
+        return {"n": m.shape[0], "rows": m, "fingerprint": _fingerprint(m)}
+    return {"n": m.shape[0], "fingerprint": _fingerprint(m)}
 
 
 def _finite_or_none(x: float):
@@ -126,7 +127,7 @@ def _gram_doc(rep: inner.GramReport, metric_name: str | None) -> dict:
         "signature": list(rep.signature),
     }
     if rep.gram.shape[0] <= EMBED_LIMIT:
-        doc["gram"] = matrix_to_doc(rep.gram)
+        doc["gram"] = {"n": rep.gram.shape[0], "rows": as_matrix(rep.gram)}
     return doc
 
 

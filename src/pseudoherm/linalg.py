@@ -15,6 +15,7 @@ write/read round trip is bit exact.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -76,9 +77,12 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def tolerance_scale(norm: float) -> float:
-    """Scale of the residuals and tolerances of H: ``||H||_F``, and 1 (not 0) for H = 0."""
-    return norm or 1.0
+def tolerance_scale(norm):
+    """Scale of the residuals and tolerances of H: ``||H||_F``, and 1 (not 0) for H = 0.
+
+    Elementwise on an array of norms: ``norm == 0`` adds exactly 1 there and 0 elsewhere.
+    """
+    return norm + (norm == 0.0)
 
 
 def as_matrix(obj) -> np.ndarray:
@@ -101,32 +105,55 @@ def as_vector(obj) -> np.ndarray:
     return v
 
 
-def fro(m: np.ndarray) -> float:
-    """Frobenius norm, finite for finite entries below the float maximum.
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row (last axis) of ``x``, finite below the float maximum.
 
-    The sum of squares is the one ``np.linalg.norm`` forms, so the result
-    is the same bit for bit, but taken with ``np.vdot``, which does not
-    warn when it overflows.  On overflow the norm is taken of ``m`` scaled
-    by its largest magnitude and scaled back.
+    The sums of squares are those ``np.linalg.norm`` and ``np.vdot`` form:
+    a (1 x k)(k x 1) ``matmul`` of the real and of the imaginary parts
+    calls the same dot kernel on the same strides, bit for bit.  A row
+    whose sum overflows is scaled by its largest magnitude and scaled back.
     """
-    x = np.ravel(m, order="K")
-    norm = math.sqrt(np.vdot(x.real, x.real) + np.vdot(x.imag, x.imag))
-    if norm == math.inf:
-        top = float(np.abs(x).max())
-        if top < math.inf:
-            norm = top * fro(x / top)
+    re, im = x.real, x.imag
+    with np.errstate(over="ignore"):
+        norm = np.sqrt((re[..., None, :] @ re[..., :, None]
+                        + im[..., None, :] @ im[..., :, None])[..., 0, 0])
+    over = norm == np.inf
+    if over.any():
+        top = np.abs(x).max(axis=-1)
+        over &= top < np.inf
+        rescaled = top * _norms(x / np.where(over, top, 1.0)[..., None])
+        norm = np.where(over, rescaled, norm)
     return norm
 
 
-def _unit_scale(m: np.ndarray) -> tuple[float, float]:
-    """The largest magnitude ``top`` of a real or imaginary part of ``m``, and the
-    power of two that scales ``top`` into [1/2, 1) (at most 2^1023; 1 for m = 0)."""
-    top = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
-    return top, math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
+def fro(m: np.ndarray) -> float:
+    """Frobenius norm, finite for finite entries below the float maximum.
+
+    The sum of squares is the one ``np.linalg.norm`` forms, in memory
+    order, so the result is the same bit for bit; it does not warn when it
+    overflows.  On overflow the norm is taken of ``m`` scaled by its
+    largest magnitude and scaled back.
+    """
+    return float(_norms(np.ravel(m, order="K")))
 
 
-def _norm1(m: np.ndarray) -> float:
-    return float(np.abs(m).sum(axis=0).max())
+def _fro_stack(m: np.ndarray) -> np.ndarray:
+    """:func:`fro` of each matrix on the last two axes of ``m``, summed in its memory order."""
+    if m.strides[-2] < m.strides[-1]:
+        m = m.swapaxes(-1, -2)  # column-major matrices: their memory order is that of m^T
+    return _norms(m.reshape(*m.shape[:-2], -1))
+
+
+def _unit_scale(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The largest magnitude ``top`` of a real or imaginary part of each matrix on the
+    last two axes of ``m``, and the power of two that scales ``top`` into [1/2, 1)
+    (at most 2^1023; 1 for a zero matrix)."""
+    top = np.maximum(np.abs(m.real).max(axis=(-2, -1)), np.abs(m.imag).max(axis=(-2, -1)))
+    return top, np.ldexp(1.0, np.minimum(-np.frexp(top)[1], 1023))
+
+
+def _norm1(m: np.ndarray) -> np.ndarray:
+    return np.abs(m).sum(axis=-2).max(axis=-1)
 
 
 class Involutions(NamedTuple):
@@ -162,6 +189,52 @@ def permutation_of(m: np.ndarray) -> np.ndarray | None:
     return cols
 
 
+class _Inverses(NamedTuple):
+    inverse: np.ndarray
+    condition: np.ndarray
+    pivot: np.ndarray
+    threshold: np.ndarray
+
+    @property
+    def singular(self) -> np.ndarray:
+        return self.pivot <= self.threshold
+
+
+def _inverses(m: np.ndarray) -> _Inverses:
+    """Invert each matrix on the last two axes of ``m`` from one LU factorization call.
+
+    A matrix is singular when its smallest LU pivot magnitude ``pivot`` is
+    at most ``threshold = n * eps * ||m||_F``; its inverse is then NaN and
+    its condition infinite.  ``condition`` is the exact one-norm condition
+    number of the computed pair.
+    """
+    n = m.shape[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+    pivot = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)).min(axis=-1)
+    norm = _fro_stack(m)
+    tiny = norm < _FRO_UNDERFLOW
+    if tiny.any():
+        # the squares of entries this small underflow: take the norm of m
+        # scaled by its largest magnitude and scale it back
+        top = np.abs(m).max(axis=(-2, -1))
+        tiny &= top > 0.0
+        rescaled = top * _fro_stack(m / np.where(tiny, top, 1.0)[..., None, None])
+        norm = np.where(tiny, rescaled, norm)
+    threshold = n * EPS * norm
+    ok = ~(pivot <= threshold)
+    eye = np.eye(n, dtype=np.complex128)
+    if ok.all():
+        inv = scipy.linalg.lu_solve((lu, piv), eye, check_finite=False)
+    else:
+        inv = np.full(m.shape, np.nan, dtype=np.complex128)
+        if ok.any():
+            inv[ok] = scipy.linalg.lu_solve((lu[ok], piv[ok]), eye, check_finite=False)
+    cond = np.where(ok, np.maximum(_norm1(m) * _norm1(inv), 1.0), np.inf)
+    return _Inverses(inv, cond, pivot, threshold)
+
+
 def inverse(m) -> tuple[np.ndarray, float]:
     """Invert ``m``, returning ``(inv, condition_estimate)``.
 
@@ -170,25 +243,11 @@ def inverse(m) -> tuple[np.ndarray, float]:
     Raises :class:`SingularMatrix` when an LU pivot falls below
     ``n * eps * ||m||_F``.
     """
-    m = as_matrix(m)
-    n = m.shape[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    norm = fro(m)
-    if norm < _FRO_UNDERFLOW:
-        # the squares of entries this small underflow: take the norm of m
-        # scaled by its largest magnitude and scale it back
-        top = float(np.abs(m).max())
-        if top > 0.0:
-            norm = top * fro(m / top)
-    threshold = n * EPS * norm
-    if pivots.min() <= threshold:
-        raise SingularMatrix(f"pivot {pivots.min():.3e} below threshold {threshold:.3e}")
-    inv = scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=np.complex128), check_finite=False)
-    cond = max(_norm1(m) * _norm1(inv), 1.0)
-    return inv, float(cond)
+    inverses = _inverses(as_matrix(m))
+    if inverses.singular:
+        raise SingularMatrix(
+            f"pivot {inverses.pivot:.3e} below threshold {inverses.threshold:.3e}")
+    return inverses.inverse, float(inverses.condition)
 
 
 @dataclass(frozen=True)
@@ -230,6 +289,63 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
+class _Spectra(NamedTuple):
+    """The arrays of :class:`Spectrum` over the leading axes of a stack of matrices."""
+
+    eigenvalues: np.ndarray
+    residuals: np.ndarray
+    eigenvectors: np.ndarray
+    inverses: _Inverses
+    reality_scale: np.ndarray
+
+
+def _spectra(h: np.ndarray) -> _Spectra:
+    """Eigendecompose each matrix on the last two axes of ``h`` by one ``eig`` call.
+
+    Each matrix gets what :func:`eigendecompose` documents for one: the
+    order, the phase convention, the residuals, D^-1 with its condition,
+    and the scale its reality tolerance is relative to.
+    """
+    # zgeev leaves unscaled the eigenvalues of a matrix whose largest entry is
+    # outside about [6.7e-139, 1.5e138]: solve it scaled by a power of two
+    top, scale = _unit_scale(h)
+    scaled = (top > 2.0**400) | ((0.0 < top) & (top < 2.0**-400))
+    scale = np.where(scaled, scale, 1.0)
+    if scaled.any():
+        h = h * scale[..., None, None]
+    try:
+        w, v = scipy.linalg.eig(h, check_finite=False)
+    except Exception as exc:  # LAPACK reports non-convergence via LinAlgError
+        raise ConvergenceFailure(str(exc)) from exc
+
+    order = np.lexsort((w.imag, w.real), axis=-1)
+    w = np.take_along_axis(w, order, axis=-1)
+    # gathered as rows of V^T: each matrix comes out column-major, as
+    # zgeev writes it, whether or not eig stacked the results
+    v = np.take_along_axis(v.swapaxes(-1, -2), order[..., :, None], axis=-2).swapaxes(-1, -2)
+
+    # Normalize to unit norm and rotate the phase so the first
+    # largest-magnitude component lands on the positive real axis (its
+    # imaginary part is then zero by construction, so stamp it).
+    v /= _norms(v.swapaxes(-1, -2))[..., None, :]
+    first = np.argmax(np.abs(v), axis=-2)[..., None, :]
+    pivot = np.take_along_axis(v, first, axis=-2)
+    size = np.hypot(pivot.real, pivot.imag)  # rounds as the scalar abs(complex)
+    v *= pivot.conj() / size
+    np.put_along_axis(v, first, size, axis=-2)
+
+    norm_h = _fro_stack(h)
+    residuals = np.empty(w.shape)
+    for start in range(0, w.shape[-1], RESIDUAL_BLOCK):
+        block = slice(start, start + RESIDUAL_BLOCK)
+        vb = v[..., block]
+        residuals[..., block] = (
+            np.linalg.norm(h @ vb - vb * w[..., None, block], axis=-2)
+            / (tolerance_scale(norm_h)[..., None] * np.linalg.norm(vb, axis=-2)))
+    return _Spectra(w / scale[..., None], residuals, v, _inverses(v),
+                    tolerance_scale(norm_h / scale))
+
+
 def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
     """Eigendecompose a general complex matrix.
 
@@ -238,62 +354,30 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
     largest-component phase convention, per-pair relative residuals
     ``||Hv - lambda v||_F / (||H||_F ||v||)``, taken ``RESIDUAL_BLOCK``
     pairs per matrix product, and reality tags.  Pairs whose residual
-    exceeds ``residual_tol`` are kept but flagged.
+    exceeds ``residual_tol`` are kept but flagged.  :func:`_spectra` does
+    the work, for one matrix here and for a whole stack in a sweep.
     """
     h = as_matrix(h)
     tol = tol or DEFAULT_TOL
-    # zgeev leaves unscaled the eigenvalues of a matrix whose largest entry is
-    # outside about [6.7e-139, 1.5e138]: solve it scaled by a power of two
-    top, scale = _unit_scale(h)
-    if top > 2.0**400 or 0.0 < top < 2.0**-400:
-        h = h * scale
-    else:
-        scale = 1.0
-    try:
-        w, v = scipy.linalg.eig(h, check_finite=False)
-    except Exception as exc:  # LAPACK reports non-convergence via LinAlgError
-        raise ConvergenceFailure(str(exc)) from exc
-
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    v = v[:, order]
-
-    # Normalize to unit norm and rotate the phase so the first
-    # largest-magnitude component lands on the positive real axis (its
-    # imaginary part is then zero by construction, so stamp it).
-    for k in range(v.shape[1]):
-        v[:, k] = v[:, k] / np.linalg.norm(v[:, k])
-        i = int(np.argmax(np.abs(v[:, k])))
-        pivot = v[i, k]
-        v[:, k] = v[:, k] * (pivot.conjugate() / abs(pivot))
-        v[i, k] = abs(pivot)
-
-    norm_h = fro(h)
-    residuals = np.empty(len(w))
-    for start in range(0, len(w), RESIDUAL_BLOCK):
-        block = slice(start, start + RESIDUAL_BLOCK)
-        residuals[block] = (np.linalg.norm(h @ v[:, block] - v[:, block] * w[block], axis=0)
-                            / (tolerance_scale(norm_h) * np.linalg.norm(v[:, block], axis=0)))
+    w, residuals, v, inverses, scale = _spectra(h)
     flags = [f"residual_above_tolerance:index={k},residual={res:.3e}"
              for k, res in enumerate(residuals) if res > tol.residual_tol]
-    w = w / scale
     for a in (w, residuals, v):
         a.flags.writeable = False
-
-    try:
-        v_inv, cond = inverse(v)
-    except SingularMatrix:
-        v_inv, cond = None, np.inf
-
     return Spectrum(
         eigenvalues=w,
         residuals=residuals,
-        reality=_reality_tags(w, tol, tolerance_scale(norm_h / scale)),
-        diagonalizer_condition=float(cond),
+        reality=_reality_tags(w, tol, scale),
+        diagonalizer_condition=float(inverses.condition),
         eigenvectors=v,
         flags=tuple(flags),
-        diagonalizer_inverse=v_inv,
+        diagonalizer_inverse=None if inverses.singular else inverses.inverse,
     )
+
+
+def _is_real(w: np.ndarray, tol: ToleranceConfig, scale) -> np.ndarray:
+    """Which eigenvalues count as real: ``|Im w| <= reality_tol * scale``, one scale per row."""
+    return np.abs(w.imag) <= tol.reality_tol * np.expand_dims(scale, -1)
 
 
 def _reality_tags(w: np.ndarray, tol: ToleranceConfig, scale: float) -> tuple[RealityTag, ...]:
@@ -304,7 +388,7 @@ def _reality_tags(w: np.ndarray, tol: ToleranceConfig, scale: float) -> tuple[Re
     on ties) if it lies within ``pairing_tol * scale``; one left unpaired
     stays eligible as a later partner.
     """
-    real = np.abs(w.imag) <= tol.reality_tol * scale
+    real = _is_real(w, tol, scale)
     free = ~real
     partner = np.full(len(w), -1)
     w_conj = np.conj(w)
@@ -350,21 +434,26 @@ def build_diagonalizer(spectrum: Spectrum, tol: ToleranceConfig | None = None) -
 
 
 def _similarity(s: np.ndarray, h: np.ndarray, s_inv: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """``(S H S^-1, S^-1)``, with S inverted unless ``s_inv`` is given.
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(S H S^-1, S^-1, singular)`` for each S on the last two axes of ``s``.
 
-    A permutation S (:func:`permutation_of`) is neither inverted nor
-    multiplied: ``S H S^-1`` is the gather ``H[p_i, p_j]``, and S^-1 is
-    returned as the row gather ``argsort(p)``; apply it with
-    :func:`_inverse_times`.  The gather differs from the products only in
-    the sign of a zero, which :func:`fro` squares away.
+    S is inverted unless ``s_inv`` is given, all of a stack by one LU call
+    (:func:`_inverses`); where S is singular, S^-1 and S H S^-1 are NaN.
+    A permutation S (:func:`permutation_of`), the same at every point of a
+    stack, is neither inverted nor multiplied: ``S H S^-1`` is the gather
+    ``H[p_i, p_j]``, and S^-1 is returned as the row gather ``argsort(p)``;
+    apply it with :func:`_inverse_times`.  The gather differs from the
+    products only in the sign of a zero, which :func:`fro` squares away.
     """
+    singular = np.zeros(s.shape[:-2], dtype=bool)
     if s_inv is None:
-        p = permutation_of(s)
-        if p is not None:
-            return h[np.ix_(p, p)], np.argsort(p)
-        s_inv, _ = inverse(s)
-    return s @ h @ s_inv, s_inv
+        first = s.reshape(-1, *s.shape[-2:])[0]
+        p = permutation_of(first)
+        if p is not None and (s == first).all():
+            return h[..., p[:, None], p], np.argsort(p), singular
+        inverses = _inverses(s)
+        s_inv, singular = inverses.inverse, inverses.singular
+    return s @ h @ s_inv, s_inv, singular
 
 
 def _inverse_times(s_inv: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -377,7 +466,8 @@ def similarity_residual(s, h, target) -> float:
 
     Invariant under rescaling of ``S`` by any nonzero complex number.  A
     permutation S takes no factorization and no product, with the same
-    result (see :func:`_similarity`).
+    result (see :func:`_similarity`).  Raises :class:`SingularMatrix` when
+    S cannot be inverted.
     """
     s = as_matrix(s)
     h = as_matrix(h)
@@ -386,7 +476,10 @@ def similarity_residual(s, h, target) -> float:
         raise DimensionMismatch(
             f"shape mismatch: S {s.shape}, H {h.shape}, target {target.shape}"
         )
-    return fro(_similarity(s, h)[0] - target) / tolerance_scale(fro(h))
+    similar, _, singular = _similarity(s, h)
+    if singular:
+        raise SingularMatrix("S is singular")
+    return fro(similar - target) / tolerance_scale(fro(h))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +489,7 @@ def similarity_residual(s, h, target) -> float:
 
 def format_float(x: float) -> str:
     """Serialize a float with 17 significant digits (round-trip exact)."""
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("cannot serialize non-finite float")
     return format(float(x), ".17g")
 
@@ -405,6 +498,9 @@ def to_json_text(obj) -> str:
     """Deterministic JSON with 17-significant-digit floats.
 
     Dict keys keep insertion order; complex numbers become ``[re, im]``.
+    A float or complex ndarray is written as the nested lists of its
+    values, the same bytes as its ``tolist()`` form, after one finiteness
+    check of the whole array.
     """
     out: list[str] = []
     _emit(obj, out)
@@ -412,27 +508,24 @@ def to_json_text(obj) -> str:
 
 
 def _emit(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _emit([float(obj.real), float(obj.imag)], out)
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
+    # the containers and scalars a report is mostly made of come first
+    if isinstance(obj, dict):
         out.append("{")
         for i, (key, val) in enumerate(obj.items()):
             if i:
                 out.append(", ")
-            out.append(json.dumps(str(key)))
+            out.append(_quote(str(key)))
             out.append(": ")
             _emit(val, out)
         out.append("}")
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (float, np.floating)):
+        out.append(format_float(obj))
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind in "fc" and obj.size:
+        _emit_array(obj, out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
         for i, val in enumerate(obj):
@@ -440,8 +533,39 @@ def _emit(obj, out: list[str]) -> None:
                 out.append(", ")
             _emit(val, out)
         out.append("]")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _emit([float(obj.real), float(obj.imag)], out)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+# json.dumps of a str, without its per-call dispatch
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _emit_array(a: np.ndarray, out: list[str]) -> None:
+    """A nonempty float or complex array, as nested lists (complex values as ``[re, im]``)."""
+    if not np.isfinite(a).all():
+        raise ValueError("cannot serialize non-finite float")
+    shape = a.shape
+    if a.dtype.kind == "c":
+        shape += (2,)
+        a = np.ascontiguousarray(a).view(a.real.dtype)  # re, im, re, im, ...
+    out.append(_array_template(shape) % tuple(a.ravel().tolist()))
+
+
+@functools.lru_cache(maxsize=None)
+def _array_template(shape: tuple[int, ...]) -> str:
+    """The nested lists of an array of ``shape``, with a ``%.17g`` (the
+    conversion of :func:`format_float`) for each value."""
+    texts = ["%.17g"] * math.prod(shape)
+    for size in reversed(shape):  # close the innermost lists first
+        texts = ["[" + ", ".join(texts[i:i + size]) + "]" for i in range(0, len(texts), size)]
+    return texts[0]
 
 
 def matrix_to_doc(m) -> dict:

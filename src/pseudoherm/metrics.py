@@ -44,6 +44,7 @@ from .linalg import (
     Spectrum,
     ToleranceConfig,
     ZeroVector,
+    _fro_stack,
     _inverse_times,
     _similarity,
     _unit_scale,
@@ -109,14 +110,13 @@ class ClassificationReport:
     warnings: tuple[str, ...] = ()
 
 
-def _pivot(m: np.ndarray) -> complex:
-    """First entry (row-major) above ``CANONICAL_ZERO_REL`` times the largest magnitude."""
-    flat = m.reshape(-1)
+def _pivot(m: np.ndarray) -> np.ndarray:
+    """First entry (row-major) above ``CANONICAL_ZERO_REL`` times the largest
+    magnitude, of each matrix on the last two axes of ``m``; 0 for a zero matrix."""
+    flat = m.reshape(*m.shape[:-2], -1)
     mag = np.abs(flat)
-    top = float(mag.max())
-    if top == 0.0:
-        raise SingularMatrix("zero matrix has no canonical normalization")
-    return flat[int(np.argmax(mag > CANONICAL_ZERO_REL * top))]
+    first = np.argmax(mag > CANONICAL_ZERO_REL * mag.max(axis=-1, keepdims=True), axis=-1)
+    return np.take_along_axis(flat, first[..., None], axis=-1)[..., 0]
 
 
 def canonical_normalize(m) -> np.ndarray:
@@ -126,23 +126,54 @@ def canonical_normalize(m) -> np.ndarray:
     treated as zero, so tiny numerical residue cannot become the pivot.
     """
     m = as_matrix(m)
-    return m / _pivot(m)
+    pivot = _pivot(m)
+    if pivot == 0:
+        raise SingularMatrix("zero matrix has no canonical normalization")
+    return m / pivot
 
 
-def _residuals(h: np.ndarray, similar: np.ndarray) -> tuple[float, float, float]:
-    """Relative residuals of ``similar`` = S H S^-1 against conj(H), H^T and H^dagger."""
-    scale = tolerance_scale(fro(h))
+# The target of each relation, as (transposed, conjugated) H.
+_TARGETS = {PSEUDO_REAL: (False, True), PSEUDO_ADJOINT: (True, False),
+            PSEUDO_HERMITIAN: (True, True)}
+
+
+def _residuals(h: np.ndarray, similar: np.ndarray, kinds=KINDS) -> tuple:
+    """Relative residuals of ``similar`` = S H S^-1 against the targets of ``kinds``.
+
+    The targets are conj(H), H^T and H^dagger.  ``h`` and ``similar`` may
+    be stacks, with one residual per matrix on their last two axes.
+    """
+    scale = tolerance_scale(_fro_stack(h))
     # One buffer holds each target and difference in turn.  It is C-ordered
     # whatever the order of H, as the temporary similar - target was: fro
     # sums in memory order, so another order would change the last bits.
     diff = np.empty_like(h, order="C")
     residuals = []
-    for target, conjugate in ((h, True), (h.T, False), (h.T, True)):
-        if conjugate:
+    for kind in kinds:
+        transposed, conjugated = _TARGETS[kind]
+        target = h.swapaxes(-1, -2) if transposed else h
+        if conjugated:
             target = np.conjugate(target, out=diff)
         np.subtract(similar, target, out=diff)
-        residuals.append(fro(diff) / scale)
+        residuals.append(_fro_stack(diff) / scale)
     return tuple(residuals)
+
+
+def _checks(h: np.ndarray, metric: np.ndarray, metric_inv: np.ndarray | None = None,
+            kinds=KINDS) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """``(residuals, pivot, metric_inv, singular)`` of each metric on the last two axes
+    of ``metric`` against the H on those of ``h``: the residuals against ``kinds``.
+
+    The metrics are inverted, or gathered if one permutation (see
+    :func:`_similarity`), unless ``metric_inv`` is given.  ``pivot`` is
+    the canonical normalization pivot (:func:`_pivot`).  A singular or
+    zero metric has residual ``inf``.
+    """
+    similar, metric_inv, singular = _similarity(metric, h, metric_inv)
+    pivot = _pivot(metric)
+    singular = singular | (pivot == 0)
+    residuals = tuple(np.where(singular, np.inf, r) for r in _residuals(h, similar, kinds))
+    return residuals, pivot, metric_inv, singular
 
 
 def _check(h: np.ndarray, metric: np.ndarray, tol: ToleranceConfig, name: str,
@@ -156,12 +187,13 @@ def _check(h: np.ndarray, metric: np.ndarray, tol: ToleranceConfig, name: str,
     """
     if metric.shape != h.shape:
         raise DimensionMismatch(f"metric '{name}' has shape {metric.shape}, expected {h.shape}")
-    similar, metric_inv = _similarity(metric, h, metric_inv)
-    pivot = _pivot(metric)
+    residuals, pivot, metric_inv, singular = _checks(h, metric, metric_inv)
+    if singular:
+        raise SingularMatrix(f"metric '{name}' is singular")
     canonical = metric / pivot
-    reports = {kind: MetricReport(kind, name, canonical, residual,
+    reports = {kind: MetricReport(kind, name, canonical, float(residual),
                                   bool(residual <= tol.metric_tol), provenance)
-               for kind, residual in zip(KINDS, _residuals(h, similar))}
+               for kind, residual in zip(KINDS, residuals)}
     if vectors is None or not reports[PSEUDO_REAL].holds:
         return reports, None
     if pivot != 1:
@@ -212,6 +244,11 @@ def compose_eta(rho, mu) -> np.ndarray:
     return (mu @ rho_inv).T.copy()
 
 
+def _t(m: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix on the last two axes."""
+    return m.swapaxes(-1, -2)
+
+
 def _rho_pair(d: np.ndarray, d_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d.conj() @ d_inv, d @ d_inv.conj()
 
@@ -219,16 +256,16 @@ def _rho_pair(d: np.ndarray, d_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _mu_pair(d: np.ndarray, d_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # both averaged with their transposes: a projection onto the symmetry
     # the exact expressions have
-    mu = d_inv.T @ d_inv
-    mu_inv = d @ d.T
-    return (mu + mu.T) / 2.0, (mu_inv + mu_inv.T) / 2.0
+    mu = _t(d_inv) @ d_inv
+    mu_inv = d @ _t(d)
+    return (mu + _t(mu)) / 2.0, (mu_inv + _t(mu_inv)) / 2.0
 
 
 def _eta_plus_pair(d: np.ndarray, d_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # both averaged with their daggers, so exactly Hermitian
-    eta = d_inv.conj().T @ d_inv
-    eta_inv = d @ d.conj().T
-    return (eta + eta.conj().T) / 2.0, (eta_inv + eta_inv.conj().T) / 2.0
+    eta = _t(d_inv.conj()) @ d_inv
+    eta_inv = d @ _t(d.conj())
+    return (eta + _t(eta.conj())) / 2.0, (eta_inv + _t(eta_inv.conj())) / 2.0
 
 
 def rho_from_diagonalizer(d) -> np.ndarray:
@@ -260,7 +297,7 @@ def eta_plus_from_diagonalizer(d) -> np.ndarray:
 
 # Metrics built from the diagonalizer D: (name, builder, relation it
 # certifies).  A builder maps (D, D^-1) to (metric, metric^-1) by matrix
-# products alone.
+# products alone, for one D or for each of a stack.
 DIAGONALIZER_METRICS = (
     ("from_D_rho", _rho_pair, PSEUDO_REAL),
     ("from_D_mu", _mu_pair, PSEUDO_ADJOINT),
@@ -441,18 +478,20 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
         raise DimensionMismatch("parity matrix dimension mismatch")
     # A candidate equal to the parity already holds this residual.  A
     # singular one (residual inf) falls through to the inversion, which
-    # raises for it.
+    # finds it singular.
     pt_res = next((reports[PSEUDO_REAL].residual
                    for reports, metric in zip(checked, (candidates or {}).values())
                    if math.isfinite(reports[PSEUDO_REAL].residual)
                    and np.array_equal(metric, parity)), None)
-    try:
-        if pt_res is None:
-            pt_res = _residuals(h, _similarity(parity, h)[0])[0]
-        pt = (parity_name, float(pt_res), bool(pt_res <= tol.metric_tol))
-    except SingularMatrix:
+    if pt_res is None:
+        similar, _, singular = _similarity(parity, h)
+        if not singular:
+            pt_res = _residuals(h, similar, (PSEUDO_REAL,))[0]
+    if pt_res is None:
         warn.append("parity matrix is singular; PT check skipped")
         pt = None
+    else:
+        pt = (parity_name, float(pt_res), bool(pt_res <= tol.metric_tol))
 
     reality_checks = tuple(_reality_check(k, name, eps[k], residual[k], tol)
                            for k in range(len(spectrum) if spectrum else 0)

@@ -199,12 +199,17 @@ def _sequential_power(z: np.ndarray, k: int) -> np.ndarray:
 def _diagonal_potential(pot: PotentialSpec, x: np.ndarray) -> np.ndarray:
     z = x - 1j * pot.shift if pot.shift != 0.0 else x.astype(np.complex128)
     p = pot.params
-    if pot.family in ("harmonic", "gauged_oscillator", "gauged_hermitian"):
-        return 0.5 * p["alpha"] ** 2 * z * z  # multiplied by mass in the builder
-    if pot.family == "morse":
+    # overflow surfaces as non-finite entries, rejected by the builder, or,
+    # in the Python float power of a parameter, as OverflowError
+    try:
         with np.errstate(over="ignore", invalid="ignore"):
-            # overflow surfaces as non-finite entries, rejected by the builder
-            return p["D"] ** 2 * np.exp(-2.0 * z) - (2.0 * p["C"] + 1.0) * p["D"] * np.exp(-z)
+            if pot.family in ("harmonic", "gauged_oscillator", "gauged_hermitian"):
+                return 0.5 * p["alpha"] ** 2 * z * z  # multiplied by mass in the builder
+            if pot.family == "morse":
+                return (p["D"] ** 2 * np.exp(-2.0 * z)
+                        - (2.0 * p["C"] + 1.0) * p["D"] * np.exp(-z))
+    except OverflowError as exc:
+        raise ParameterOutOfRange("potential overflows on this grid") from exc
     if pot.family == "monomial_pt":
         return 1j * p["g"] * _sequential_power(z, int(p["k"]))
     raise ParameterOutOfRange(f"unknown family '{pot.family}'")
@@ -235,9 +240,10 @@ def build_hamiltonian(pot: PotentialSpec, grid: GridSpec) -> np.ndarray:
         h_mat = h_mat * np.exp(1j * phase)
 
     v = _diagonal_potential(pot, x)
-    if pot.family in ("harmonic", "gauged_oscillator", "gauged_hermitian"):
-        v = m * v
-    h_mat[np.arange(n), np.arange(n)] += v
+    with np.errstate(over="ignore", invalid="ignore"):
+        if pot.family in ("harmonic", "gauged_oscillator", "gauged_hermitian"):
+            v = m * v
+        h_mat[np.arange(n), np.arange(n)] += v
     if not np.isfinite(h_mat).all():
         raise ParameterOutOfRange("potential overflows on this grid")
     return h_mat

@@ -1,13 +1,26 @@
-"""Parameter sweeps of the built-in families across their breaking points."""
+"""Parameter sweeps of the built-in families across their breaking points.
+
+A sweep analyzes its points as one (points, n, n) stack of Hamiltonians:
+one eigensolve over the stack, then one factorization and one residual
+pass per metric name over the points that carry it.  These are the
+helpers the analysis of one matrix runs with no stack axis, so each point
+gets the verdicts and canonical metrics, bit for bit, of
+:func:`pseudoherm.metrics.check_metrics` on its own H.  Only the report
+objects are built point by point.  The special cases keep their
+per-point outcome: a singular candidate fails with residual ``inf`` and
+keeps its own entries, and a near-defective or singular D suppresses the
+diagonalizer metrics at that point.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import families, metrics
-from .linalg import ToleranceConfig, eigendecompose
+from .linalg import DEFAULT_TOL, DimensionMismatch, ToleranceConfig, _is_real, _spectra
 
 SECULAR_TOL = 1e-8
 
@@ -57,12 +70,50 @@ class SweepResult:
 
 
 def sweep_values(start: float, stop: float, step: float) -> np.ndarray:
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise InvalidRange("from, to and step must be finite")
     if step <= 0:
         raise InvalidRange("step must be positive")
     if stop < start:
         raise InvalidRange("empty range")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    count = np.floor((stop - start) / step + 1e-9)
+    if not math.isfinite(count):
+        raise InvalidRange("the range holds more steps than a float can count")
+    return start + step * np.arange(int(count) + 1)
+
+
+def _stack(matrices) -> np.ndarray:
+    """The matrices as one (points, n, n) complex stack; rejects non-finite entries."""
+    stack = np.asarray(matrices, dtype=np.complex128)
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
+    return stack
+
+
+def _verdicts(h, metric, metric_inv, kinds, tol: ToleranceConfig):
+    """Whether each metric of a stack certifies any of ``kinds``, and its canonical form.
+
+    A singular metric holds nothing and keeps its own entries.
+    """
+    residuals, pivot, _, singular = metrics._checks(h, metric, metric_inv, kinds)
+    holds = np.logical_or.reduce([r <= tol.metric_tol for r in residuals])
+    if singular.any():
+        canonical = metric.copy()
+        canonical[~singular] = metric[~singular] / pivot[~singular, None, None]
+    else:
+        canonical = metric / pivot[:, None, None]
+    return holds, canonical
+
+
+def _secular(idx: np.ndarray, holds: np.ndarray, canonical: np.ndarray,
+             real: np.ndarray) -> bool:
+    """Whether a metric carried at points ``idx`` holds at every real-phase
+    point ``real`` with one canonical form there, to within ``SECULAR_TOL``."""
+    at = np.searchsorted(idx, real)
+    if not ((at < idx.size).all() and (idx[at] == real).all() and holds[at].all()):
+        return False
+    return bool((np.abs(canonical[at] - canonical[at[0]]).max(axis=(-2, -1))
+                 <= SECULAR_TOL).all())
 
 
 def sweep_family(family: str, parameter: str, values, fixed: dict,
@@ -70,56 +121,69 @@ def sweep_family(family: str, parameter: str, values, fixed: dict,
     """Evaluate a builtin family along one parameter.
 
     A candidate holds at a point when it certifies any relation, a
-    diagonalizer metric when it certifies the one it is built for.
+    diagonalizer metric when it certifies the one it is built for.  The
+    points are analyzed as one stack (see the module docstring):
+    :func:`pseudoherm.linalg._spectra`, then :func:`pseudoherm.metrics._checks`
+    once per metric name.
     """
     values = np.asarray(list(values), dtype=float)
     if values.size == 0:
         raise InvalidRange("empty range")
     if np.any(np.diff(values) <= 0):
         raise InvalidRange("values must be strictly increasing")
+    tol = tol or DEFAULT_TOL
 
-    points: list[SweepPoint] = []
-    for value in values:
-        h, _, candidates, _ = families.instantiate_builtin(
-            family, {**fixed, parameter: float(value)})
-        spec = eigendecompose(h, tol)
-        max_imag = float(np.abs(spec.eigenvalues.imag).max())
-        all_real = all(tag.kind == "real" for tag in spec.reality)
+    built = [families.instantiate_builtin(family, {**fixed, parameter: float(value)})
+             for value in values]
+    h = _stack([b[0] for b in built])
+    candidates = [b[2] for b in built]
+    w, _, d, inverses, scale = _spectra(h)
+    max_imag = np.abs(w.imag).max(axis=-1)
+    spectrum_real = _is_real(w, tol, scale).all(axis=-1)
 
-        found: dict[str, SweepPointMetric] = {}
-        checked, _, _ = metrics.check_metrics(h, candidates, spec, tol)
-        for reports in checked:
-            first = reports[metrics.PSEUDO_REAL]
-            kind = _BUILT_FOR.get(first.name)
-            holds = (reports[kind].holds if kind is not None
-                     else any(r.holds for r in reports.values()))
-            found[first.name] = SweepPointMetric(holds, first.metric)
+    # name -> (indices of the points that carry it, holds, canonical)
+    found: dict[str, tuple] = {}
+    carriers: dict[str, list[int]] = {}
+    for i, names in enumerate(candidates):
+        for name in names:
+            carriers.setdefault(name, []).append(i)
+    for name, idx in carriers.items():
+        metric = _stack([candidates[i][name] for i in idx])
+        if metric.shape[1:] != h.shape[1:]:
+            raise DimensionMismatch(
+                f"metric '{name}' has shape {metric.shape[1:]}, expected {h.shape[1:]}")
+        found[name] = (np.array(idx), *_verdicts(h[idx], metric, None, metrics.KINDS, tol))
+    # the diagonalizer metrics are suppressed where D is near-defective or singular
+    (idx,) = np.nonzero(~(inverses.condition > 1.0 / tol.metric_tol))
+    if idx.size:
+        for name, build, kind in metrics.DIAGONALIZER_METRICS:
+            metric, metric_inv = build(d[idx], inverses.inverse[idx])
+            found[name] = (idx, *_verdicts(h[idx], metric, metric_inv, (kind,), tol))
 
-        points.append(SweepPoint(float(value), max_imag, bool(all_real), found))
+    # each point lists its candidates in its own order, then the diagonalizer metrics
+    entries = {name: {int(i): SweepPointMetric(bool(ok), c)
+                      for i, ok, c in zip(idx, holds, canonical)}
+               for name, (idx, holds, canonical) in found.items()}
+    diagonalizer = [name for name, _, _ in metrics.DIAGONALIZER_METRICS if name in entries]
+    points = tuple(
+        SweepPoint(float(value), float(top), bool(real),
+                   {name: entries[name][i] for name in [*candidates[i], *diagonalizer]
+                    if i in entries[name]})
+        for i, (value, top, real) in enumerate(zip(values, max_imag, spectrum_real)))
 
     breaking = None
-    for i in range(len(points) - 1):
-        if points[i].spectrum_real != points[i + 1].spectrum_real:
-            breaking = (points[i].value, points[i + 1].value)
-            break
+    flips = np.flatnonzero(spectrum_real[1:] != spectrum_real[:-1])
+    if flips.size:
+        breaking = (points[flips[0]].value, points[flips[0] + 1].value)
 
-    real_points = [p for p in points if p.spectrum_real]
-    secular: list[str] = []
-    for name in sorted({name for p in real_points for name in p.metrics}):
-        entries = [p.metrics.get(name) for p in real_points]
-        if any(e is None or not e.holds for e in entries):
-            continue
-        ref = entries[0].canonical
-        if all(e.canonical.shape == ref.shape
-               and float(np.abs(e.canonical - ref).max()) <= SECULAR_TOL
-               for e in entries[1:]):
-            secular.append(name)
+    real = np.flatnonzero(spectrum_real)
+    secular = [name for name in sorted(found) if real.size and _secular(*found[name], real)]
 
     return SweepResult(
         family=family,
         parameter=parameter,
         fixed=dict(fixed),
-        points=tuple(points),
+        points=points,
         breaking_point=breaking,
         secular_metrics=tuple(secular),
     )

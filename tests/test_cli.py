@@ -336,6 +336,15 @@ class TestDiscretize:
                       "--states", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("params", [
+        ("--family", "harmonic", "--alpha", "1e300"),  # alpha^2 overflows
+        ("--family", "morse", "--C", "3.5", "--D", "1e200"),  # D^2 overflows
+    ])
+    def test_potential_overflow_exit_2(self, tmp_path, capsys, params):
+        code, doc = run(tmp_path, "discretize", *params, "--xmax", "10", "--n", "16")
+        assert code == 2 and doc is None
+        assert capsys.readouterr().err == "error: potential overflows on this grid\n"
+
 
 class TestSweep:
     def test_values_grid(self):
@@ -369,6 +378,26 @@ class TestSweep:
         code, _ = run(tmp_path, "sweep", "H5", "b", "a=0", "c=1",
                       "--from", "1.0", "--to", "0.0", "--step", "0.1")
         assert code == 2
+
+    @pytest.mark.parametrize("bounds", [
+        ("--to", "inf", "--step", "0.1"),
+        ("--to", "nan", "--step", "0.1"),
+        ("--to", "1", "--step", "nan"),
+    ])
+    def test_non_finite_range_exit_2(self, tmp_path, capsys, bounds):
+        code, doc = run(tmp_path, "sweep", "H8", "b", "a=0.3", "c=1", "d=0.5",
+                        "--from", "0", *bounds)
+        assert code == 2 and doc is None
+        assert capsys.readouterr().err == "error: from, to and step must be finite\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_points_keep_their_exit(self, tmp_path, capsys):
+        # the residuals of an H with entries near 1e308 overflow, and the
+        # report cannot be written until H is scaled where an analysis begins
+        code, doc = run(tmp_path, "sweep", "H5", "b", "a=0", "c=1e308",
+                        "--from", "0", "--to", "1", "--step", "0.5")
+        assert code == 2 and doc is None
+        assert capsys.readouterr().err == "error: cannot serialize non-finite float\n"
 
     def test_singular_metric_does_not_hold(self, tmp_path):
         # at b = 1 the closed-form mu (and the eta+ built from it) of this H8

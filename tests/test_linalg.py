@@ -487,3 +487,41 @@ class TestAlgebraicProperties:
         scale = EPS * fro(a) * fro(b) * 7 * 8
         assert fro((a @ b).conj() - a.conj() @ b.conj()) <= scale
         assert fro((a @ b).T - b.T @ a.T) <= scale
+
+
+# Every float: normal and subnormal, both zeros, the extremes of the range.
+any_float = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def float_arrays(draw):
+    shape = draw(st.sampled_from([(1,), (5,), (1, 1), (2, 2), (3, 3), (2, 4)]))
+    size = int(np.prod(shape))
+    re = np.array(draw(st.lists(any_float, min_size=size, max_size=size)), dtype=float)
+    if not draw(st.booleans()):
+        return re.reshape(shape)
+    m = np.empty(size, dtype=complex)
+    m.real = re
+    m.imag = draw(st.lists(any_float, min_size=size, max_size=size))
+    return m.reshape(shape)
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(float_arrays())
+    @example(np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]))
+    @example(np.array([[complex(-0.0, 0.0), complex(5e-324, -0.0)], [1e-310j, -1.0]]))
+    def test_array_writes_the_bytes_of_its_lists(self, m):
+        assert linalg.to_json_text(m) == linalg.to_json_text(m.tolist())
+        if m.ndim == 2 and m.shape[0] == m.shape[1]:
+            doc = {"n": m.shape[0], "rows": m.astype(complex)}
+            assert linalg.to_json_text(doc) == linalg.to_json_text(linalg.matrix_to_doc(m))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("as_complex", [False, True])
+    def test_non_finite_array_entry_raises(self, bad, as_complex):
+        m = np.array([[1.0, 2.0], [3.0, bad]])
+        if as_complex:
+            m = np.array([[1.0, 2.0], [3.0, complex(1.0, bad)]])
+        with pytest.raises(ValueError, match="cannot serialize non-finite float"):
+            linalg.to_json_text({"rows": m})

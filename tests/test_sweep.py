@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pseudoherm import classify, metrics
 from pseudoherm.families import instantiate_builtin
+from pseudoherm.linalg import eigendecompose
 from pseudoherm.sweep import sweep_family, sweep_values
 
 # The relation each diagonalizer construction is built to certify; every
@@ -30,6 +33,8 @@ def assert_sweep_matches_classify(family, parameter, values, fixed):
         h, _, candidates, _ = instantiate_builtin(family, {**fixed, parameter: point.value})
         report = classify(h, candidates)
         assert point.spectrum_real == all(t.kind == "real" for t in report.spectrum.reality)
+        max_imag = np.abs(eigendecompose(h).eigenvalues.imag).max()
+        assert np.float64(point.max_imag).tobytes() == max_imag.tobytes(), point.value
 
         by_kind = {"pseudo_real": report.pseudo_real,
                    "pseudo_adjoint": report.pseudo_adjoint,
@@ -71,6 +76,22 @@ def test_m3_sweep_matches_classify(omega, values):
     assert_sweep_matches_classify("M3", "g", values, {"omega": omega})
 
 
+# Long grids through the stacked path: whole sweeps whose points cross an
+# exceptional point, and one whose grid hits a singular closed-form metric.
+@pytest.mark.parametrize("family, parameter, grid, fixed", [
+    ("H8", "b", (0.0, 2.0, 0.01), {"a": 0.3, "c": 1.0, "d": 0.5}),
+    ("H8", "b", (0.0, 2.0, 0.05), {"a": 0.0, "c": 0.6, "d": 0.8000000000000002}),  # b = 1
+    ("H6", "b", (-2.0, 2.0, 0.05), {"a": 0.5, "c": 1.0}),
+    ("H7", "b", (-2.0, 2.0, 0.05), {"a": 0.0, "c": 1.0}),
+    ("M3", "g", (0.0, 3.0, 0.01), {"omega": 1.0}),
+])
+def test_long_sweep_matches_classify(family, parameter, grid, fixed):
+    values = sweep_values(*grid)
+    if family == "H8" and fixed["a"] == 0.0:
+        assert 1.0 in values
+    assert_sweep_matches_classify(family, parameter, values, fixed)
+
+
 def test_sweep_runs_no_reality_check(monkeypatch):
     colinearity, lu = [], []
     colinearity_of, lu_factor = metrics._colinearity, scipy.linalg.lu_factor
@@ -90,9 +111,8 @@ def test_sweep_runs_no_reality_check(monkeypatch):
     lo, hi = result.breaking_point
     assert lo <= math.hypot(c, d) <= hi
     assert colinearity == []
-    # per point: the eigenvector matrix and one per candidate checked other
-    # than the permutation sigma_x, which takes index gathers; the
-    # diagonalizer metrics and their inverses are products of its inverse.
-    # 4 at the 12 real-phase points (sigma_x and the three closed forms), 1 at
-    # the 9 broken ones (sigma_x only)
-    assert len(lu) == 12 * 4 + 9 * 1
+    # one call on a stack: the eigenvector matrices of all 21 points, then
+    # each closed form over the 12 real-phase points that carry it; sigma_x
+    # is a permutation, which takes index gathers, and the diagonalizer
+    # metrics and their inverses are products of the inverses of D
+    assert lu == [(21, 2, 2), (12, 2, 2), (12, 2, 2), (12, 2, 2)]

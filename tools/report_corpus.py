@@ -104,6 +104,10 @@ SWEEP = [
     ["H5", "b", "a=0", "c=1", "--from", "0", "--to", "2", "--step", "0.05"],
     ["H8", "b", *H8_SINGULAR, "--from", "0", "--to", "2", "--step", "0.5"],
     ["M3", "g", "--from", "0", "--to", "3", "--step", "0.1"],
+    # across |b| = |c|: sigma_z is a diagonal constant candidate that is no
+    # permutation, sigma_y has purely imaginary entries
+    ["H6", "b", "a=0.5", "c=1", "--from", "0", "--to", "2", "--step", "0.05"],
+    ["H7", "b", "a=0", "c=1", "--from", "0", "--to", "2", "--step", "0.05"],
 ]
 
 
