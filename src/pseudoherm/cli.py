@@ -43,10 +43,7 @@ EMBED_LIMIT = 16
 
 def fingerprint(m) -> str:
     """Short content hash of a matrix (shape header + raw complex128 bytes)."""
-    return _fingerprint(as_matrix(m))
-
-
-def _fingerprint(m: np.ndarray) -> str:
+    m = as_matrix(m)
     digest = hashlib.sha256(f"{m.shape[0]}:".encode())
     digest.update(np.ascontiguousarray(m).tobytes())
     return digest.hexdigest()[:16]
@@ -57,8 +54,8 @@ def _matrix_doc(m) -> dict:
     writer formats it as :func:`pseudoherm.linalg.matrix_to_doc` would."""
     m = as_matrix(m)
     if m.shape[0] <= EMBED_LIMIT:
-        return {"n": m.shape[0], "rows": m, "fingerprint": _fingerprint(m)}
-    return {"n": m.shape[0], "fingerprint": _fingerprint(m)}
+        return {"n": m.shape[0], "rows": m, "fingerprint": fingerprint(m)}
+    return {"n": m.shape[0], "fingerprint": fingerprint(m)}
 
 
 def _finite_or_none(x: float):

@@ -527,6 +527,9 @@ def _emit(obj, out: list[str]) -> None:
     elif isinstance(obj, np.ndarray) and obj.dtype.kind in "fc" and obj.size:
         _emit_array(obj, out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
+        if all(isinstance(val, float) for val in obj):  # [re, im] pairs of matrix_to_doc
+            out.append("[" + ", ".join(map(format_float, obj)) + "]")
+            return
         out.append("[")
         for i, val in enumerate(obj):
             if i:

@@ -141,20 +141,29 @@ def _residuals(h: np.ndarray, similar: np.ndarray, kinds=KINDS) -> tuple:
     """Relative residuals of ``similar`` = S H S^-1 against the targets of ``kinds``.
 
     The targets are conj(H), H^T and H^dagger.  ``h`` and ``similar`` may
-    be stacks, with one residual per matrix on their last two axes.
+    be stacks, with one residual per matrix on their last two axes.  The
+    last difference is formed in ``similar``, which is overwritten.
     """
     scale = tolerance_scale(_fro_stack(h))
-    # One buffer holds each target and difference in turn.  It is C-ordered
-    # whatever the order of H, as the temporary similar - target was: fro
-    # sums in memory order, so another order would change the last bits.
-    diff = np.empty_like(h, order="C")
+    # Every difference is C-ordered whatever the order of H, as the temporary
+    # similar - target was: fro sums in memory order, so another order would
+    # change the last bits.  One buffer holds each target and difference in
+    # turn but the last, which similar holds.
+    similar = np.ascontiguousarray(similar)
+    buffer = np.empty_like(h, order="C") if len(kinds) > 1 else None
     residuals = []
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         transposed, conjugated = _TARGETS[kind]
         target = h.swapaxes(-1, -2) if transposed else h
-        if conjugated:
-            target = np.conjugate(target, out=diff)
-        np.subtract(similar, target, out=diff)
+        if i == len(kinds) - 1:
+            # conj(S H S^-1) - T is the conjugate of S H S^-1 - conj(T): the
+            # same norm, bit for bit
+            diff = np.conjugate(similar, out=similar) if conjugated else similar
+            np.subtract(diff, target, out=diff)
+        else:
+            if conjugated:
+                target = np.conjugate(target, out=buffer)
+            diff = np.subtract(similar, target, out=buffer)
         residuals.append(_fro_stack(diff) / scale)
     return tuple(residuals)
 
@@ -456,7 +465,8 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     h = as_matrix(h)
     tol = tol or DEFAULT_TOL
 
-    _, sa_res, herm_res = _residuals(h, h)  # S = 1: symmetry and Hermiticity of H
+    # S = 1: symmetry and Hermiticity of H
+    sa_res, herm_res = _residuals(h, h.copy(), (PSEUDO_ADJOINT, PSEUDO_HERMITIAN))
     hermitian = (bool(herm_res <= tol.metric_tol), float(herm_res))
     self_adjoint = (bool(sa_res <= tol.metric_tol), float(sa_res))
 

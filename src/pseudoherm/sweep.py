@@ -24,10 +24,6 @@ from .linalg import DEFAULT_TOL, DimensionMismatch, ToleranceConfig, _is_real, _
 
 SECULAR_TOL = 1e-8
 
-# Diagonalizer metric name -> the one relation it is built to certify.
-_BUILT_FOR = {name: kind for name, _, kind in metrics.DIAGONALIZER_METRICS}
-
-
 class InvalidRange(Exception):
     """Raised for an empty or inverted sweep range."""
 

@@ -506,12 +506,22 @@ def float_arrays(draw):
     return m.reshape(shape)
 
 
+def _nested_lists_text(x) -> str:
+    """The writer's format, spelled out: lists as ``[a, b]``, complex as ``[re, im]``."""
+    if isinstance(x, list):
+        return "[" + ", ".join(map(_nested_lists_text, x)) + "]"
+    if isinstance(x, complex):
+        return _nested_lists_text([x.real, x.imag])
+    return format(x, ".17g")
+
+
 class TestJsonWriter:
     @settings(max_examples=200, deadline=None)
     @given(float_arrays())
     @example(np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]))
     @example(np.array([[complex(-0.0, 0.0), complex(5e-324, -0.0)], [1e-310j, -1.0]]))
     def test_array_writes_the_bytes_of_its_lists(self, m):
+        assert linalg.to_json_text(m.tolist()) == _nested_lists_text(m.tolist())
         assert linalg.to_json_text(m) == linalg.to_json_text(m.tolist())
         if m.ndim == 2 and m.shape[0] == m.shape[1]:
             doc = {"n": m.shape[0], "rows": m.astype(complex)}
@@ -525,3 +535,5 @@ class TestJsonWriter:
             m = np.array([[1.0, 2.0], [3.0, complex(1.0, bad)]])
         with pytest.raises(ValueError, match="cannot serialize non-finite float"):
             linalg.to_json_text({"rows": m})
+        with pytest.raises(ValueError, match="cannot serialize non-finite float"):
+            linalg.to_json_text({"rows": m.tolist()})

@@ -286,7 +286,7 @@ def residual_mismatches(residuals):
         for order in "CF":
             h_ordered = np.asarray(h, order=order)
             similar = s @ h_ordered @ s_inv
-            if residuals(h_ordered, similar) != reference_residuals(h_ordered, similar):
+            if residuals(h_ordered, similar.copy()) != reference_residuals(h_ordered, similar):
                 missed.append(order)
     return missed
 
@@ -298,6 +298,24 @@ class TestResiduals:
     def test_buffer_order_is_checked(self):
         # the comparison above sees a buffer that inherits the order of H
         assert "F" in residual_mismatches(buffer_in_order_of_h_residuals)
+
+    def test_difference_formed_in_similar_equals_temporaries(self):
+        # with one target the difference is formed in similar itself, as
+        # conj(S H S^-1) - T for a conjugated target; a similar that is not
+        # C-ordered is copied first, and kept
+        rng = np.random.default_rng(18)
+        for n in (1, 3, 17, 40):
+            for order in "CF":
+                h = np.asarray(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                               order=order)
+                similar = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                reference = reference_residuals(h, similar)
+                for kind, expected in zip(metrics.KINDS, reference):
+                    assert metrics._residuals(h, similar.copy(), (kind,)) == (expected,)
+                    if n > 1:  # a 1 x 1 array is C-ordered whatever its order
+                        transposed = np.asfortranarray(similar)
+                        assert metrics._residuals(h, transposed, (kind,)) == (expected,)
+                        np.testing.assert_array_equal(transposed, similar)
 
     @pytest.mark.parametrize("order", "CF")
     def test_pt_residual_equals_similarity_residual(self, order):
