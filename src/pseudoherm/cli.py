@@ -51,7 +51,7 @@ def fingerprint(m) -> str:
 
 def _matrix_doc(m) -> dict:
     """``{"n", "rows", "fingerprint"}``, with the array itself as ``rows``: the
-    writer formats it as :func:`pseudoherm.linalg.matrix_to_doc` would."""
+    writer formats it as :func:`pseudoherm.linalg.dumps_matrix` does."""
     m = as_matrix(m)
     if m.shape[0] <= EMBED_LIMIT:
         return {"n": m.shape[0], "rows": m, "fingerprint": fingerprint(m)}

@@ -10,12 +10,14 @@ that all symmetry checks are phrased in.
 It also owns the matrix interchange format: a JSON document with an
 integer field ``n`` and ``rows``, an ``n x n`` nesting of ``[re, im]``
 pairs.  Floats are serialized with 17 significant digits so a
-write/read round trip is bit exact.
+write/read round trip is bit exact, but for the sign of a zero: ``-0.0``
+is written ``-0``, which reads as the integer 0.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import warnings
@@ -315,7 +317,7 @@ def _spectra(h: np.ndarray) -> _Spectra:
         h = h * scale[..., None, None]
     try:
         w, v = scipy.linalg.eig(h, check_finite=False)
-    except Exception as exc:  # LAPACK reports non-convergence via LinAlgError
+    except np.linalg.LinAlgError as exc:  # how LAPACK reports non-convergence
         raise ConvergenceFailure(str(exc)) from exc
 
     order = np.lexsort((w.imag, w.real), axis=-1)
@@ -527,7 +529,7 @@ def _emit(obj, out: list[str]) -> None:
     elif isinstance(obj, np.ndarray) and obj.dtype.kind in "fc" and obj.size:
         _emit_array(obj, out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        if all(isinstance(val, float) for val in obj):  # [re, im] pairs of matrix_to_doc
+        if all(isinstance(val, float) for val in obj):  # a complex scalar's [re, im], sweep values
             out.append("[" + ", ".join(map(format_float, obj)) + "]")
             return
         out.append("[")
@@ -558,10 +560,23 @@ def _emit_array(a: np.ndarray, out: list[str]) -> None:
     if a.dtype.kind == "c":
         shape += (2,)
         a = np.ascontiguousarray(a).view(a.real.dtype)  # re, im, re, im, ...
-    out.append(_array_template(shape) % tuple(a.ravel().tolist()))
+    if math.prod(shape) <= TEMPLATE_VALUES:
+        template = _array_template(shape)
+    else:
+        template = _array_template.__wrapped__(shape)  # built for this write alone
+    out.append(template % tuple(a.ravel().tolist()))
 
 
-@functools.lru_cache(maxsize=None)
+# The templates kept: those of the TEMPLATE_SHAPES array shapes written last
+# that hold at most TEMPLATE_VALUES values.  One report writes at most four
+# shapes (its matrices, eigenvalues and residuals).  A template is as long as
+# its array's text, about 1 MB for a 256 x 256 complex matrix, and filling in
+# a template takes longer than building it.
+TEMPLATE_SHAPES = 8
+TEMPLATE_VALUES = 4096
+
+
+@functools.lru_cache(maxsize=TEMPLATE_SHAPES)
 def _array_template(shape: tuple[int, ...]) -> str:
     """The nested lists of an array of ``shape``, with a ``%.17g`` (the
     conversion of :func:`format_float`) for each value."""
@@ -571,16 +586,15 @@ def _array_template(shape: tuple[int, ...]) -> str:
     return texts[0]
 
 
-def matrix_to_doc(m) -> dict:
-    """Interchange document ``{"n": ..., "rows": [[[re, im], ...], ...]}``."""
-    m = as_matrix(m)
-    n = m.shape[0]
-    rows = [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(n)] for i in range(n)]
-    return {"n": n, "rows": rows}
-
-
 def matrix_from_doc(doc) -> np.ndarray:
-    """Parse an interchange document; rejects non-square input."""
+    """Parse an interchange document; rejects non-square input.
+
+    The rows are checked by one scan of the types and lengths of their
+    lists and values, and converted one row per array assignment.  Input the
+    scan or the conversion rejects is walked again entry by entry, in
+    row-major order, to name its first bad row or entry; non-finite
+    values are checked last.
+    """
     if not isinstance(doc, dict):
         raise MatrixFormatError("document must be a JSON object")
     try:
@@ -592,28 +606,57 @@ def matrix_from_doc(doc) -> np.ndarray:
         raise MatrixFormatError("'n' must be a positive integer")
     if not isinstance(rows, list) or len(rows) != n:
         raise MatrixFormatError(f"expected {n} rows")
-    m = np.zeros((n, n), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise MatrixFormatError(f"row {i} is not a list of {n} entries (non-square input?)")
-        for j, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-            ):
-                raise MatrixFormatError(f"entry ({i},{j}) is not a [re, im] pair")
-            try:
-                m[i, j] = complex(entry[0], entry[1])
-            except OverflowError as exc:
-                raise MatrixFormatError(f"entry ({i},{j}) is too large for a float") from exc
+    if not _is_pair_grid(rows, n):
+        _raise_first_bad_entry(rows, n)
+    # row by row: one np.array of all rows would hold a conversion record
+    # for each of their n^2 lists, 2 MiB at n = 256, and peak memory with it
+    pairs = np.empty((n, n, 2))
+    try:
+        for i, row in enumerate(rows):
+            pairs[i] = row
+    except OverflowError:  # an integer beyond the float range
+        _raise_first_bad_entry(rows, n)
+        raise
+    m = pairs.view(np.complex128).reshape(n, n)  # a view of the (n, n, 2) floats
     if not np.isfinite(m).all():
         raise MatrixFormatError("entries must be finite")
     return m
 
 
+def _all_of(values, kinds) -> bool:
+    """Whether every value is an instance of ``kinds`` and none a ``bool``, by one
+    pass over ``values`` that collects their types."""
+    return all(issubclass(t, kinds) and not issubclass(t, bool) for t in set(map(type, values)))
+
+
+def _is_pair_grid(rows: list, n: int) -> bool:
+    """Whether ``rows`` holds ``n`` lists of ``n`` ``[re, im]`` lists of numbers."""
+    entries = itertools.chain.from_iterable
+    return (_all_of(rows, list) and set(map(len, rows)) == {n}
+            and _all_of(entries(rows), list) and set(map(len, entries(rows))) == {2}
+            and _all_of(entries(entries(rows)), (int, float)))
+
+
+def _raise_first_bad_entry(rows: list, n: int) -> None:
+    """Raise the error of the first bad row or entry of ``rows``, in row-major order:
+    a row that is not a list of ``n`` entries, an entry that is not a ``[re, im]``
+    pair of numbers, or an integer beyond the float range.  Return if there is none."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise MatrixFormatError(f"row {i} is not a list of {n} entries (non-square input?)")
+        for j, entry in enumerate(row):
+            if not (isinstance(entry, list) and len(entry) == 2 and _all_of(entry, (int, float))):
+                raise MatrixFormatError(f"entry ({i},{j}) is not a [re, im] pair")
+            try:
+                complex(*entry)
+            except OverflowError as exc:
+                raise MatrixFormatError(f"entry ({i},{j}) is too large for a float") from exc
+
+
 def dumps_matrix(m) -> str:
-    return to_json_text(matrix_to_doc(m)) + "\n"
+    """Interchange text ``{"n": ..., "rows": [[[re, im], ...], ...]}`` of ``m``, with a newline."""
+    m = as_matrix(m)
+    return to_json_text({"n": m.shape[0], "rows": m}) + "\n"
 
 
 def loads_matrix(text: str) -> np.ndarray:

@@ -50,6 +50,19 @@ class TestInterchange:
         with pytest.raises(MatrixFormatError):
             loads_matrix(text)
 
+    @pytest.mark.parametrize("entries, message", [
+        ("[1, 0], [true, 0]", "entry (0,1) is not a [re, im] pair"),
+        ('[1, 0], [0, null]', "entry (0,1) is not a [re, im] pair"),
+        ("[NaN, 0], [0, " + "1" * 400 + "]", "entry (0,1) is too large for a float"),
+        ("[1e400, 0], [Infinity, 0]", "entries must be finite"),
+    ])
+    def test_reader_rules_exit_2(self, tmp_path, capsys, entries, message):
+        (tmp_path / "m.json").write_text(
+            '{"n": 2, "rows": [[%s], [[1, 0], [0, 1]]]}' % entries, encoding="utf-8")
+        code, doc = run(tmp_path, "analyze", "--matrix", str(tmp_path / "m.json"))
+        assert code == 2 and doc is None
+        assert message in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_h6_with_pauli_candidates(self, tmp_path):

@@ -1,5 +1,6 @@
 """Core matrix algebra: involutions, inversion, eigendecomposition, residuals."""
 
+import math
 import warnings
 from unittest import mock
 
@@ -279,6 +280,17 @@ class TestEigendecompose:
         np.testing.assert_allclose(spec.eigenvalues / factor, base.eigenvalues, rtol=1e-12)
         assert not spec.flags
 
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError, MemoryError])
+    def test_only_lapack_errors_are_convergence_failures(self, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error("from the solver")
+
+        monkeypatch.setattr(scipy.linalg, "eig", failing)
+        expected = linalg.ConvergenceFailure if error is np.linalg.LinAlgError else error
+        with pytest.raises(expected, match="from the solver") as info:
+            eigendecompose(np.eye(2))
+        assert type(info.value) is expected
+
 
 def reference_eigenpair_residuals(h, spectrum, tol):
     """The per-pair residual loop of eigendecompose before it was blocked (reference)."""
@@ -515,6 +527,14 @@ def _nested_lists_text(x) -> str:
     return format(x, ".17g")
 
 
+def reference_matrix_doc(m) -> dict:
+    """The per-entry interchange document builder the array writer replaced, kept verbatim."""
+    m = linalg.as_matrix(m)
+    n = m.shape[0]
+    rows = [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(n)] for i in range(n)]
+    return {"n": n, "rows": rows}
+
+
 class TestJsonWriter:
     @settings(max_examples=200, deadline=None)
     @given(float_arrays())
@@ -525,7 +545,7 @@ class TestJsonWriter:
         assert linalg.to_json_text(m) == linalg.to_json_text(m.tolist())
         if m.ndim == 2 and m.shape[0] == m.shape[1]:
             doc = {"n": m.shape[0], "rows": m.astype(complex)}
-            assert linalg.to_json_text(doc) == linalg.to_json_text(linalg.matrix_to_doc(m))
+            assert linalg.to_json_text(doc) == linalg.to_json_text(reference_matrix_doc(m))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("as_complex", [False, True])
@@ -537,3 +557,131 @@ class TestJsonWriter:
             linalg.to_json_text({"rows": m})
         with pytest.raises(ValueError, match="cannot serialize non-finite float"):
             linalg.to_json_text({"rows": m.tolist()})
+
+    def test_template_cache_is_bounded(self):
+        linalg._array_template.cache_clear()
+        for size in range(1, linalg.TEMPLATE_SHAPES + 4):
+            assert linalg.to_json_text(np.full(size, 0.5)) == "[" + ", ".join(["0.5"] * size) + "]"
+        info = linalg._array_template.cache_info()
+        assert info.maxsize == info.currsize == linalg.TEMPLATE_SHAPES
+        assert linalg.to_json_text(np.array([-0.0])) == "[-0]"  # an evicted shape, built again
+
+        linalg._array_template.cache_clear()
+        big = np.arange(linalg.TEMPLATE_VALUES + 1.0)  # one value too many to keep
+        assert linalg.to_json_text(big) == linalg.to_json_text(big.tolist())
+        assert linalg._array_template.cache_info().misses == 0
+
+
+def reference_matrix_from_doc(doc) -> np.ndarray:
+    """The per-entry interchange reader the array reader replaced, kept verbatim."""
+    MatrixFormatError = linalg.MatrixFormatError
+    if not isinstance(doc, dict):
+        raise MatrixFormatError("document must be a JSON object")
+    try:
+        n = doc["n"]
+        rows = doc["rows"]
+    except (KeyError, TypeError) as exc:
+        raise MatrixFormatError("document must carry fields 'n' and 'rows'") from exc
+    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
+        raise MatrixFormatError("'n' must be a positive integer")
+    if not isinstance(rows, list) or len(rows) != n:
+        raise MatrixFormatError(f"expected {n} rows")
+    m = np.zeros((n, n), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise MatrixFormatError(f"row {i} is not a list of {n} entries (non-square input?)")
+        for j, entry in enumerate(row):
+            if (
+                not isinstance(entry, list)
+                or len(entry) != 2
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+            ):
+                raise MatrixFormatError(f"entry ({i},{j}) is not a [re, im] pair")
+            try:
+                m[i, j] = complex(entry[0], entry[1])
+            except OverflowError as exc:
+                raise MatrixFormatError(f"entry ({i},{j}) is too large for a float") from exc
+    if not np.isfinite(m).all():
+        raise MatrixFormatError("entries must be finite")
+    return m
+
+
+# The largest integer that rounds to the float maximum; one more overflows.
+FLOAT_MAX_INT = 2**1024 - 2**970 - 1
+# Floats at the edges of the range, integers a float rounds or cannot hold,
+# and values that are no numbers.
+odd_values = st.sampled_from([
+    -0.0, 5e-324, -2.2250738585072014e-308,
+    2**53 + 1, -(2**63) - 1, 2**64 + 2**11 + 1, FLOAT_MAX_INT, -FLOAT_MAX_INT,
+    FLOAT_MAX_INT + 1, 10**400, -(10**400), True, False, None, "1", [1.0], [],
+])
+odd_entries = st.sampled_from([[1.0], [1.0, 2.0, 3.0], [], [[1.0, 2.0]], (1.0, 2.0), None, 1.0,
+                               "x", [[1.0], 2.0]])
+
+
+EDITS = ["value", "non-finite", "entry", "ragged row", "row"]
+
+
+@st.composite
+def interchange_docs(draw):
+    """A document of finite numbers (floats over the whole range, JSON integers),
+    with up to three values, entries or rows replaced by malformed ones, ragged
+    lengths or non-finite values: what a JSON file may hold."""
+    n = draw(st.integers(1, 6))
+    values = iter(draw(st.lists(st.one_of(any_float, st.integers(-2**70, 2**70)),
+                                min_size=2 * n * n, max_size=2 * n * n)))
+    rows = [[[next(values), next(values)] for _ in range(n)] for _ in range(n)]
+    index = st.integers(0, n - 1)
+    edits = draw(st.lists(st.tuples(st.sampled_from(EDITS), index, index, st.integers(0, 1)),
+                          max_size=3))
+    # values first, then entries, then rows, so that each edit finds its place
+    for where, i, j, k in sorted(edits, key=lambda edit: EDITS.index(edit[0])):
+        if where == "value":
+            rows[i][j][k] = draw(odd_values)
+        elif where == "non-finite":
+            rows[i][j][k] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        elif where == "entry":
+            rows[i][j] = draw(odd_entries)
+        elif where == "ragged row":
+            rows[i] = rows[i][:-1] if k else [*rows[i], [0.0, 0.0]]
+        elif isinstance(rows[i], list):  # each row is replaced once
+            rows[i] = draw(st.sampled_from([None, "row", 1.0, tuple(rows[i])]))
+    return {"n": n, "rows": rows}
+
+
+def square_matrices():
+    """Complex square matrices, n = 1-6, of every finite float: both zeros, subnormals."""
+    return st.integers(1, 6).flatmap(lambda n: st.lists(
+        any_float, min_size=2 * n * n, max_size=2 * n * n).map(
+        lambda values: np.array(values).view(np.complex128).reshape(n, n)))
+
+
+class TestMatrixReader:
+    @settings(max_examples=200, deadline=None)
+    @given(interchange_docs())
+    @example({"n": 2, "rows": [[[1, 2], [True, 0]], [[0, 0], [0, 10**400]]]})
+    @example({"n": 2, "rows": [[[math.nan, 0], [0, 0]], [[0, 0], [10**400, 0]]]})
+    @example({"n": 2, "rows": [[[0, 0], [0, 0]], [[0, 0], [0, -(10**400)]]]})
+    @example({"n": 2, "rows": [[[0, 0], [0, "1"]], [[0, 0]]]})
+    @example({"n": 1, "rows": [[[FLOAT_MAX_INT, -0.0]]]})
+    @example({"n": 2, "rows": [[[1.0], [2.0]], [[0, 0], [0, 0]]]})  # would broadcast
+    def test_matches_the_per_entry_reader(self, doc):
+        try:
+            want = reference_matrix_from_doc(doc)
+        except linalg.MatrixFormatError as exc:
+            with pytest.raises(linalg.MatrixFormatError) as info:
+                linalg.matrix_from_doc(doc)
+            assert str(info.value) == str(exc)
+            assert type(info.value.__cause__) is type(exc.__cause__)
+        else:
+            got = linalg.matrix_from_doc(doc)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_matrices())
+    def test_writes_the_bytes_of_the_per_entry_document(self, m):
+        text = linalg.dumps_matrix(m)
+        assert text == linalg.to_json_text(reference_matrix_doc(m)) + "\n"
+        # a zero is written as "0" or "-0", which JSON reads as the integer 0
+        assert linalg.loads_matrix(text).tobytes() == (m + 0.0).tobytes()

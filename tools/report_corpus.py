@@ -111,6 +111,19 @@ SWEEP = [
 ]
 
 
+# Inputs written as JSON text, not by save_matrix: integer entries, an
+# integer -0 (read as +0), a subnormal and exponent notation, and a file
+# whose ``true`` entry the reader rejects (exit 2, no report).
+LITERAL_INPUTS = {
+    "literal.json": '{"n": 3, "rows": [[[2, 0], [1, -0], [0, 0]],\n'
+                    '                  [[1, 0], [-1, 5e-324], [3E-1, 0]],\n'
+                    '                  [[0, -0], [0.3, 0], [1.5e+2, -4]]]}\n',
+    "bool_entry.json": '{"n": 3, "rows": [[[1, 0], [0, 0], [0, 0]],\n'
+                       '                  [[0, 0], [true, 0], [0, 0]],\n'
+                       '                  [[0, 0], [0, 0], [1, 0]]]}\n',
+}
+
+
 def write_inputs() -> list[list[str]]:
     """Write the ``analyze`` inputs into the working directory; return their argv."""
     import numpy as np
@@ -138,6 +151,8 @@ def write_inputs() -> list[list[str]]:
     files.update(permutation_inputs(np.random.default_rng(21)))
     for name, m in files.items():
         save_matrix(name, m)
+    for name, text in LITERAL_INPUTS.items():
+        Path(name).write_text(text, encoding="utf-8")
     return [
         ["--matrix", "dense.json", "--rho", "dense_rho.json", "--eta", "dense_eta.json"],
         ["--matrix", "h8.json"],
@@ -149,6 +164,8 @@ def write_inputs() -> list[list[str]]:
         ["--matrix", "tiny.json"],
         ["--matrix", "perm.json", "--rho", "perm_rho.json"],
         ["--matrix", "perm.json", "--parity", "i_reversal.json"],
+        ["--matrix", "literal.json"],
+        ["--matrix", "literal.json", "--rho", "bool_entry.json"],
     ]
 
 
