@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import re
 import sys
 from pathlib import Path
 
@@ -25,16 +26,23 @@ from . import families, inner, metrics, schrodinger
 from .linalg import (
     ConvergenceFailure,
     DimensionMismatch,
+    JSONText,
     MatrixFormatError,
     Spectrum,
     ToleranceConfig,
+    array_texts,
     as_matrix,
     eigendecompose,
     load_matrix,
+    require_finite,
     save_matrix,
     to_json_text,
 )
 from .sweep import InvalidRange, SweepResult, sweep_family, sweep_values
+
+# What the parsers read as a negative number rather than an option; argparse's
+# own pattern has no exponent.
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 # Matrices and grams up to this dimension are embedded in reports;
 # larger ones are summarized by a content fingerprint.
@@ -43,19 +51,42 @@ EMBED_LIMIT = 16
 
 def fingerprint(m) -> str:
     """Short content hash of a matrix (shape header + raw complex128 bytes)."""
-    m = as_matrix(m)
-    digest = hashlib.sha256(f"{m.shape[0]}:".encode())
-    digest.update(np.ascontiguousarray(m).tobytes())
-    return digest.hexdigest()[:16]
+    return _fingerprints(np.ascontiguousarray(as_matrix(m)[np.newaxis]))[0]
 
 
-def _matrix_doc(m) -> dict:
-    """``{"n", "rows", "fingerprint"}``, with the array itself as ``rows``: the
-    writer formats it as :func:`pseudoherm.linalg.dumps_matrix` does."""
-    m = as_matrix(m)
-    if m.shape[0] <= EMBED_LIMIT:
-        return {"n": m.shape[0], "rows": m, "fingerprint": fingerprint(m)}
-    return {"n": m.shape[0], "fingerprint": fingerprint(m)}
+def _fingerprints(stack: np.ndarray) -> list[str]:
+    """:func:`fingerprint` of each matrix of a C-contiguous complex128 (k, n, n) stack,
+    each hashed from a view of its bytes in the stack."""
+    k, n = stack.shape[:2]
+    data = memoryview(stack.reshape(-1).view(np.uint8))
+    size = len(data) // k
+    header = hashlib.sha256(f"{n}:".encode())
+    prints = []
+    for start in range(0, len(data), size):
+        digest = header.copy()
+        digest.update(data[start:start + size])
+        prints.append(digest.hexdigest()[:16])
+    return prints
+
+
+def _matrix_texts(stack) -> list[JSONText]:
+    """The ``{"n", "rows", "fingerprint"}`` document of each matrix of a (k, n, n)
+    stack, as JSON text; ``rows`` is written up to ``EMBED_LIMIT``, as
+    :func:`pseudoherm.linalg.dumps_matrix` writes it.  One finiteness check
+    covers the whole stack."""
+    stack = np.ascontiguousarray(stack, dtype=np.complex128)
+    require_finite(stack)
+    n = stack.shape[1]
+    prints = _fingerprints(stack)
+    if n > EMBED_LIMIT:
+        return [JSONText(f'{{"n": {n}, "fingerprint": "{p}"}}') for p in prints]
+    return [JSONText(f'{{"n": {n}, "rows": {rows}, "fingerprint": "{p}"}}')
+            for rows, p in zip(array_texts(stack), prints)]
+
+
+def _matrix_doc(m) -> JSONText:
+    """The ``{"n", "rows", "fingerprint"}`` document of one matrix (see :func:`_matrix_texts`)."""
+    return _matrix_texts(as_matrix(m)[np.newaxis])[0]
 
 
 def _finite_or_none(x: float):
@@ -166,23 +197,30 @@ def build_report(h, candidates, tol: ToleranceConfig, input_doc: dict,
 
 
 def _sweep_doc(result: SweepResult) -> dict:
+    """The sweep document, with each point as one :class:`JSONText` joined from
+    the entries of the metric stacks that carry it, each stack rendered at once."""
+    require_finite(result.values)
+    require_finite(result.max_imag)
+    columns = []
+    for name, (idx, holds, canonical) in result.stacks.items():
+        column = [None] * len(result.values)
+        key = to_json_text(name)
+        for i, ok, text in zip(idx.tolist(), holds.tolist(), _matrix_texts(canonical)):
+            column[i] = f'{key}: {{"holds": {"true" if ok else "false"}, "canonical": {text}}}'
+        columns.append(column)
+    points = [
+        JSONText('{"value": %.17g, "max_imag": %.17g, "spectrum_real": %s, "metrics": {%s}}' % (
+            value, top, "true" if real else "false",
+            ", ".join(column[i] for column in columns if column[i] is not None)))
+        for i, (value, top, real) in enumerate(zip(
+            result.values.tolist(), result.max_imag.tolist(), result.spectrum_real.tolist()))
+    ]
     return {
         "family": result.family,
         "parameter": result.parameter,
         "fixed": result.fixed,
-        "values": list(result.values),
-        "points": [
-            {
-                "value": p.value,
-                "max_imag": p.max_imag,
-                "spectrum_real": p.spectrum_real,
-                "metrics": {
-                    name: {"holds": m.holds, "canonical": _matrix_doc(m.canonical)}
-                    for name, m in p.metrics.items()
-                },
-            }
-            for p in result.points
-        ],
+        "values": result.values,
+        "points": points,
         "breaking_point": list(result.breaking_point) if result.breaking_point else None,
         "secular_metrics": list(result.secular_metrics),
     }
@@ -347,8 +385,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative number in exponent notation
+    (``-1e-3``, ``-.5E+2``) as a value, not as an option; its subparsers are too."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = NEGATIVE_NUMBER
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pseudoherm",
         description="Symmetry analysis of finite-dimensional complex Hamiltonians.",
     )

@@ -22,6 +22,8 @@ c^2 > b^2; crossing |b| = |c| is the symmetry-breaking (exceptional) point.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,20 +43,28 @@ class MissingParameter(Exception):
     """Raised when a builtin family is instantiated without a required parameter."""
 
 
-def h5(a: float, b: float, c: float) -> np.ndarray:
-    return np.array([[a + 1j * b, c], [c, a - 1j * b]], dtype=np.complex128)
+def _matrix(rows) -> np.ndarray:
+    """The complex matrix of ``rows``, whose entries are numbers or arrays of one
+    shape ``s``: an (n, n) matrix, or with arrays the (``s``, n, n) stack of them."""
+    entries = np.broadcast_arrays(*(np.asarray(x, dtype=np.complex128) for row in rows for x in row))
+    n = len(rows)
+    return np.stack(entries, axis=-1).reshape(*entries[0].shape, n, n)
 
 
-def h6(a: float, b: float, c: float) -> np.ndarray:
-    return np.array([[a + c, 1j * b], [1j * b, a - c]], dtype=np.complex128)
+def h5(a, b, c) -> np.ndarray:
+    return _matrix([[a + 1j * b, c], [c, a - 1j * b]])
 
 
-def h7(a: float, b: float, c: float) -> np.ndarray:
-    return np.array([[a, 1j * (b - c)], [1j * (b + c), a]], dtype=np.complex128)
+def h6(a, b, c) -> np.ndarray:
+    return _matrix([[a + c, 1j * b], [1j * b, a - c]])
 
 
-def h8(a: float, b: float, c: float, d: float) -> np.ndarray:
-    return np.array([[a + 1j * b, c + 1j * d], [c - 1j * d, a - 1j * b]], dtype=np.complex128)
+def h7(a, b, c) -> np.ndarray:
+    return _matrix([[a, 1j * (b - c)], [1j * (b + c), a]])
+
+
+def h8(a, b, c, d) -> np.ndarray:
+    return _matrix([[a + 1j * b, c + 1j * d], [c - 1j * d, a - 1j * b]])
 
 
 def two_level_eigenvalues(a: float, b: float, c: float) -> tuple[complex, complex]:
@@ -66,7 +76,7 @@ def two_level_eigenvalues(a: float, b: float, c: float) -> tuple[complex, comple
     return complex(lo), complex(hi)
 
 
-def m3(g: float = 1.0, omega: float = 1.0) -> np.ndarray:
+def m3(g=1.0, omega=1.0) -> np.ndarray:
     """Three-level oscillator truncation of omega (n + 1/2) + i g x^3.
 
     The truncated position matrix couples only neighbors, so x^3 connects
@@ -79,8 +89,11 @@ def m3(g: float = 1.0, omega: float = 1.0) -> np.ndarray:
         [0.0, 1.0, 0.0],
     ])
     x3 = x @ x @ x
-    levels = omega * (np.arange(3) + 0.5)
-    return np.diag(levels).astype(np.complex128) + 1j * g * x3
+    g, omega = np.broadcast_arrays(g, omega)
+    levels = omega[..., None] * (np.arange(3) + 0.5)
+    diagonal = np.zeros((*levels.shape, 3))
+    diagonal[..., range(3), range(3)] = levels  # by index: off the diagonal +0.0 at any sign
+    return diagonal.astype(np.complex128) + (1j * g)[..., None, None] * x3
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +101,24 @@ def m3(g: float = 1.0, omega: float = 1.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def h8_angles(a: float, b: float, c: float, d: float) -> tuple[float, float, float]:
-    """(e, theta, phi) with e = sqrt(c^2 + d^2 - b^2); real phase only."""
+def h8_angles(a, b, c, d) -> tuple:
+    """(e, theta, phi) with e = sqrt(c^2 + d^2 - b^2); real phase only.
+
+    Elementwise over array parameters; raises if any point is in the broken phase.
+    """
     e2 = c * c + d * d - b * b
-    if e2 <= 0:
+    if np.any(e2 <= 0):
         raise ValueError("real-spectrum closed forms need c^2 + d^2 > b^2")
-    e = float(np.sqrt(e2))
-    return e, float(np.arctan2(b, e)), float(np.arctan2(d, c))
+    e = np.sqrt(e2)
+    return e, np.arctan2(b, e), np.arctan2(d, c)
+
+
+def _squared(x) -> np.ndarray:
+    """``x ** 2`` by C ``pow``, value by value, as ``** 2`` squares a numpy
+    scalar; on an array ``** 2`` multiplies, which can differ in the last bit."""
+    x = np.asarray(x)
+    return np.array(list(map(math.pow, x.ravel().tolist(), itertools.repeat(2.0))),
+                    dtype=float).reshape(x.shape)
 
 
 def h8_eigenvectors(a: float, b: float, c: float, d: float) -> tuple[np.ndarray, np.ndarray]:
@@ -111,35 +135,47 @@ def h8_diagonalizer(a: float, b: float, c: float, d: float) -> np.ndarray:
     return np.stack([psi1, psi2], axis=1)
 
 
-def h8_rho(a: float, b: float, c: float, d: float) -> np.ndarray:
+def _times(x, y) -> np.ndarray:
+    """``x * y`` of complex values with each real product rounded on its own, as
+    Python and numpy scalars multiply.  numpy's array loops may fuse a product
+    into its sum, which keeps the sign of a product that underflows to zero.
+    (A product with a factor of 1j, -1j or 2j has exact real products either way.)"""
+    x, y = np.asarray(x, dtype=np.complex128), np.asarray(y, dtype=np.complex128)
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def h8_rho(a, b, c, d) -> np.ndarray:
     """Closed-form pseudo-reality metric of the H8 diagonalizer."""
     _, th, ph = h8_angles(a, b, c, d)
-    return np.array([
-        [1.0, -2j * np.exp(1j * ph) * np.sin(th)],
+    return _matrix([
+        [1.0, _times(-2j * np.exp(1j * ph), np.sin(th))],
         [0.0, np.exp(2j * ph)],
-    ], dtype=np.complex128)
+    ])
 
 
-def h8_mu(a: float, b: float, c: float, d: float) -> np.ndarray:
+def h8_mu(a, b, c, d) -> np.ndarray:
     """Closed-form pseudo-adjointness metric of the H8 diagonalizer."""
     _, th, ph = h8_angles(a, b, c, d)
     s = np.sin(th)
-    pref = 0.5 / np.cos(th) ** 2
-    return pref * np.array([
-        [1.0, -1j * np.exp(1j * ph) * s],
-        [-1j * s * np.exp(1j * ph), np.cos(2 * th) * np.exp(2j * ph)],
-    ], dtype=np.complex128)
+    pref = 0.5 / _squared(np.cos(th))
+    return pref[..., None, None] * _matrix([
+        [1.0, _times(-1j * np.exp(1j * ph), s)],
+        [_times(-1j * s, np.exp(1j * ph)), _times(np.cos(2 * th), np.exp(2j * ph))],
+    ])
 
 
-def h8_eta_plus(a: float, b: float, c: float, d: float) -> np.ndarray:
+def h8_eta_plus(a, b, c, d) -> np.ndarray:
     """Closed-form positive-definite metric of the H8 diagonalizer."""
     _, th, ph = h8_angles(a, b, c, d)
     s = np.sin(th)
-    pref = 0.5 / np.cos(th) ** 2
-    return pref * np.array([
-        [1.0, -1j * s * np.exp(1j * ph)],
-        [1j * s * np.exp(-1j * ph), 1.0],
-    ], dtype=np.complex128)
+    pref = 0.5 / _squared(np.cos(th))
+    return pref[..., None, None] * _matrix([
+        [1.0, _times(-1j * s, np.exp(1j * ph))],
+        [_times(1j * s, np.exp(-1j * ph)), 1.0],
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -149,28 +185,39 @@ def h8_eta_plus(a: float, b: float, c: float, d: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BuiltinFamily:
+    """A family whose ``builder`` and ``candidates`` take each parameter as an
+    array of the k points of a sweep.  ``candidates(params, k)`` maps each
+    name to the indices of the points it applies at and its stack there."""
+
     name: str
     required: tuple[str, ...]
     defaults: dict
     builder: Callable[..., np.ndarray]
-    candidates: Callable[[dict], dict]
+    candidates: Callable[[dict, int], dict]
     extras: Callable[[dict], dict]
 
 
-def _pauli_plus_identity(*names: str) -> Callable[[dict], dict]:
+def _constant(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """A candidate that is ``m`` at each of k points."""
+    return np.arange(k), np.repeat(m[np.newaxis], k, axis=0)
+
+
+def _pauli_plus_identity(*names: str) -> Callable[[dict, int], dict]:
     table = {"sigma_x": SIGMA_X, "sigma_y": SIGMA_Y, "sigma_z": SIGMA_Z,
              "identity": np.eye(2, dtype=np.complex128)}
-    return lambda params: {name: table[name] for name in names}
+    return lambda params, k: {name: _constant(table[name], k) for name in names}
 
 
-def _h8_candidates(params: dict) -> dict:
-    cand = {"sigma_x": SIGMA_X}
-    try:
-        cand["closed_form_rho"] = h8_rho(**params)
-        cand["closed_form_mu"] = h8_mu(**params)
-        cand["closed_form_eta_plus"] = h8_eta_plus(**params)
-    except ValueError:
-        pass  # broken phase: only the parameter-free candidate applies
+def _h8_candidates(params: dict, k: int) -> dict:
+    cand = {"sigma_x": _constant(SIGMA_X, k)}
+    b, c, d = params["b"], params["c"], params["d"]
+    # the closed forms apply in the real phase only (and at a NaN c^2 + d^2 - b^2)
+    (real,) = np.nonzero(~(c * c + d * d - b * b <= 0))
+    if real.size:
+        at = {name: value[real] for name, value in params.items()}
+        cand["closed_form_rho"] = real, h8_rho(**at)
+        cand["closed_form_mu"] = real, h8_mu(**at)
+        cand["closed_form_eta_plus"] = real, h8_eta_plus(**at)
     return cand
 
 
@@ -179,7 +226,7 @@ def _h8_extras(params: dict) -> dict:
         e, th, ph = h8_angles(**params)
     except ValueError:
         return {"phase": "broken"}
-    return {"phase": "real", "e": e, "theta": th, "phi": ph}
+    return {"phase": "real", "e": float(e), "theta": float(th), "phi": float(ph)}
 
 
 def _two_level_extras(params: dict) -> dict:
@@ -205,15 +252,15 @@ BUILTINS: dict[str, BuiltinFamily] = {
     ),
     "M3": BuiltinFamily(
         "M3", (), {"g": 1.0, "omega": 1.0}, m3,
-        lambda params: {"parity_osc": PARITY_3,
-                        "identity": np.eye(3, dtype=np.complex128)},
+        lambda params, k: {"parity_osc": _constant(PARITY_3, k),
+                           "identity": _constant(np.eye(3, dtype=np.complex128), k)},
         lambda params: {},
     ),
 }
 
 
-def instantiate_builtin(name: str, assignments: dict) -> tuple[np.ndarray, dict, dict, dict]:
-    """Build a registered family; returns (H, params, candidates, extras)."""
+def _family(name: str, assignments: dict) -> tuple[BuiltinFamily, dict]:
+    """The registered family ``name`` and its parameters: defaults, then ``assignments``."""
     if name not in BUILTINS:
         raise UnknownBuiltin(f"unknown builtin '{name}' (have {sorted(BUILTINS)})")
     fam = BUILTINS[name]
@@ -225,5 +272,33 @@ def instantiate_builtin(name: str, assignments: dict) -> tuple[np.ndarray, dict,
     missing = [p for p in fam.required if p not in params]
     if missing:
         raise MissingParameter(f"{name} requires parameters {missing}")
-    h = fam.builder(**params)
-    return h, params, fam.candidates(params), fam.extras(params)
+    return fam, params
+
+
+def builtin_stack(name: str, assignments: dict) -> tuple[np.ndarray, dict]:
+    """Build a registered family at k points at once.
+
+    Each assignment is a number or a 1-D array; the arrays have one length
+    k.  Returns ``(H, candidates)``: the (k, n, n) stack of H, and for each
+    candidate name, in the order a point lists them, the indices of the
+    points it applies at and the stack of it there.
+    """
+    return _build(*_family(name, assignments))
+
+
+def _build(fam: BuiltinFamily, params: dict) -> tuple[np.ndarray, dict]:
+    arrays = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                   for v in params.values()))
+    params = dict(zip(params, arrays))
+    return fam.builder(**params), fam.candidates(params, len(arrays[0]))
+
+
+def instantiate_builtin(name: str, assignments: dict) -> tuple[np.ndarray, dict, dict, dict]:
+    """Build a registered family; returns (H, params, candidates, extras).
+
+    The one-point case of :func:`builtin_stack`.
+    """
+    fam, params = _family(name, assignments)
+    h, candidates = _build(fam, params)
+    return (h[0], params, {key: stack[0] for key, (_, stack) in candidates.items()},
+            fam.extras(params))

@@ -496,13 +496,17 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class JSONText(str):
+    """JSON text rendered beforehand, which :func:`to_json_text` copies verbatim."""
+
+
 def to_json_text(obj) -> str:
     """Deterministic JSON with 17-significant-digit floats.
 
     Dict keys keep insertion order; complex numbers become ``[re, im]``.
     A float or complex ndarray is written as the nested lists of its
     values, the same bytes as its ``tolist()`` form, after one finiteness
-    check of the whole array.
+    check of the whole array.  A :class:`JSONText` is written as it is.
     """
     out: list[str] = []
     _emit(obj, out)
@@ -521,7 +525,7 @@ def _emit(obj, out: list[str]) -> None:
             _emit(val, out)
         out.append("}")
     elif isinstance(obj, str):
-        out.append(_quote(obj))
+        out.append(obj if type(obj) is JSONText else _quote(obj))
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, (float, np.floating)):
@@ -554,17 +558,32 @@ _quote = json.encoder.encode_basestring_ascii
 
 def _emit_array(a: np.ndarray, out: list[str]) -> None:
     """A nonempty float or complex array, as nested lists (complex values as ``[re, im]``)."""
+    require_finite(a)
+    out.append(array_texts(a[np.newaxis])[0])
+
+
+def require_finite(a: np.ndarray) -> None:
+    """Raise the writer's ``ValueError`` unless every value of ``a`` is finite."""
     if not np.isfinite(a).all():
         raise ValueError("cannot serialize non-finite float")
-    shape = a.shape
-    if a.dtype.kind == "c":
+
+
+def array_texts(stack: np.ndarray) -> list[str]:
+    """The nested-list text of each array along the first axis of a float or
+    complex ``stack`` (complex values as ``[re, im]``), from one ``tolist()``.
+
+    The values are not checked: a non-finite one is written as ``nan`` or
+    ``inf``, so a caller checks them first (:func:`require_finite`).
+    """
+    shape = stack.shape[1:]
+    if stack.dtype.kind == "c":
         shape += (2,)
-        a = np.ascontiguousarray(a).view(a.real.dtype)  # re, im, re, im, ...
+        stack = np.ascontiguousarray(stack).view(stack.real.dtype)  # re, im, re, im, ...
     if math.prod(shape) <= TEMPLATE_VALUES:
         template = _array_template(shape)
     else:
         template = _array_template.__wrapped__(shape)  # built for this write alone
-    out.append(template % tuple(a.ravel().tolist()))
+    return [template % tuple(values) for values in stack.reshape(len(stack), -1).tolist()]
 
 
 # The templates kept: those of the TEMPLATE_SHAPES array shapes written last

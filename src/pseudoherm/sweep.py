@@ -1,26 +1,28 @@
 """Parameter sweeps of the built-in families across their breaking points.
 
-A sweep analyzes its points as one (points, n, n) stack of Hamiltonians:
-one eigensolve over the stack, then one factorization and one residual
-pass per metric name over the points that carry it.  These are the
-helpers the analysis of one matrix runs with no stack axis, so each point
-gets the verdicts and canonical metrics, bit for bit, of
-:func:`pseudoherm.metrics.check_metrics` on its own H.  Only the report
-objects are built point by point.  The special cases keep their
-per-point outcome: a singular candidate fails with residual ``inf`` and
-keeps its own entries, and a near-defective or singular D suppresses the
+A sweep builds and analyzes its points as one (points, n, n) stack of
+Hamiltonians: one call of the family's builders, one eigensolve over the
+stack, then one factorization and one residual pass per metric name over
+the points that carry it.  These are the helpers the analysis of one
+matrix runs with no stack axis, so each point gets the verdicts and
+canonical metrics, bit for bit, of :func:`pseudoherm.metrics.check_metrics`
+on its own H.  The result keeps these stacks; the objects of one point
+are built only when asked for.  The special cases keep their per-point
+outcome: a singular candidate fails with residual ``inf`` and keeps its
+own entries, and a near-defective or singular D suppresses the
 diagonalizer metrics at that point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import families, metrics
-from .linalg import DEFAULT_TOL, DimensionMismatch, ToleranceConfig, _is_real, _spectra
+from .linalg import DEFAULT_TOL, ToleranceConfig, _is_real, _spectra
 
 SECULAR_TOL = 1e-8
 
@@ -42,9 +44,16 @@ class SweepPoint:
     metrics: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Family sweep over one parameter.
+    """Family sweep over one parameter, held as arrays over its points.
+
+    ``values``, ``max_imag`` and ``spectrum_real`` have one entry per
+    point.  ``stacks`` maps each metric name to ``(indices, holds,
+    canonical)``: the points that carry it, whether it holds at each and
+    its canonical (points, n, n) stack; candidates come in the order a
+    point lists them, then the diagonalizer metrics.  ``points`` gives the
+    same as one :class:`SweepPoint` per point.
 
     ``breaking_point`` brackets the first flip of the all-real flag (an
     interval, not a point: at the coalescence the pairing is
@@ -56,13 +65,23 @@ class SweepResult:
     family: str
     parameter: str
     fixed: dict
-    points: tuple[SweepPoint, ...]
+    values: np.ndarray
+    max_imag: np.ndarray
+    spectrum_real: np.ndarray
+    stacks: dict
     breaking_point: tuple[float, float] | None
     secular_metrics: tuple[str, ...]
 
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(p.value for p in self.points)
+    @functools.cached_property
+    def points(self) -> tuple[SweepPoint, ...]:
+        entries = {name: {int(i): SweepPointMetric(bool(ok), c)
+                          for i, ok, c in zip(idx, holds, canonical)}
+                   for name, (idx, holds, canonical) in self.stacks.items()}
+        return tuple(
+            SweepPoint(float(value), float(top), bool(real),
+                       {name: at[i] for name, at in entries.items() if i in at})
+            for i, (value, top, real) in enumerate(
+                zip(self.values, self.max_imag, self.spectrum_real)))
 
 
 def sweep_values(start: float, stop: float, step: float) -> np.ndarray:
@@ -118,9 +137,9 @@ def sweep_family(family: str, parameter: str, values, fixed: dict,
 
     A candidate holds at a point when it certifies any relation, a
     diagonalizer metric when it certifies the one it is built for.  The
-    points are analyzed as one stack (see the module docstring):
-    :func:`pseudoherm.linalg._spectra`, then :func:`pseudoherm.metrics._checks`
-    once per metric name.
+    points are built and analyzed as one stack (see the module docstring):
+    :func:`pseudoherm.families.builtin_stack`, :func:`pseudoherm.linalg._spectra`,
+    then :func:`pseudoherm.metrics._checks` once per metric name.
     """
     values = np.asarray(list(values), dtype=float)
     if values.size == 0:
@@ -129,26 +148,16 @@ def sweep_family(family: str, parameter: str, values, fixed: dict,
         raise InvalidRange("values must be strictly increasing")
     tol = tol or DEFAULT_TOL
 
-    built = [families.instantiate_builtin(family, {**fixed, parameter: float(value)})
-             for value in values]
-    h = _stack([b[0] for b in built])
-    candidates = [b[2] for b in built]
+    h, carried = families.builtin_stack(family, {**fixed, parameter: values})
+    h = _stack(h)
     w, _, d, inverses, scale = _spectra(h)
     max_imag = np.abs(w.imag).max(axis=-1)
     spectrum_real = _is_real(w, tol, scale).all(axis=-1)
 
     # name -> (indices of the points that carry it, holds, canonical)
     found: dict[str, tuple] = {}
-    carriers: dict[str, list[int]] = {}
-    for i, names in enumerate(candidates):
-        for name in names:
-            carriers.setdefault(name, []).append(i)
-    for name, idx in carriers.items():
-        metric = _stack([candidates[i][name] for i in idx])
-        if metric.shape[1:] != h.shape[1:]:
-            raise DimensionMismatch(
-                f"metric '{name}' has shape {metric.shape[1:]}, expected {h.shape[1:]}")
-        found[name] = (np.array(idx), *_verdicts(h[idx], metric, None, metrics.KINDS, tol))
+    for name, (idx, metric) in carried.items():
+        found[name] = (idx, *_verdicts(h[idx], _stack(metric), None, metrics.KINDS, tol))
     # the diagonalizer metrics are suppressed where D is near-defective or singular
     (idx,) = np.nonzero(~(inverses.condition > 1.0 / tol.metric_tol))
     if idx.size:
@@ -156,21 +165,10 @@ def sweep_family(family: str, parameter: str, values, fixed: dict,
             metric, metric_inv = build(d[idx], inverses.inverse[idx])
             found[name] = (idx, *_verdicts(h[idx], metric, metric_inv, (kind,), tol))
 
-    # each point lists its candidates in its own order, then the diagonalizer metrics
-    entries = {name: {int(i): SweepPointMetric(bool(ok), c)
-                      for i, ok, c in zip(idx, holds, canonical)}
-               for name, (idx, holds, canonical) in found.items()}
-    diagonalizer = [name for name, _, _ in metrics.DIAGONALIZER_METRICS if name in entries]
-    points = tuple(
-        SweepPoint(float(value), float(top), bool(real),
-                   {name: entries[name][i] for name in [*candidates[i], *diagonalizer]
-                    if i in entries[name]})
-        for i, (value, top, real) in enumerate(zip(values, max_imag, spectrum_real)))
-
     breaking = None
     flips = np.flatnonzero(spectrum_real[1:] != spectrum_real[:-1])
     if flips.size:
-        breaking = (points[flips[0]].value, points[flips[0] + 1].value)
+        breaking = (float(values[flips[0]]), float(values[flips[0] + 1]))
 
     real = np.flatnonzero(spectrum_real)
     secular = [name for name in sorted(found) if real.size and _secular(*found[name], real)]
@@ -179,7 +177,10 @@ def sweep_family(family: str, parameter: str, values, fixed: dict,
         family=family,
         parameter=parameter,
         fixed=dict(fixed),
-        points=points,
+        values=values,
+        max_imag=max_imag,
+        spectrum_real=spectrum_real,
+        stacks=found,
         breaking_point=breaking,
         secular_metrics=tuple(secular),
     )

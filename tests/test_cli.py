@@ -437,3 +437,27 @@ def test_exit_4_on_eigensolver_failure(tmp_path, monkeypatch, capsys, argv):
     code, doc = run(tmp_path, *argv)
     assert code == 4 and doc is None
     assert "error: eigendecomposition failed" in capsys.readouterr().err
+
+
+class TestNegativeNumbers:
+    SWEEP = ("sweep", "H5", "b", "a=0", "c=1", "--to", "0.1", "--step", "0.05")
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (SWEEP, "--from", "-1e-3"),
+        (SWEEP, "--from", "-.5E+2"),
+        (("sweep", "H5", "b", "a=0", "c=1", "--to", "-1e5", "--step", "1e5"), "--from", "-2e5"),
+        (("discretize", "--family", "harmonic", "--alpha", "1", "--xmax", "6", "--n", "32",
+          "--states", "2"), "--shift", "-1e-3"),
+    ])
+    def test_spaced_value_writes_the_bytes_of_the_joined_one(self, tmp_path, argv, flag, value):
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        assert main([*argv, flag, value, "--json", str(spaced)]) == 0
+        assert main([*argv, f"{flag}={value}", "--json", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    @pytest.mark.parametrize("option", ["-x", "-e5"])
+    def test_unknown_short_option_exits_2(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.SWEEP, option, "--from", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -108,6 +108,12 @@ SWEEP = [
     # permutation, sigma_y has purely imaginary entries
     ["H6", "b", "a=0.5", "c=1", "--from", "0", "--to", "2", "--step", "0.05"],
     ["H7", "b", "a=0", "c=1", "--from", "0", "--to", "2", "--step", "0.05"],
+    # the other swept parameters: phi varies with d, the exceptional point in c,
+    # a negative omega, and the diagonal shift a
+    ["H8", "d", "a=0.3", "b=1", "c=0.5", "--from", "-2", "--to", "2", "--step", "0.05"],
+    ["H8", "c", "a=0", "b=1", "d=0.5", "--from", "-2", "--to", "2", "--step", "0.05"],
+    ["M3", "omega", "--from", "-1", "--to", "1", "--step", "0.1"],
+    ["H5", "a", "b=0.5", "c=1", "--from", "-1", "--to", "1", "--step", "0.1"],
 ]
 
 
