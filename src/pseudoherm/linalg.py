@@ -203,17 +203,30 @@ class _Inverses(NamedTuple):
 
 
 def _inverses(m: np.ndarray) -> _Inverses:
-    """Invert each matrix on the last two axes of ``m`` from one LU factorization call.
+    """Invert each matrix on the last two axes of ``m``.
 
     A matrix is singular when its smallest LU pivot magnitude ``pivot`` is
     at most ``threshold = n * eps * ||m||_F``; its inverse is then NaN and
     its condition infinite.  ``condition`` is the exact one-norm condition
     number of the computed pair.
+
+    One matrix is factored once, by ``lu_factor``, and ``lu_solve`` inverts
+    it from those factors.  Over a stack both loop in Python, one matrix
+    at a time, so a stack is factored by ``lu``, whose loop runs in C, and
+    its non-singular matrices are inverted by ``np.linalg.inv``, which
+    factors them again (and fails on an exactly singular one).  Each
+    matrix gets the same bits on either path: ``lu``'s U has the diagonal
+    of ``lu_factor``'s, and ``np.linalg.inv`` solves the same LU factors
+    against the identity.
     """
     n = m.shape[-1]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+    stack = m.ndim > 2
+    if stack:
+        lu = scipy.linalg.lu(m, p_indices=True, check_finite=False)[2]
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
     pivot = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)).min(axis=-1)
     norm = _fro_stack(m)
     tiny = norm < _FRO_UNDERFLOW
@@ -226,13 +239,14 @@ def _inverses(m: np.ndarray) -> _Inverses:
         norm = np.where(tiny, rescaled, norm)
     threshold = n * EPS * norm
     ok = ~(pivot <= threshold)
-    eye = np.eye(n, dtype=np.complex128)
     if ok.all():
-        inv = scipy.linalg.lu_solve((lu, piv), eye, check_finite=False)
+        inv = (np.linalg.inv(m) if stack else
+               scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=np.complex128),
+                                     check_finite=False))
     else:
         inv = np.full(m.shape, np.nan, dtype=np.complex128)
-        if ok.any():
-            inv[ok] = scipy.linalg.lu_solve((lu[ok], piv[ok]), eye, check_finite=False)
+        if ok.any():  # only a stack is partly singular
+            inv[ok] = np.linalg.inv(m[ok])
     cond = np.where(ok, np.maximum(_norm1(m) * _norm1(inv), 1.0), np.inf)
     return _Inverses(inv, cond, pivot, threshold)
 
@@ -276,7 +290,10 @@ class Spectrum:
     columns of ``eigenvectors``, whose inverse ``diagonalizer_inverse``
     comes from the factorization that gives ``diagonalizer_condition``
     (``None`` when singular or not square).  :func:`eigendecompose` stores
-    the three arrays read-only.
+    the three arrays read-only.  It solves one matrix, with scipy's ``eig``
+    and ``lu_factor``; the stacks of a sweep take numpy's ``eig`` and
+    ``inv`` instead, which give each matrix the same bits (see
+    :func:`_spectra` and :func:`_inverses`).
     """
 
     eigenvalues: np.ndarray = field(compare=False)
@@ -302,7 +319,11 @@ class _Spectra(NamedTuple):
 
 
 def _spectra(h: np.ndarray) -> _Spectra:
-    """Eigendecompose each matrix on the last two axes of ``h`` by one ``eig`` call.
+    """Eigendecompose each matrix on the last two axes of ``h`` by one ``zgeev`` call each.
+
+    A stack goes to ``np.linalg.eig``, one matrix to ``scipy.linalg.eig``;
+    both run LAPACK's ``zgeev`` and give each matrix the same bits.  D^-1
+    comes from :func:`_inverses`, which splits the same way.
 
     Each matrix gets what :func:`eigendecompose` documents for one: the
     order, the phase convention, the residuals, D^-1 with its condition,
@@ -316,7 +337,10 @@ def _spectra(h: np.ndarray) -> _Spectra:
     if scaled.any():
         h = h * scale[..., None, None]
     try:
-        w, v = scipy.linalg.eig(h, check_finite=False)
+        # a stack goes to numpy, whose eig loops over it in C (scipy's loops
+        # in Python); one matrix to scipy, whose eig holds one n x n copy
+        # fewer (9 MiB at n = 768)
+        w, v = np.linalg.eig(h) if h.ndim > 2 else scipy.linalg.eig(h, check_finite=False)
     except np.linalg.LinAlgError as exc:  # how LAPACK reports non-convergence
         raise ConvergenceFailure(str(exc)) from exc
 
@@ -351,7 +375,8 @@ def _spectra(h: np.ndarray) -> _Spectra:
 def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
     """Eigendecompose a general complex matrix.
 
-    Backed by LAPACK's ``zgeev`` through scipy; the external behavior is
+    Backed by LAPACK's ``zgeev`` through ``scipy.linalg.eig`` (a stack
+    goes through numpy's, see :func:`_spectra`); the external behavior is
     fixed by the contract, not the solver: deterministic ordering, the
     largest-component phase convention, per-pair relative residuals
     ``||Hv - lambda v||_F / (||H||_F ||v||)``, taken ``RESIDUAL_BLOCK``
@@ -439,8 +464,8 @@ def _similarity(s: np.ndarray, h: np.ndarray, s_inv: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(S H S^-1, S^-1, singular)`` for each S on the last two axes of ``s``.
 
-    S is inverted unless ``s_inv`` is given, all of a stack by one LU call
-    (:func:`_inverses`); where S is singular, S^-1 and S H S^-1 are NaN.
+    S is inverted unless ``s_inv`` is given, all of a stack by one call of
+    :func:`_inverses`; where S is singular, S^-1 and S H S^-1 are NaN.
     A permutation S (:func:`permutation_of`), the same at every point of a
     stack, is neither inverted nor multiplied: ``S H S^-1`` is the gather
     ``H[p_i, p_j]``, and S^-1 is returned as the row gather ``argsort(p)``;

@@ -2,7 +2,7 @@
 
 A sweep builds and analyzes its points as one (points, n, n) stack of
 Hamiltonians: one call of the family's builders, one eigensolve over the
-stack, then one factorization and one residual pass per metric name over
+stack, then one inversion and one residual pass per metric name over
 the points that carry it.  These are the helpers the analysis of one
 matrix runs with no stack axis, so each point gets the verdicts and
 canonical metrics, bit for bit, of :func:`pseudoherm.metrics.check_metrics`

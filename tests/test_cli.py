@@ -433,7 +433,9 @@ def test_exit_4_on_eigensolver_failure(tmp_path, monkeypatch, capsys, argv):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
+    # discretize solves one matrix by scipy's eig, sweep a stack by numpy's
     monkeypatch.setattr(scipy.linalg, "eig", no_convergence)
+    monkeypatch.setattr(np.linalg, "eig", no_convergence)
     code, doc = run(tmp_path, *argv)
     assert code == 4 and doc is None
     assert "error: eigendecomposition failed" in capsys.readouterr().err

@@ -333,6 +333,87 @@ class TestEigenpairResiduals:
             assert abs(res - want) <= 1e-15
 
 
+def near_threshold(rng, n, factor):
+    """A matrix whose last LU pivot is about ``factor`` times the singularity threshold."""
+    a = random_complex(rng, n)
+    p, l, u = scipy.linalg.lu(a)
+    u[-1, -1] = factor * n * EPS * fro(a) * np.exp(2j * np.pi * rng.random())
+    return p @ l @ u
+
+
+def exact_rank1(rng, n):
+    """A rank-1 matrix of powers of two times units: its LU factorization is exact."""
+    u, v = 2.0 ** rng.integers(-3, 4, (2, n)) * rng.choice([1, -1, 1j, -1j], (2, n))
+    return np.outer(u, v)
+
+
+@st.composite
+def mixed_stacks(draw):
+    """A (k, n, n) stack mixing regular, exactly singular (zero, rank 1) and
+    near-threshold slices, some scaled by 2^500 or 2^-500."""
+    k, n = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["random", "zero", "rank1", "near"]),
+                          min_size=k, max_size=k))
+    exponents = draw(st.lists(st.sampled_from([0, 0, 500, -500]), min_size=k, max_size=k))
+    slices = []
+    for kind, exponent in zip(kinds, exponents):
+        if kind == "random":
+            m = random_complex(rng, n)
+        elif kind == "zero":
+            m = np.zeros((n, n), dtype=np.complex128)
+        elif kind == "rank1":
+            m = exact_rank1(rng, n)
+        else:
+            m = near_threshold(rng, n, rng.choice([0.25, 1.0, 4.0]))
+        slices.append(m * 2.0**exponent)
+    return np.array(slices)
+
+
+def assert_same_bytes(stacked, single, name):
+    assert stacked.tobytes() == single.tobytes(), name
+
+
+class TestStacks:
+    """A stack of matrices takes numpy's eig and inv and scipy's lu, one matrix
+    scipy's eig, lu_factor and lu_solve; each matrix gets the same bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_stacks())
+    def test_stack_path_equals_one_matrix_path(self, h):
+        inverses = linalg._inverses(h)
+        spectra = linalg._spectra(h)
+        for i, m in enumerate(h):
+            one = linalg._inverses(m)
+            for name in one._fields:
+                assert_same_bytes(getattr(inverses, name)[i], getattr(one, name), name)
+            one = linalg._spectra(m)
+            for name in ("eigenvalues", "residuals", "eigenvectors", "reality_scale"):
+                assert_same_bytes(getattr(spectra, name)[i], getattr(one, name), name)
+            for name in one.inverses._fields:
+                assert_same_bytes(getattr(spectra.inverses, name)[i],
+                                  getattr(one.inverses, name), f"D^-1 {name}")
+
+    @pytest.mark.parametrize("singular", [[0, 1, 2, 3], [1, 3]])
+    def test_singular_slices(self, singular):
+        rng = np.random.default_rng(5)
+        m = np.array([random_complex(rng, 3) for _ in range(4)])
+        m[singular[0]] = 0.0
+        for i in singular[1:]:
+            m[i] = exact_rank1(rng, 3)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(m)
+        got = linalg._inverses(m)
+        regular = np.setdiff1d(np.arange(4), singular)
+        np.testing.assert_array_equal(got.singular, np.isin(np.arange(4), singular))
+        assert np.isnan(got.inverse[singular]).all()
+        assert (got.condition[singular] == np.inf).all()
+        assert np.isfinite(got.inverse[regular]).all()
+        assert np.isfinite(got.condition[regular]).all()
+        for i in regular:
+            assert_same_bytes(got.inverse[i], inverse(m[i])[0], "inverse")
+
+
 def reference_reality_tags(w, tol, scale):
     """The nested greedy pairing loop that ``_reality_tags`` replaces, kept verbatim."""
     tags = [None] * len(w)

@@ -94,18 +94,22 @@ def test_long_sweep_matches_classify(family, parameter, grid, fixed):
 
 def test_sweep_runs_no_reality_check(monkeypatch):
     colinearity, lu = [], []
-    colinearity_of, lu_factor = metrics._colinearity, scipy.linalg.lu_factor
+    colinearity_of = metrics._colinearity
 
     def counting_colinearity(*args, **kwargs):
         colinearity.append(args)
         return colinearity_of(*args, **kwargs)
 
-    def counting_lu(*args, **kwargs):
-        lu.append(args[0].shape)
-        return lu_factor(*args, **kwargs)
+    def counting(factor):
+        def counting_lu(*args, **kwargs):
+            lu.append(args[0].shape)
+            return factor(*args, **kwargs)
+        return counting_lu
 
     monkeypatch.setattr(metrics, "_colinearity", counting_colinearity)
-    monkeypatch.setattr(scipy.linalg, "lu_factor", counting_lu)
+    # a stack is factored by lu, one matrix by lu_factor: count both
+    for name in ("lu", "lu_factor"):
+        monkeypatch.setattr(scipy.linalg, name, counting(getattr(scipy.linalg, name)))
     a, c, d = 0.3, 1.0, 0.5
     result = sweep_family("H8", "b", sweep_values(0.0, 2.0, 0.1), {"a": a, "c": c, "d": d})
     lo, hi = result.breaking_point
