@@ -216,8 +216,11 @@ def _inverses(m: np.ndarray) -> _Inverses:
     its non-singular matrices are inverted by ``np.linalg.inv``, which
     factors them again (and fails on an exactly singular one).  Each
     matrix gets the same bits on either path: ``lu``'s U has the diagonal
-    of ``lu_factor``'s, and ``np.linalg.inv`` solves the same LU factors
-    against the identity.
+    of ``lu_factor``'s, and ``np.linalg.inv`` (LAPACK's ``zgesv``) solves
+    the same LU factors against the identity.  A 1 x 1 matrix is the
+    exception: with more than one OpenBLAS thread, ``zgetrs`` solves a
+    single right-hand side with other bits than ``zgesv``, so it is
+    inverted by ``np.linalg.inv`` on both paths.
     """
     n = m.shape[-1]
     stack = m.ndim > 2
@@ -240,7 +243,7 @@ def _inverses(m: np.ndarray) -> _Inverses:
     threshold = n * EPS * norm
     ok = ~(pivot <= threshold)
     if ok.all():
-        inv = (np.linalg.inv(m) if stack else
+        inv = (np.linalg.inv(m) if stack or n == 1 else
                scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=np.complex128),
                                      check_finite=False))
     else:
