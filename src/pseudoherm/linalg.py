@@ -5,7 +5,10 @@ Everything in this package works on plain square ``numpy`` arrays of
 involutions (conjugate, transpose, dagger), LU-based inversion with an
 explicit singularity guard, the non-Hermitian eigendecomposition with a
 deterministic ordering and phase convention, and the similarity residual
-that all symmetry checks are phrased in.
+that all symmetry checks are phrased in.  One matrix goes to LAPACK's
+``zgeev``, ``zgetrf`` and ``zgetrs`` through :mod:`pseudoherm._lapack`,
+which loads them without ``scipy.linalg``; a stack goes to numpy's
+``eig`` and ``inv``.
 
 It also owns the matrix interchange format: a JSON document with an
 integer field ``n`` and ``rows``, an ``n x n`` nesting of ``[re, im]``
@@ -20,12 +23,12 @@ import functools
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+
+from pseudoherm import _lapack
 
 
 class SingularMatrix(Exception):
@@ -210,26 +213,21 @@ def _inverses(m: np.ndarray) -> _Inverses:
     its condition infinite.  ``condition`` is the exact one-norm condition
     number of the computed pair.
 
-    One matrix is factored once, by ``lu_factor``, and ``lu_solve`` inverts
-    it from those factors.  Over a stack both loop in Python, one matrix
-    at a time, so a stack is factored by ``lu``, whose loop runs in C, and
-    its non-singular matrices are inverted by ``np.linalg.inv``, which
-    factors them again (and fails on an exactly singular one).  Each
-    matrix gets the same bits on either path: ``lu``'s U has the diagonal
-    of ``lu_factor``'s, and ``np.linalg.inv`` (LAPACK's ``zgesv``) solves
-    the same LU factors against the identity.  A 1 x 1 matrix is the
-    exception: with more than one OpenBLAS thread, ``zgetrs`` solves a
-    single right-hand side with other bits than ``zgesv``, so it is
-    inverted by ``np.linalg.inv`` on both paths.
+    Each matrix is factored once, by LAPACK's ``zgetrf`` through
+    :mod:`pseudoherm._lapack`, a stack one matrix at a time in a Python
+    loop.  One matrix is inverted from its factors by ``zgetrs``.  A
+    stack's non-singular matrices are inverted by ``np.linalg.inv``, whose
+    loop runs in C, which factors them again (and fails on an exactly
+    singular one).  Each matrix gets the same bits on either path:
+    ``np.linalg.inv`` (LAPACK's ``zgesv``) solves the same LU factors
+    against the identity.  A 1 x 1 matrix is the exception: with more than
+    one OpenBLAS thread, ``zgetrs`` solves a single right-hand side with
+    other bits than ``zgesv``, so it is inverted by ``np.linalg.inv`` on
+    both paths.
     """
     n = m.shape[-1]
     stack = m.ndim > 2
-    if stack:
-        lu = scipy.linalg.lu(m, p_indices=True, check_finite=False)[2]
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+    lu, piv = _lapack.getrf(m)
     pivot = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)).min(axis=-1)
     norm = _fro_stack(m)
     tiny = norm < _FRO_UNDERFLOW
@@ -244,8 +242,7 @@ def _inverses(m: np.ndarray) -> _Inverses:
     ok = ~(pivot <= threshold)
     if ok.all():
         inv = (np.linalg.inv(m) if stack or n == 1 else
-               scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=np.complex128),
-                                     check_finite=False))
+               _lapack.getrs(lu, piv, np.eye(n, dtype=np.complex128)))
     else:
         inv = np.full(m.shape, np.nan, dtype=np.complex128)
         if ok.any():  # only a stack is partly singular
@@ -293,9 +290,10 @@ class Spectrum:
     columns of ``eigenvectors``, whose inverse ``diagonalizer_inverse``
     comes from the factorization that gives ``diagonalizer_condition``
     (``None`` when singular or not square).  :func:`eigendecompose` stores
-    the three arrays read-only.  It solves one matrix, with scipy's ``eig``
-    and ``lu_factor``; the stacks of a sweep take numpy's ``eig`` and
-    ``inv`` instead, which give each matrix the same bits (see
+    the three arrays read-only.  It solves one matrix with LAPACK's
+    ``zgeev``, ``zgetrf`` and ``zgetrs``, called through
+    :mod:`pseudoherm._lapack`; the stacks of a sweep take numpy's ``eig``
+    and ``inv`` instead, which give each matrix the same bits (see
     :func:`_spectra` and :func:`_inverses`).
     """
 
@@ -324,9 +322,10 @@ class _Spectra(NamedTuple):
 def _spectra(h: np.ndarray) -> _Spectra:
     """Eigendecompose each matrix on the last two axes of ``h`` by one ``zgeev`` call each.
 
-    A stack goes to ``np.linalg.eig``, one matrix to ``scipy.linalg.eig``;
-    both run LAPACK's ``zgeev`` and give each matrix the same bits.  D^-1
-    comes from :func:`_inverses`, which splits the same way.
+    A stack goes to ``np.linalg.eig``, one matrix to ``zgeev`` through
+    :mod:`pseudoherm._lapack`; both run LAPACK's ``zgeev`` and give each
+    matrix the same bits.  D^-1 comes from :func:`_inverses`, which splits
+    the same way.
 
     Each matrix gets what :func:`eigendecompose` documents for one: the
     order, the phase convention, the residuals, D^-1 with its condition,
@@ -340,10 +339,10 @@ def _spectra(h: np.ndarray) -> _Spectra:
     if scaled.any():
         h = h * scale[..., None, None]
     try:
-        # a stack goes to numpy, whose eig loops over it in C (scipy's loops
-        # in Python); one matrix to scipy, whose eig holds one n x n copy
-        # fewer (9 MiB at n = 768)
-        w, v = np.linalg.eig(h) if h.ndim > 2 else scipy.linalg.eig(h, check_finite=False)
+        # a stack goes to numpy, whose eig loops over it in C; one matrix
+        # straight to zgeev, which holds one n x n copy fewer than numpy's
+        # eig (9 MiB at n = 768)
+        w, v = np.linalg.eig(h) if h.ndim > 2 else _lapack.eig(h)
     except np.linalg.LinAlgError as exc:  # how LAPACK reports non-convergence
         raise ConvergenceFailure(str(exc)) from exc
 
@@ -378,14 +377,15 @@ def _spectra(h: np.ndarray) -> _Spectra:
 def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
     """Eigendecompose a general complex matrix.
 
-    Backed by LAPACK's ``zgeev`` through ``scipy.linalg.eig`` (a stack
-    goes through numpy's, see :func:`_spectra`); the external behavior is
-    fixed by the contract, not the solver: deterministic ordering, the
-    largest-component phase convention, per-pair relative residuals
-    ``||Hv - lambda v||_F / (||H||_F ||v||)``, taken ``RESIDUAL_BLOCK``
-    pairs per matrix product, and reality tags.  Pairs whose residual
-    exceeds ``residual_tol`` are kept but flagged.  :func:`_spectra` does
-    the work, for one matrix here and for a whole stack in a sweep.
+    Backed by LAPACK's ``zgeev``, called through :mod:`pseudoherm._lapack`
+    (a stack goes through numpy's ``eig``, see :func:`_spectra`); the
+    external behavior is fixed by the contract, not the solver:
+    deterministic ordering, the largest-component phase convention,
+    per-pair relative residuals ``||Hv - lambda v||_F / (||H||_F ||v||)``,
+    taken ``RESIDUAL_BLOCK`` pairs per matrix product, and reality tags.
+    Pairs whose residual exceeds ``residual_tol`` are kept but flagged.
+    :func:`_spectra` does the work, for one matrix here and for a whole
+    stack in a sweep.
     """
     h = as_matrix(h)
     tol = tol or DEFAULT_TOL

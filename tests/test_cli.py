@@ -5,10 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from pseudoherm import (SIGMA_X, dumps_matrix, h5, h6, load_matrix, loads_matrix, metrics,
-                        save_matrix)
+from pseudoherm import (SIGMA_X, _lapack, dumps_matrix, h5, h6, load_matrix, loads_matrix,
+                        metrics, save_matrix)
 from pseudoherm.cli import main, sweep_family, sweep_values
 from pseudoherm.linalg import MatrixFormatError
 
@@ -297,13 +296,13 @@ class TestDiscretize:
 
     def test_one_eigensolve_per_invocation(self, tmp_path, monkeypatch):
         calls = []
-        eig = scipy.linalg.eig
+        eig = _lapack.eig
 
         def counting(*args, **kwargs):
             calls.append(args[0].shape)
             return eig(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eig", counting)
+        monkeypatch.setattr(_lapack, "eig", counting)
         code, doc = run(tmp_path, "discretize", "--family", "harmonic", "--alpha", "1",
                         "--xmax", "6", "--n", "64", "--states", "3")
         assert code == 0 and len(doc["spectrum"]["eigenvalues"]) == 3
@@ -311,17 +310,17 @@ class TestDiscretize:
 
     def test_one_factorization_per_metric(self, tmp_path, monkeypatch):
         lu_calls, residual_calls = [], []
-        lu_factor, residuals = scipy.linalg.lu_factor, metrics._residuals
+        getrf, residuals = _lapack.getrf, metrics._residuals
 
         def counting_lu(*args, **kwargs):
             lu_calls.append(args[0].shape)
-            return lu_factor(*args, **kwargs)
+            return getrf(*args, **kwargs)
 
         def counting_residuals(*args, **kwargs):
             residual_calls.append(args[0].shape)
             return residuals(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "lu_factor", counting_lu)
+        monkeypatch.setattr(_lapack, "getrf", counting_lu)
         monkeypatch.setattr(metrics, "_residuals", counting_residuals)
         code, doc = run(tmp_path, "discretize", "--family", "harmonic", "--alpha", "1",
                         "--xmax", "10", "--n", "256")
@@ -433,8 +432,8 @@ def test_exit_4_on_eigensolver_failure(tmp_path, monkeypatch, capsys, argv):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
-    # discretize solves one matrix by scipy's eig, sweep a stack by numpy's
-    monkeypatch.setattr(scipy.linalg, "eig", no_convergence)
+    # discretize solves one matrix by zgeev, sweep a stack by numpy's eig
+    monkeypatch.setattr(_lapack, "eig", no_convergence)
     monkeypatch.setattr(np.linalg, "eig", no_convergence)
     code, doc = run(tmp_path, *argv)
     assert code == 4 and doc is None

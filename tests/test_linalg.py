@@ -1,7 +1,12 @@
 """Core matrix algebra: involutions, inversion, eigendecomposition, residuals."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,7 +27,7 @@ from pseudoherm import (
     similarity_residual,
 )
 from pseudoherm.families import SIGMA_X, SIGMA_Y, SIGMA_Z, h5, h8
-from pseudoherm import linalg
+from pseudoherm import _lapack, linalg
 from pseudoherm.linalg import EPS, DimensionMismatch, _reality_tags, fro
 
 
@@ -174,9 +179,9 @@ class TestPermutations:
             h[rng.random((n, n)) < 0.5] = 0.0
         h = np.asarray(h, order=order)
         targets = (h.conj(), h.T, random_complex(rng, n))
-        with mock.patch.object(scipy.linalg, "lu_factor") as lu_factor:
+        with mock.patch.object(_lapack, "getrf") as getrf:
             got = [similarity_residual(m, h, t) for t in targets]
-        lu_factor.assert_not_called()
+        getrf.assert_not_called()
         m_inv = inverse(m)[0]
         scale = linalg.tolerance_scale(fro(h))
         assert got == [fro(m @ h @ m_inv - t) / scale for t in targets]
@@ -186,9 +191,9 @@ class TestPermutations:
     def test_near_permutations_keep_the_lu_path(self, p, seed):
         rng = np.random.default_rng(seed)
         h = random_complex(rng, len(p))
-        lu_factor = scipy.linalg.lu_factor
+        getrf = _lapack.getrf
         for name, m in not_permutations(p).items():
-            with mock.patch.object(scipy.linalg, "lu_factor", side_effect=lu_factor) as spy:
+            with mock.patch.object(_lapack, "getrf", side_effect=getrf) as spy:
                 residual = similarity_residual(m, h, h.conj())
             assert spy.call_count == 1, name
             assert residual == fro(m @ h @ inverse(m)[0] - h.conj()) / fro(h), name
@@ -285,7 +290,7 @@ class TestEigendecompose:
         def failing(*args, **kwargs):
             raise error("from the solver")
 
-        monkeypatch.setattr(scipy.linalg, "eig", failing)
+        monkeypatch.setattr(_lapack, "eig", failing)
         expected = linalg.ConvergenceFailure if error is np.linalg.LinAlgError else error
         with pytest.raises(expected, match="from the solver") as info:
             eigendecompose(np.eye(2))
@@ -316,7 +321,7 @@ class TestEigenpairResiduals:
         # that residuals land on both sides of the tolerance, far from it
         moved = rng.random(n) < 0.3
         shift = moved * 10.0 ** rng.uniform(-6.0, -2.0, n) * np.exp(2j * np.pi * rng.random(n))
-        eig = scipy.linalg.eig
+        eig = _lapack.eig
 
         def perturbed_eig(*args, **kwargs):
             w, v = eig(*args, **kwargs)
@@ -324,7 +329,7 @@ class TestEigenpairResiduals:
 
         tol = ToleranceConfig()
         with mock.patch.object(linalg, "RESIDUAL_BLOCK", block), \
-                mock.patch.object(scipy.linalg, "eig", perturbed_eig):
+                mock.patch.object(_lapack, "eig", perturbed_eig):
             spec = eigendecompose(h, tol)
         residuals, flags = reference_eigenpair_residuals(h, spec, tol)
         assert len(flags) == moved.sum()
@@ -375,8 +380,9 @@ def assert_same_bytes(stacked, single, name):
 
 
 class TestStacks:
-    """A stack of matrices takes numpy's eig and inv and scipy's lu, one matrix
-    scipy's eig, lu_factor and lu_solve; each matrix gets the same bits."""
+    """A stack of matrices takes numpy's eig and inv and a loop of zgetrf, one
+    matrix zgeev, zgetrf and zgetrs through ``pseudoherm._lapack``; each
+    matrix gets the same bits."""
 
     @settings(max_examples=150, deadline=None)
     @given(mixed_stacks())
@@ -412,6 +418,123 @@ class TestStacks:
         assert np.isfinite(got.condition[regular]).all()
         for i in regular:
             assert_same_bytes(got.inverse[i], inverse(m[i])[0], "inverse")
+
+
+SRC = Path(linalg.__file__).resolve().parents[1]
+
+
+def run_child(code: str, *argv: str) -> dict:
+    """Run ``code`` in a fresh interpreter that imports pseudoherm from this
+    checkout; return the JSON object it prints last."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# The bits of single matrices and of a stack through _spectra and _inverses,
+# in a fresh interpreter that may import scipy.linalg before or after
+# pseudoherm, or make _lapack's load by path fail.
+SPECTRA_CHILD = """
+import hashlib, importlib.util, json, sys
+import numpy as np
+if sys.argv[1] == "fallback":
+    find_spec = importlib.util.find_spec
+    importlib.util.find_spec = lambda name, package=None: (
+        None if name == "scipy" else find_spec(name, package))
+if sys.argv[1] == "before":
+    import scipy.linalg
+from pseudoherm import _lapack, linalg
+if sys.argv[1] == "after":
+    import scipy.linalg
+rng = np.random.default_rng(11)
+digest = hashlib.sha256()
+for shape in [(1, 1), (2, 2), (7, 7), (40, 40), (5, 3, 3)]:
+    h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for part in (*linalg._spectra(h)[:3], *linalg._inverses(h)):
+        digest.update(np.ascontiguousarray(part).tobytes())
+scipy_linalg = sys.modules.get("scipy.linalg")
+shared = scipy_linalg is not None and scipy_linalg._flapack.zgeev is _lapack.flapack.zgeev
+print(json.dumps({"digest": digest.hexdigest(), "route": _lapack.LOADED_BY,
+                  "scipy.linalg": scipy_linalg is not None, "shared": shared}))
+"""
+
+CLI_CHILD = """
+import json, os, sys
+import numpy as np
+import pseudoherm.cli as cli
+from pseudoherm import save_matrix
+out = sys.argv[1]
+save_matrix(os.path.join(out, "m.json"), np.random.default_rng(2).normal(size=(4, 4)) + 0j)
+codes = [cli.main(["analyze", "--matrix", os.path.join(out, "m.json"),
+                   "--json", os.path.join(out, "analyze.json")]),
+         cli.main(["sweep", "H5", "b", "a=0", "c=1", "--from", "0", "--to", "2",
+                   "--step", "0.5", "--json", os.path.join(out, "sweep.json")])]
+print(json.dumps({"codes": codes, "scipy.linalg": "scipy.linalg" in sys.modules}))
+"""
+
+
+class TestLapack:
+    """``pseudoherm._lapack`` calls scipy's private ``_flapack`` with the bits of
+    scipy's public functions, without loading ``scipy.linalg``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+    def test_calls_equal_scipy_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for a in (random_complex(rng, n), np.asfortranarray(random_complex(rng, n))):
+            lu, piv = _lapack.getrf(a)
+            want_lu, want_piv = scipy.linalg.lu_factor(a, check_finite=False)
+            b = random_complex(rng, n)
+            got = (*_lapack.eig(a), lu, piv, _lapack.getrs(lu, piv, b))
+            want = (*scipy.linalg.eig(a, check_finite=False), want_lu, want_piv,
+                    scipy.linalg.lu_solve((want_lu, want_piv), b, check_finite=False))
+            for name, x, y in zip(("w", "vr", "lu", "piv", "x"), got, want):
+                assert (x.dtype, x.shape, x.strides) == (y.dtype, y.shape, y.strides), name
+                assert x.tobytes() == y.tobytes(), name
+
+    def test_stack_is_factored_matrix_by_matrix(self):
+        a = random_complex(np.random.default_rng(3), 4) * np.arange(1, 7)[:, None, None]
+        a = a.reshape(2, 3, 4, 4)
+        lu, piv = _lapack.getrf(a)
+        for i in np.ndindex(a.shape[:-2]):
+            one_lu, one_piv = _lapack.getrf(a[i])
+            assert lu[i].tobytes() == np.ascontiguousarray(one_lu).tobytes()
+            assert piv[i].tobytes() == one_piv.tobytes()
+
+    def test_no_convergence_raises_linalg_error(self, monkeypatch):
+        class NotConverging:
+            zgeev_lwork = _lapack.flapack.zgeev_lwork
+
+            @staticmethod
+            def zgeev(a, **kwargs):
+                return np.zeros(len(a), complex), None, np.zeros_like(a), 2
+
+        monkeypatch.setattr(_lapack, "flapack", NotConverging)
+        with pytest.raises(np.linalg.LinAlgError, match="order >= 2"):
+            _lapack.eig(np.eye(3, dtype=complex))
+        with pytest.raises(linalg.ConvergenceFailure):
+            eigendecompose(np.eye(3))
+
+    def test_load_by_path_fails_without_the_extension(self, tmp_path):
+        with pytest.raises(ImportError):
+            _lapack.load_by_path(str(tmp_path))
+
+    def test_cli_commands_never_load_scipy_linalg(self, tmp_path):
+        assert run_child(CLI_CHILD, str(tmp_path)) == {"codes": [0, 0], "scipy.linalg": False}
+
+    def test_same_bits_by_every_route(self):
+        got = {when: run_child(SPECTRA_CHILD, when)
+               for when in ("never", "before", "after", "fallback")}
+        # scipy.linalg, wherever it is imported, binds the routines _lapack calls
+        assert {when: (child["route"], child["scipy.linalg"], child["shared"])
+                for when, child in got.items()} == {
+            "never": ("path", False, False),
+            "before": ("scipy.linalg", True, True),
+            "after": ("path", True, True),
+            "fallback": ("fallback", True, True),
+        }
+        assert len({child["digest"] for child in got.values()}) == 1
 
 
 def reference_reality_tags(w, tol, scale):

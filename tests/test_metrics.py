@@ -6,7 +6,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -49,7 +48,7 @@ from pseudoherm import (
     symmetry_generator,
     transpose_gram,
 )
-from pseudoherm import inner, metrics
+from pseudoherm import _lapack, inner, metrics
 from pseudoherm.linalg import DEFAULT_TOL, build_diagonalizer, fro, inverse, tolerance_scale
 from pseudoherm.metrics import PSEUDO_ADJOINT, PSEUDO_HERMITIAN, PSEUDO_REAL, RealityCheck
 
@@ -138,13 +137,13 @@ class TestCheckAll:
 
     def test_one_factorization_per_metric(self, monkeypatch):
         calls = []
-        lu_factor = scipy.linalg.lu_factor
+        getrf = _lapack.getrf
 
         def counting(*args, **kwargs):
             calls.append(args[0].shape)
-            return lu_factor(*args, **kwargs)
+            return getrf(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+        monkeypatch.setattr(_lapack, "getrf", counting)
         check_all(h7(0.0, 1.0, 2.0), SIGMA_Y)
         assert calls == [(2, 2)]
         # a permutation metric takes none
@@ -471,13 +470,13 @@ class TestDiagonalizerPairs:
         h = random_real_spectrum(np.random.default_rng(3), 6)
         spectrum = eigendecompose(h)
         calls = []
-        lu_factor = scipy.linalg.lu_factor
+        getrf = _lapack.getrf
 
         def counting(*args, **kwargs):
             calls.append(args[0].shape)
-            return lu_factor(*args, **kwargs)
+            return getrf(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+        monkeypatch.setattr(_lapack, "getrf", counting)
         metrics.check_metrics(h, None, spectrum)
         assert calls == []
         # a spectrum without the inverse suppresses the diagonalizer metrics
@@ -821,9 +820,9 @@ class TestPermutationMetrics:
         m, h = system
         d = eigendecompose(h).eigenvectors
         vectors = list(d.T)
-        with mock.patch.object(scipy.linalg, "lu_factor") as lu_factor:
+        with mock.patch.object(_lapack, "getrf") as getrf:
             reports, colinearity = metrics._check(h, m, tol, "P", "user", d)
-        lu_factor.assert_not_called()
+        getrf.assert_not_called()
         canonical, residuals, (eps, residual) = reference_check(h, m, vectors)
         assert [reports[kind].residual for kind in metrics.KINDS] == list(residuals)
         assert [reports[kind].holds for kind in metrics.KINDS] == [
@@ -876,9 +875,9 @@ class TestPermutationMetrics:
             near["gauge_eta"] = gauge_metric(gauged_hermitian(1.0, 0.5), grid)[1]
         d = eigendecompose(h).eigenvectors
         vectors = list(d.T)
-        lu_factor = scipy.linalg.lu_factor
+        getrf = _lapack.getrf
         for name, m in near.items():
-            with mock.patch.object(scipy.linalg, "lu_factor", side_effect=lu_factor) as spy:
+            with mock.patch.object(_lapack, "getrf", side_effect=getrf) as spy:
                 reports, colinearity = metrics._check(h, m, LOOSE_TOL, name, "user", d)
             assert spy.call_count == 1, name
             canonical, residuals, (eps, residual) = reference_check(h, m, vectors)

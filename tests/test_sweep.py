@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pseudoherm import classify, metrics
+from pseudoherm import _lapack, classify, metrics
 from pseudoherm.families import instantiate_builtin
 from pseudoherm.linalg import eigendecompose
 from pseudoherm.sweep import sweep_family, sweep_values
@@ -100,16 +99,14 @@ def test_sweep_runs_no_reality_check(monkeypatch):
         colinearity.append(args)
         return colinearity_of(*args, **kwargs)
 
-    def counting(factor):
-        def counting_lu(*args, **kwargs):
-            lu.append(args[0].shape)
-            return factor(*args, **kwargs)
-        return counting_lu
+    getrf = _lapack.getrf
+
+    def counting_lu(*args, **kwargs):
+        lu.append(args[0].shape)
+        return getrf(*args, **kwargs)
 
     monkeypatch.setattr(metrics, "_colinearity", counting_colinearity)
-    # a stack is factored by lu, one matrix by lu_factor: count both
-    for name in ("lu", "lu_factor"):
-        monkeypatch.setattr(scipy.linalg, name, counting(getattr(scipy.linalg, name)))
+    monkeypatch.setattr(_lapack, "getrf", counting_lu)
     a, c, d = 0.3, 1.0, 0.5
     result = sweep_family("H8", "b", sweep_values(0.0, 2.0, 0.1), {"a": a, "c": c, "d": d})
     lo, hi = result.breaking_point
