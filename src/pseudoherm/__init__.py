@@ -42,6 +42,7 @@ from .metrics import (
     default_parity,
     eigenstate_reality_check,
     eta_plus_from_diagonalizer,
+    identity_view,
     mu_from_diagonalizer,
     rho_from_diagonalizer,
     symmetry_generator,

@@ -354,7 +354,7 @@ def _cmd_discretize(args) -> int:
     full = eigendecompose(h, tol)
     bound = schrodinger.bound_spectrum(h, grid, args.states, tol, spectrum=full)
 
-    candidates = {"identity": np.eye(grid.n_points, dtype=np.complex128)}
+    candidates = {"identity": metrics.identity_view(grid.n_points)}
     parity = None
     parity_name = "reversal"
     if grid.symmetric:

@@ -220,10 +220,12 @@ def _inverses(m: np.ndarray) -> _Inverses:
     loop runs in C, which factors them again (and fails on an exactly
     singular one).  Each matrix gets the same bits on either path:
     ``np.linalg.inv`` (LAPACK's ``zgesv``) solves the same LU factors
-    against the identity.  A 1 x 1 matrix is the exception: with more than
-    one OpenBLAS thread, ``zgetrs`` solves a single right-hand side with
-    other bits than ``zgesv``, so it is inverted by ``np.linalg.inv`` on
-    both paths.
+    against the identity.  ``zgetrs`` solves in place, into a
+    Fortran-ordered identity that becomes the inverse, so the solve holds
+    no n x n array beside the factors and the result.  A 1 x 1 matrix is
+    the exception: with more than one OpenBLAS thread, ``zgetrs`` solves a
+    single right-hand side with other bits than ``zgesv``, so it is
+    inverted by ``np.linalg.inv`` on both paths.
     """
     n = m.shape[-1]
     stack = m.ndim > 2
@@ -242,11 +244,13 @@ def _inverses(m: np.ndarray) -> _Inverses:
     ok = ~(pivot <= threshold)
     if ok.all():
         inv = (np.linalg.inv(m) if stack or n == 1 else
-               _lapack.getrs(lu, piv, np.eye(n, dtype=np.complex128)))
+               _lapack.getrs(lu, piv, np.eye(n, dtype=np.complex128, order="F"),
+                             overwrite_b=True))
     else:
         inv = np.full(m.shape, np.nan, dtype=np.complex128)
         if ok.any():  # only a stack is partly singular
             inv[ok] = np.linalg.inv(m[ok])
+    del lu  # release the factors before the condition's |m| and |inv| temporaries
     cond = np.where(ok, np.maximum(_norm1(m) * _norm1(inv), 1.0), np.inf)
     return _Inverses(inv, cond, pivot, threshold)
 
@@ -288,10 +292,12 @@ class Spectrum:
     rotated to the positive real axis; the convention is deterministic and
     makes a Hermitian input yield a unitary diagonalizer.  They are the
     columns of ``eigenvectors``, whose inverse ``diagonalizer_inverse``
-    comes from the factorization that gives ``diagonalizer_condition``
-    (``None`` when singular or not square).  :func:`eigendecompose` stores
-    the three arrays read-only.  It solves one matrix with LAPACK's
-    ``zgeev``, ``zgetrf`` and ``zgetrs``, called through
+    comes from the factorization that gives ``diagonalizer_condition``.
+    It is ``None`` when D is singular, or near-defective: a condition above
+    ``1 / metric_tol`` of the tolerances the spectrum was computed with,
+    where :func:`build_diagonalizer` refuses D, so no metric needs D^-1.
+    :func:`eigendecompose` stores the three arrays read-only.  It solves
+    one matrix with LAPACK's ``zgeev``, ``zgetrf`` and ``zgetrs``, called through
     :mod:`pseudoherm._lapack`; the stacks of a sweep take numpy's ``eig``
     and ``inv`` instead, which give each matrix the same bits (see
     :func:`_spectra` and :func:`_inverses`).
@@ -385,7 +391,9 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
     taken ``RESIDUAL_BLOCK`` pairs per matrix product, and reality tags.
     Pairs whose residual exceeds ``residual_tol`` are kept but flagged.
     :func:`_spectra` does the work, for one matrix here and for a whole
-    stack in a sweep.
+    stack in a sweep.  D^-1 is kept only where :func:`build_diagonalizer`
+    accepts D under ``tol``: a near-defective D's inverse would be an n x n
+    array that no metric reads.
     """
     h = as_matrix(h)
     tol = tol or DEFAULT_TOL
@@ -394,6 +402,7 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
              for k, res in enumerate(residuals) if res > tol.residual_tol]
     for a in (w, residuals, v):
         a.flags.writeable = False
+    near_defective = inverses.condition > 1.0 / tol.metric_tol  # as build_diagonalizer judges
     return Spectrum(
         eigenvalues=w,
         residuals=residuals,
@@ -401,7 +410,8 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
         diagonalizer_condition=float(inverses.condition),
         eigenvectors=v,
         flags=tuple(flags),
-        diagonalizer_inverse=None if inverses.singular else inverses.inverse,
+        diagonalizer_inverse=(None if inverses.singular or near_defective
+                              else inverses.inverse),
     )
 
 

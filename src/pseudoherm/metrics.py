@@ -175,11 +175,15 @@ def _checks(h: np.ndarray, metric: np.ndarray, metric_inv: np.ndarray | None = N
 
     The metrics are inverted, or gathered if one permutation (see
     :func:`_similarity`), unless ``metric_inv`` is given.  ``pivot`` is
-    the canonical normalization pivot (:func:`_pivot`).  A singular or
-    zero metric has residual ``inf``.
+    the canonical normalization pivot (:func:`_pivot`), 1 for a gathered
+    permutation without a scan of its n^2 entries.  A singular or zero
+    metric has residual ``inf``.
     """
     similar, metric_inv, singular = _similarity(metric, h, metric_inv)
-    pivot = _pivot(metric)
+    # a permutation's first nonzero entry is its 1; _pivot would also copy a
+    # strided view such as default_parity
+    gathered = metric_inv.ndim == 1
+    pivot = np.ones(metric.shape[:-2], dtype=np.complex128) if gathered else _pivot(metric)
     singular = singular | (pivot == 0)
     residuals = tuple(np.where(singular, np.inf, r) for r in _residuals(h, similar, kinds))
     return residuals, pivot, metric_inv, singular
@@ -193,13 +197,15 @@ def _check(h: np.ndarray, metric: np.ndarray, tol: ToleranceConfig, name: str,
 
     The metric is inverted, or gathered if a permutation (see :func:`_similarity`),
     unless ``metric_inv`` is given; that is scaled in place by the pivot unless it is 1.
+    A metric whose pivot is 1 is its own canonical form, held by the reports
+    without a copy (``metric / 1`` would equal it bit for bit).
     """
     if metric.shape != h.shape:
         raise DimensionMismatch(f"metric '{name}' has shape {metric.shape}, expected {h.shape}")
     residuals, pivot, metric_inv, singular = _checks(h, metric, metric_inv)
     if singular:
         raise SingularMatrix(f"metric '{name}' is singular")
-    canonical = metric / pivot
+    canonical = metric if pivot == 1 else metric / pivot
     reports = {kind: MetricReport(kind, name, canonical, float(residual),
                                   bool(residual <= tol.metric_tol), provenance)
                for kind, residual in zip(KINDS, residuals)}
@@ -420,9 +426,33 @@ def eigenstate_reality_check(rho, psi, tol: ToleranceConfig | None = None,
     return _reality_check(eigen_index, metric_name, eps[0], residual[0], tol)
 
 
+def _unit_band(n: int, row_step: int) -> np.ndarray:
+    """A read-only n x n complex view of one buffer of 2n - 1 entries, 1 in the
+    middle and 0 elsewhere: entry (i, j) is ``buffer[n - 1 + j - i]`` for
+    ``row_step = -1`` (the identity) and ``buffer[i + j]`` for ``+1`` (the reversal)."""
+    buffer = np.zeros(2 * n - 1, dtype=np.complex128)
+    buffer[n - 1] = 1.0
+    buffer.flags.writeable = False
+    item = buffer.itemsize
+    return np.ndarray((n, n), dtype=np.complex128, buffer=buffer,
+                      offset=(n - 1) * item if row_step < 0 else 0,
+                      strides=(row_step * item, item))
+
+
 def default_parity(n: int) -> np.ndarray:
-    """Anti-diagonal reversal matrix, the default parity for matrix input."""
-    return np.fliplr(np.eye(n, dtype=np.complex128)).copy()
+    """Anti-diagonal reversal matrix, the default parity for matrix input.
+
+    A read-only view of 2n - 1 entries rather than n^2: every consumer
+    reads it as an ndarray, and a permutation is checked by index gathers
+    (:func:`pseudoherm.linalg.permutation_of`).  ``np.ascontiguousarray``
+    gives a dense, writable copy.
+    """
+    return _unit_band(n, 1)
+
+
+def identity_view(n: int) -> np.ndarray:
+    """The n x n identity as a read-only view of 2n - 1 entries (see :func:`default_parity`)."""
+    return _unit_band(n, -1)
 
 
 def symmetry_generator(eta_i, eta_j, h) -> tuple[np.ndarray, float]:

@@ -184,7 +184,9 @@ def build_operators(grid: GridSpec) -> DiscreteOperators:
     Pm[off, off + 1] = -1j / (2.0 * h)
     Pm[off + 1, off] = 1j / (2.0 * h)
 
-    return DiscreteOperators(X=X, Pm=Pm, K=_kinetic(grid), Par=default_parity(n))
+    # dense and writable like X, Pm and K, not the read-only view
+    Par = np.ascontiguousarray(default_parity(n))
+    return DiscreteOperators(X=X, Pm=Pm, K=_kinetic(grid), Par=Par)
 
 
 def _sequential_power(z: np.ndarray, k: int) -> np.ndarray:
@@ -262,7 +264,9 @@ def gauge_metric(pot: PotentialSpec, grid: GridSpec) -> tuple[str, np.ndarray] |
         return "gauge_mu", np.diag(np.exp(-pot.params["beta"] * x * x)).astype(np.complex128)
     if pot.family == "gauged_hermitian" and grid.symmetric:
         x3 = _sequential_power(x, 3)
-        par = default_parity(grid.n_points)
+        # a dense operand keeps the product on numpy's BLAS path, whose bits,
+        # zero signs included, the report's fingerprint of the metric holds
+        par = np.ascontiguousarray(default_parity(grid.n_points))
         return "gauge_eta", par @ np.diag(np.exp(-2j * pot.params["gamma"] * x3))
     return None
 

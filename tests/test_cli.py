@@ -1,15 +1,16 @@
 """Command line contract: interchange round trips, exit codes, reports."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from pseudoherm import (SIGMA_X, _lapack, dumps_matrix, h5, h6, load_matrix, loads_matrix,
-                        metrics, save_matrix)
-from pseudoherm.cli import main, sweep_family, sweep_values
-from pseudoherm.linalg import MatrixFormatError
+from pseudoherm import (SIGMA_X, GridSpec, _lapack, build_hamiltonian, dumps_matrix, h5, h6,
+                        harmonic, load_matrix, loads_matrix, metrics, morse, save_matrix)
+from pseudoherm.cli import build_report, main, sweep_family, sweep_values
+from pseudoherm.linalg import DEFAULT_TOL, MatrixFormatError, to_json_text
 
 
 def run(tmp_path, *argv):
@@ -336,6 +337,57 @@ class TestDiscretize:
         assert len(residual_calls) == 6
         assert cls["pt_symmetric"]["residual"] == parity["residual"]
         assert len(cls["reality_checks"]) == 5 * 256
+
+    # The tracemalloc peak of a report at n = 256, in 16 n^2-byte arrays.  On the
+    # near-defective Morse grid it holds H, the eigenvectors D and, in a check,
+    # S H S^-1 and one difference buffer: 4 arrays, and about 0.3 more of vectors
+    # and small arrays (4.3 measured).  The oscillator grid also holds D^-1 and
+    # the three diagonalizer metrics, with a metric, its inverse and a product
+    # in the last check (10.4 measured).  Dense permutation metrics, a copy of a
+    # unit-pivot metric, a near-defective D's inverse or a separate identity to
+    # solve into each add one (7.3 and 14.2 before they were cut).
+    @pytest.mark.parametrize("argv, arrays", [
+        (["--family", "morse", "--C", "3.5", "--D", "4.0", "--shift", "0.5", "--xmin", "-4.0",
+          "--xmax", "14.0", "--mass", "0.5"], 5),
+        (["--family", "harmonic", "--alpha", "1.0", "--xmax", "10.0"], 11),
+    ], ids=["morse", "harmonic"])
+    def test_peak_memory_is_a_few_n_by_n_arrays(self, tmp_path, argv, arrays):
+        n = 256
+        argv = ["discretize", *argv, "--n", str(n), "--json", str(tmp_path / "report.json")]
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak <= arrays * 16 * n * n, f"{peak / (16 * n * n):.2f} arrays"
+
+    @pytest.mark.parametrize("n", [2, 48])
+    def test_reports_with_views_equal_dense(self, n):
+        # the identity and reversal as read-only views write the bytes of
+        # their dense matrices: checks, reality checks, PT verdict and Grams
+        def dense(m):
+            return np.ascontiguousarray(m)
+
+        views = {"identity": metrics.identity_view(n), "parity": metrics.default_parity(n)}
+        if n == 2:
+            systems = [h6(1.0, 1.0, 2.0), h5(0.0, 0.6, 1.0)]
+        else:
+            systems = [build_hamiltonian(harmonic(1.0), GridSpec(-6.0, 6.0, n)),
+                       build_hamiltonian(morse(shift=0.5), GridSpec(-4.0, 14.0, n, mass=0.5))]
+        for h in systems:
+            docs = [to_json_text(build_report(h, {k: wrap(m) for k, m in views.items()},
+                                              DEFAULT_TOL, {}, parity=wrap(views["parity"])))
+                    for wrap in (lambda m: m, dense)]
+            assert docs[0] == docs[1]
+            # the default parity is the view
+            assert to_json_text(build_report(h, views, DEFAULT_TOL, {})) == docs[0]
 
     def test_invalid_grid_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "discretize", "--family", "harmonic", "--alpha", "1",

@@ -285,6 +285,28 @@ class TestEigendecompose:
         np.testing.assert_allclose(spec.eigenvalues / factor, base.eigenvalues, rtol=1e-12)
         assert not spec.flags
 
+    @pytest.mark.parametrize("metric_tol", [1e-8, 1e-10])
+    def test_inverse_kept_only_for_an_accepted_diagonalizer(self, metric_tol):
+        tol = ToleranceConfig(metric_tol=metric_tol)
+        cases = {  # name: (H, whether D^-1 is kept)
+            "random": (random_complex(np.random.default_rng(4), 6), True),
+            # eigenvalues 1 +- 1e-9: cond(D) is about 1e9, not singular
+            "near-defective": (np.array([[1.0, 1.0], [1e-18, 1.0]]), metric_tol < 1e-9),
+            "jordan": (np.array([[0.0, 1.0], [0.0, 0.0]]), False),  # D is singular
+            "zero": (np.zeros((3, 3)), True),
+        }
+        for name, (h, kept) in cases.items():
+            spec = eigendecompose(h, tol)
+            inverses = linalg._inverses(spec.eigenvectors)
+            try:
+                build_diagonalizer(spec, tol)
+                accepted = not inverses.singular
+            except NearDefective:
+                accepted = False
+            assert (spec.diagonalizer_inverse is not None) == accepted == kept, name
+            if kept:
+                assert spec.diagonalizer_inverse.tobytes() == inverses.inverse.tobytes(), name
+
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError, MemoryError])
     def test_only_lapack_errors_are_convergence_failures(self, monkeypatch, error):
         def failing(*args, **kwargs):
@@ -492,6 +514,19 @@ class TestLapack:
             for name, x, y in zip(("w", "vr", "lu", "piv", "x"), got, want):
                 assert (x.dtype, x.shape, x.strides) == (y.dtype, y.shape, y.strides), name
                 assert x.tobytes() == y.tobytes(), name
+
+    @pytest.mark.parametrize("n", [2, 7, 64, 300])
+    def test_getrs_in_place_equals_a_fresh_identity(self, n):
+        a = random_complex(np.random.default_rng(n), n)
+        lu, piv = _lapack.getrf(a)
+        want = _lapack.getrs(lu, piv, np.eye(n, dtype=np.complex128))
+        b = np.eye(n, dtype=np.complex128, order="F")
+        got = _lapack.getrs(lu, piv, b, overwrite_b=True)
+        assert got is b
+        assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+        assert got.tobytes() == want.tobytes()
+        # _inverses solves in place, with the same bits
+        assert linalg._inverses(a).inverse.tobytes() == want.tobytes()
 
     def test_stack_is_factored_matrix_by_matrix(self):
         a = random_complex(np.random.default_rng(3), 4) * np.arange(1, 7)[:, None, None]

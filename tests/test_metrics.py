@@ -39,6 +39,7 @@ from pseudoherm import (
     h8_diagonalizer,
     harmonic,
     hermitian_gram,
+    identity_view,
     m3,
     monomial_pt,
     mu_from_diagonalizer,
@@ -49,7 +50,8 @@ from pseudoherm import (
     transpose_gram,
 )
 from pseudoherm import _lapack, inner, metrics
-from pseudoherm.linalg import DEFAULT_TOL, build_diagonalizer, fro, inverse, tolerance_scale
+from pseudoherm.linalg import (DEFAULT_TOL, build_diagonalizer, fro, inverse, permutation_of,
+                               tolerance_scale)
 from pseudoherm.metrics import PSEUDO_ADJOINT, PSEUDO_HERMITIAN, PSEUDO_REAL, RealityCheck
 
 ID2 = np.eye(2, dtype=complex)
@@ -485,6 +487,18 @@ class TestDiagonalizerPairs:
         assert (checked, calls) == ([], [])
         assert warn == ["diagonalizer metrics suppressed: the spectrum carries no inverse of D"]
 
+    def test_near_defective_spectrum_keeps_its_warning(self):
+        # eigenvalues 1 +- 1e-9: cond(D) is about 1e9, above 1 / metric_tol, and
+        # D is not singular; the spectrum keeps no D^-1, and the warning is
+        # still the one build_diagonalizer raises
+        h = np.array([[1.0, 1.0], [1e-18, 1.0]])
+        report = classify(h)
+        cond = report.spectrum.diagonalizer_condition
+        assert 1e8 < cond < np.inf
+        assert report.spectrum.diagonalizer_inverse is None
+        assert report.warnings == ("diagonalizer metrics suppressed: "
+                                   f"diagonalizer condition {cond:.3e} exceeds 1.000e+08",)
+
 
 class TestRealityCheck:
     @settings(max_examples=150, deadline=None)
@@ -898,6 +912,38 @@ class TestPermutationMetrics:
         want = reference_pt_gram(vectors, default_parity(2), spectrum.eigenvalues, DEFAULT_TOL)
         assert got.gram.tobytes() == want.gram.tobytes()
         assert bits(got.norms) == bits(want.norms)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 300])
+    def test_views_equal_the_dense_matrices(self, n):
+        dense = {default_parity: np.fliplr(np.eye(n, dtype=np.complex128)),
+                 identity_view: np.eye(n, dtype=np.complex128)}
+        for make, want in dense.items():
+            view = make(n)
+            assert (view.dtype, view.shape) == (np.complex128, (n, n))
+            assert np.ascontiguousarray(view).tobytes() == np.ascontiguousarray(want).tobytes()
+            assert permutation_of(view) is not None
+            assert view.base.size == 2 * n - 1
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0, 0] = 2.0
+
+    def test_unit_pivot_metric_is_held_without_a_copy(self):
+        h = random_real_spectrum(np.random.default_rng(8), 5)
+        for m in (identity_view(5), default_parity(5), np.eye(5, dtype=np.complex128)):
+            reports = check_all(h, m)
+            assert all(rep.metric is m for rep in reports.values())
+        scaled = check_all(h, 2.0 * np.eye(5))[PSEUDO_REAL].metric
+        assert scaled.tobytes() == np.eye(5, dtype=np.complex128).tobytes()
+
+    def test_permutation_pivot_takes_no_scan(self, monkeypatch):
+        def scan(m):
+            raise AssertionError("a permutation's pivot is 1")
+
+        monkeypatch.setattr(metrics, "_pivot", scan)
+        h = random_real_spectrum(np.random.default_rng(9), 6)
+        for m in (identity_view(6), default_parity(6)):
+            residuals, pivot, _, singular = metrics._checks(h, m)
+            assert (pivot, singular) == (1.0, False)
 
     def test_repeated_column_is_singular(self):
         h = np.random.default_rng(5).normal(size=(4, 4)).astype(np.complex128)
