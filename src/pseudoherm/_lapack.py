@@ -109,13 +109,12 @@ def _getrf(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, piv
 
 
-def getrs(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, overwrite_b: bool = False
-          ) -> np.ndarray:
+def getrs(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The solution ``x`` of ``a x = b`` from the factors ``getrf(a)``, by ``zgetrs``.
 
-    With ``overwrite_b``, a Fortran-ordered complex128 ``b`` is solved in
-    place and returned as ``x``; any other ``b`` is copied first, as without it.
+    A Fortran-contiguous complex128 ``b`` is consumed: it is solved in place
+    and returned as ``x``.  Any other ``b`` is copied first and kept.
     """
-    x, info = flapack.zgetrs(lu, piv, b, overwrite_b=int(overwrite_b))
+    x, info = flapack.zgetrs(lu, piv, b, overwrite_b=1)
     _raise_if_illegal(info, "zgetrs")
     return x

@@ -244,8 +244,7 @@ def _inverses(m: np.ndarray) -> _Inverses:
     ok = ~(pivot <= threshold)
     if ok.all():
         inv = (np.linalg.inv(m) if stack or n == 1 else
-               _lapack.getrs(lu, piv, np.eye(n, dtype=np.complex128, order="F"),
-                             overwrite_b=True))
+               _lapack.getrs(lu, piv, np.eye(n, dtype=np.complex128, order="F")))
     else:
         inv = np.full(m.shape, np.nan, dtype=np.complex128)
         if ok.any():  # only a stack is partly singular

@@ -197,15 +197,17 @@ def _check(h: np.ndarray, metric: np.ndarray, tol: ToleranceConfig, name: str,
 
     The metric is inverted, or gathered if a permutation (see :func:`_similarity`),
     unless ``metric_inv`` is given; that is scaled in place by the pivot unless it is 1.
-    A metric whose pivot is 1 is its own canonical form, held by the reports
-    without a copy (``metric / 1`` would equal it bit for bit).
+    A read-only metric whose pivot is 1, such as :func:`default_parity`, is
+    its own canonical form, held by the reports without a copy (``metric / 1``
+    would equal it bit for bit); a writable one is copied, so that a caller
+    who changes it later does not change the reports.
     """
     if metric.shape != h.shape:
         raise DimensionMismatch(f"metric '{name}' has shape {metric.shape}, expected {h.shape}")
     residuals, pivot, metric_inv, singular = _checks(h, metric, metric_inv)
     if singular:
         raise SingularMatrix(f"metric '{name}' is singular")
-    canonical = metric if pivot == 1 else metric / pivot
+    canonical = metric if pivot == 1 and not metric.flags.writeable else metric / pivot
     reports = {kind: MetricReport(kind, name, canonical, float(residual),
                                   bool(residual <= tol.metric_tol), provenance)
                for kind, residual in zip(KINDS, residuals)}
@@ -491,6 +493,10 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     The PT verdict is pseudo-reality under a designated parity matrix
     (grid/anti-diagonal reversal by default, overridable via ``parity``).
     A precomputed ``spectrum`` may be passed to avoid a second eigensolve.
+    It must come from :func:`eigendecompose` with the same ``tol``: it keeps
+    D^-1 only where its own ``metric_tol`` accepts D, so under a smaller
+    ``metric_tol`` a D it judged near-defective gets no diagonalizer
+    metrics ("the spectrum carries no inverse of D").
     """
     h = as_matrix(h)
     tol = tol or DEFAULT_TOL

@@ -508,7 +508,8 @@ class TestLapack:
             lu, piv = _lapack.getrf(a)
             want_lu, want_piv = scipy.linalg.lu_factor(a, check_finite=False)
             b = random_complex(rng, n)
-            got = (*_lapack.eig(a), lu, piv, _lapack.getrs(lu, piv, b))
+            # getrs consumes a Fortran-contiguous b (any 1 x 1 one); lu_solve needs it after
+            got = (*_lapack.eig(a), lu, piv, _lapack.getrs(lu, piv, b.copy()))
             want = (*scipy.linalg.eig(a, check_finite=False), want_lu, want_piv,
                     scipy.linalg.lu_solve((want_lu, want_piv), b, check_finite=False))
             for name, x, y in zip(("w", "vr", "lu", "piv", "x"), got, want):
@@ -519,9 +520,9 @@ class TestLapack:
     def test_getrs_in_place_equals_a_fresh_identity(self, n):
         a = random_complex(np.random.default_rng(n), n)
         lu, piv = _lapack.getrf(a)
-        want = _lapack.getrs(lu, piv, np.eye(n, dtype=np.complex128))
+        want = _lapack.getrs(lu, piv, np.eye(n, dtype=np.complex128))  # C order: copied
         b = np.eye(n, dtype=np.complex128, order="F")
-        got = _lapack.getrs(lu, piv, b, overwrite_b=True)
+        got = _lapack.getrs(lu, piv, b)
         assert got is b
         assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
         assert got.tobytes() == want.tobytes()

@@ -500,6 +500,21 @@ class TestDiagonalizerPairs:
                                    f"diagonalizer condition {cond:.3e} exceeds 1.000e+08",)
 
 
+    def test_spectrum_from_a_looser_tol_carries_no_inverse(self):
+        # cond(D) is about 1e9: a spectrum computed at metric_tol 1e-8 drops
+        # D^-1, which a stricter 1e-10 would accept
+        h = np.array([[1.0, 1.0], [1e-18, 1.0]])
+        strict = ToleranceConfig(metric_tol=1e-10)
+        own = classify(h, tol=strict)
+        assert not own.warnings
+        assert [rep.name for rep in own.pseudo_real] == ["from_D_rho", "from_D_mu",
+                                                         "from_D_eta_plus"]
+        reused = classify(h, tol=strict, spectrum=eigendecompose(h))
+        assert reused.pseudo_real == ()
+        assert reused.warnings == ("diagonalizer metrics suppressed: "
+                                   "the spectrum carries no inverse of D",)
+
+
 class TestRealityCheck:
     @settings(max_examples=150, deadline=None)
     @given(pseudo_real_systems(), st.sampled_from([1, 2, 3, metrics.REALITY_BLOCK]))
@@ -927,13 +942,25 @@ class TestPermutationMetrics:
             with pytest.raises(ValueError):
                 view[0, 0] = 2.0
 
-    def test_unit_pivot_metric_is_held_without_a_copy(self):
+    def test_read_only_unit_pivot_metric_is_held_without_a_copy(self):
         h = random_real_spectrum(np.random.default_rng(8), 5)
-        for m in (identity_view(5), default_parity(5), np.eye(5, dtype=np.complex128)):
+        for m in (identity_view(5), default_parity(5)):
             reports = check_all(h, m)
             assert all(rep.metric is m for rep in reports.values())
         scaled = check_all(h, 2.0 * np.eye(5))[PSEUDO_REAL].metric
         assert scaled.tobytes() == np.eye(5, dtype=np.complex128).tobytes()
+
+    def test_writable_unit_pivot_metric_is_copied(self):
+        h = random_real_spectrum(np.random.default_rng(8), 5)
+        m = np.eye(5, dtype=np.complex128)
+        reports = check_all(h, m)
+        report = classify(h, {"identity": m}, parity=default_parity(5))
+        m[0, 0] = 7.0  # the caller reuses its buffer
+        eye = np.eye(5, dtype=np.complex128).tobytes()
+        assert all(rep.metric.tobytes() == eye for rep in reports.values())
+        held = [rep.metric for rep in (*report.pseudo_real, *report.pseudo_adjoint,
+                                       *report.pseudo_hermitian) if rep.name == "identity"]
+        assert len(held) == 3 and all(metric.tobytes() == eye for metric in held)
 
     def test_permutation_pivot_takes_no_scan(self, monkeypatch):
         def scan(m):
