@@ -9,7 +9,7 @@ exactly.
 
 Exit codes: 0 analysis ran (whatever the verdicts), 2 input could not be
 parsed, 3 dimensions are inconsistent, 4 numerical failure (the
-eigensolver did not converge).
+eigensolver did not converge, or an eigenvalue is beyond the float range).
 """
 
 from __future__ import annotations
@@ -200,7 +200,6 @@ def _sweep_doc(result: SweepResult) -> dict:
     """The sweep document, with each point as one :class:`JSONText` joined from
     the entries of the metric stacks that carry it, each stack rendered at once."""
     require_finite(result.values)
-    require_finite(result.max_imag)
     columns = []
     for name, (idx, holds, canonical) in result.stacks.items():
         column = [None] * len(result.values)

@@ -70,6 +70,9 @@ def h8(a, b, c, d) -> np.ndarray:
 def two_level_eigenvalues(a: float, b: float, c: float) -> tuple[complex, complex]:
     """Eigenvalues a +- sqrt(c^2 - b^2) of H5/H6/H7, complex when c^2 < b^2."""
     root = np.sqrt(np.complex128(c * c - b * b))
+    if not np.isfinite(root):  # c^2 - b^2 overflows: take it scaled by the larger of |b|, |c|
+        s = max(abs(b), abs(c))
+        root = s * np.sqrt(np.complex128((c / s) ** 2 - (b / s) ** 2))
     lo, hi = a - root, a + root
     if (lo.real, lo.imag) > (hi.real, hi.imag):
         lo, hi = hi, lo

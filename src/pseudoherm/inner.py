@@ -82,9 +82,10 @@ def _offdiag_max(gram: np.ndarray, eigenvalues, conjugate_pairing: bool) -> floa
         ev = np.asarray(eigenvalues, dtype=np.complex128).reshape(-1)
         if ev.size != m:
             raise DimensionMismatch("one eigenvalue per state required")
-        scale = max(1.0, float(np.abs(ev).max()))
         left = ev.conj() if conjugate_pairing else ev
-        gap = np.abs(left[:, None] - ev[None, :])
+        with np.errstate(over="ignore"):  # an infinite gap is non-degenerate
+            scale = max(1.0, float(np.abs(ev).max()))
+            gap = np.abs(left[:, None] - ev[None, :])
         mask &= gap > DEGENERACY_TOL * scale
     if not mask.any():
         return 0.0

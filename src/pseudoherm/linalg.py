@@ -40,7 +40,7 @@ class NearDefective(Exception):
 
 
 class ConvergenceFailure(Exception):
-    """Raised when the eigensolver exhausts its iteration budget."""
+    """Raised when the eigensolver does not converge or an eigenvalue exceeds the float range."""
 
 
 class DimensionMismatch(Exception):
@@ -56,9 +56,6 @@ class MatrixFormatError(Exception):
 
 
 EPS = float(np.finfo(np.float64).eps)
-
-# Below this Frobenius norm the squares of the entries underflow.
-_FRO_UNDERFLOW = math.sqrt(float(np.finfo(np.float64).tiny))
 
 # Eigenpairs per matrix product of the eigenpair residuals.
 RESIDUAL_BLOCK = 64
@@ -149,12 +146,31 @@ def _fro_stack(m: np.ndarray) -> np.ndarray:
     return _norms(m.reshape(*m.shape[:-2], -1))
 
 
-def _unit_scale(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The largest magnitude ``top`` of a real or imaginary part of each matrix on the
-    last two axes of ``m``, and the power of two that scales ``top`` into [1/2, 1)
-    (at most 2^1023; 1 for a zero matrix)."""
-    top = np.maximum(np.abs(m.real).max(axis=(-2, -1)), np.abs(m.imag).max(axis=(-2, -1)))
-    return top, np.ldexp(1.0, np.minimum(-np.frexp(top)[1], 1023))
+def _unit_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(f, top)``: the largest magnitude ``top`` of a real or imaginary part of each matrix
+    on the last two axes of ``m``, from a float view (no n x n temporary), and the power of
+    four f that brings it into [1/4, 1), clipped to 4^+-511 so that 1/f is finite."""
+    parts = m[..., None].view(np.float64)
+    top = np.maximum(parts.max(axis=(-3, -2, -1)), -parts.min(axis=(-3, -2, -1)))
+    return np.ldexp(1.0, np.clip(-2 * ((np.frexp(top)[1] + 1) // 2), -1022, 1022)), top
+
+
+def _intake(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(m * f, f)``, the one scale rule, on which every stage of an analysis runs: f of
+    :func:`_unit_factor`, or 1 (no copy) where ``top`` is 0 or in [2^-400, 2^400]."""
+    f, top = _unit_factor(m)
+    f = np.where((2.0**-400 <= top) & (top <= 2.0**400), 1.0, f)
+    return (m * f[..., None, None] if (f != 1.0).any() else m), f
+
+
+def _unscale(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The eigenvalues ``w`` of ``m * f`` (a row per f) as those of m: their parts times the
+    exact power 1/f.  Raises :class:`ConvergenceFailure` beyond the float range."""
+    with np.errstate(over="ignore"):
+        w = (w[..., None].view(np.float64) * (1.0 / f)[..., None, None]).view(np.complex128)
+    if not np.isfinite(w).all():
+        raise ConvergenceFailure("an eigenvalue lies beyond the float range of +-1.8e308")
+    return w[..., 0]
 
 
 def _norm1(m: np.ndarray) -> np.ndarray:
@@ -208,8 +224,9 @@ class _Inverses(NamedTuple):
 def _inverses(m: np.ndarray) -> _Inverses:
     """Invert each matrix on the last two axes of ``m``.
 
+    It inverts ``m * f`` (:func:`_intake`) and returns that inverse times f.
     A matrix is singular when its smallest LU pivot magnitude ``pivot`` is
-    at most ``threshold = n * eps * ||m||_F``; its inverse is then NaN and
+    at most ``threshold = n * eps * ||m f||_F``; its inverse is then NaN and
     its condition infinite.  ``condition`` is the exact one-norm condition
     number of the computed pair.
 
@@ -229,18 +246,10 @@ def _inverses(m: np.ndarray) -> _Inverses:
     """
     n = m.shape[-1]
     stack = m.ndim > 2
+    m, f = _intake(m)
     lu, piv = _lapack.getrf(m)
     pivot = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)).min(axis=-1)
-    norm = _fro_stack(m)
-    tiny = norm < _FRO_UNDERFLOW
-    if tiny.any():
-        # the squares of entries this small underflow: take the norm of m
-        # scaled by its largest magnitude and scale it back
-        top = np.abs(m).max(axis=(-2, -1))
-        tiny &= top > 0.0
-        rescaled = top * _fro_stack(m / np.where(tiny, top, 1.0)[..., None, None])
-        norm = np.where(tiny, rescaled, norm)
-    threshold = n * EPS * norm
+    threshold = n * EPS * _fro_stack(m)
     ok = ~(pivot <= threshold)
     if ok.all():
         inv = (np.linalg.inv(m) if stack or n == 1 else
@@ -251,6 +260,10 @@ def _inverses(m: np.ndarray) -> _Inverses:
             inv[ok] = np.linalg.inv(m[ok])
     del lu  # release the factors before the condition's |m| and |inv| temporaries
     cond = np.where(ok, np.maximum(_norm1(m) * _norm1(inv), 1.0), np.inf)
+    if (f != 1.0).any():  # by parts: a complex product turns NaN+0j into NaN+NaNj
+        parts = inv[..., None].view(np.float64)
+        with np.errstate(over="ignore"):
+            parts *= f[..., None, None, None]
     return _Inverses(inv, cond, pivot, threshold)
 
 
@@ -259,8 +272,8 @@ def inverse(m) -> tuple[np.ndarray, float]:
 
     The condition estimate is the exact one-norm condition number of the
     computed pair; it is only meant to be read to order of magnitude.
-    Raises :class:`SingularMatrix` when an LU pivot falls below
-    ``n * eps * ||m||_F``.
+    Raises :class:`SingularMatrix` when an LU pivot of ``m`` taken in by
+    :func:`_intake` falls below ``n * eps`` times its Frobenius norm.
     """
     inverses = _inverses(as_matrix(m))
     if inverses.singular:
@@ -295,11 +308,11 @@ class Spectrum:
     It is ``None`` when D is singular, or near-defective: a condition above
     ``1 / metric_tol`` of the tolerances the spectrum was computed with,
     where :func:`build_diagonalizer` refuses D, so no metric needs D^-1.
-    :func:`eigendecompose` stores the three arrays read-only.  It solves
-    one matrix with LAPACK's ``zgeev``, ``zgetrf`` and ``zgetrs``, called through
-    :mod:`pseudoherm._lapack`; the stacks of a sweep take numpy's ``eig``
-    and ``inv`` instead, which give each matrix the same bits (see
-    :func:`_spectra` and :func:`_inverses`).
+    :func:`eigendecompose` stores the three arrays read-only.  It solves H,
+    taken in by :func:`_intake`, with LAPACK's ``zgeev``, ``zgetrf`` and
+    ``zgetrs`` through :mod:`pseudoherm._lapack`; the stacks of a sweep
+    take numpy's ``eig`` and ``inv`` instead, which give each matrix the
+    same bits (see :func:`_spectra` and :func:`_inverses`).
     """
 
     eigenvalues: np.ndarray = field(compare=False)
@@ -334,15 +347,8 @@ def _spectra(h: np.ndarray) -> _Spectra:
 
     Each matrix gets what :func:`eigendecompose` documents for one: the
     order, the phase convention, the residuals, D^-1 with its condition,
-    and the scale its reality tolerance is relative to.
+    and the scale its reality tolerance is relative to, all of ``h``.
     """
-    # zgeev leaves unscaled the eigenvalues of a matrix whose largest entry is
-    # outside about [6.7e-139, 1.5e138]: solve it scaled by a power of two
-    top, scale = _unit_scale(h)
-    scaled = (top > 2.0**400) | ((0.0 < top) & (top < 2.0**-400))
-    scale = np.where(scaled, scale, 1.0)
-    if scaled.any():
-        h = h * scale[..., None, None]
     try:
         # a stack goes to numpy, whose eig loops over it in C; one matrix
         # straight to zgeev, which holds one n x n copy fewer than numpy's
@@ -375,8 +381,7 @@ def _spectra(h: np.ndarray) -> _Spectra:
         residuals[..., block] = (
             np.linalg.norm(h @ vb - vb * w[..., None, block], axis=-2)
             / (tolerance_scale(norm_h)[..., None] * np.linalg.norm(vb, axis=-2)))
-    return _Spectra(w / scale[..., None], residuals, v, _inverses(v),
-                    tolerance_scale(norm_h / scale))
+    return _Spectra(w, residuals, v, _inverses(v), tolerance_scale(norm_h))
 
 
 def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
@@ -389,23 +394,24 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
     per-pair relative residuals ``||Hv - lambda v||_F / (||H||_F ||v||)``,
     taken ``RESIDUAL_BLOCK`` pairs per matrix product, and reality tags.
     Pairs whose residual exceeds ``residual_tol`` are kept but flagged.
-    :func:`_spectra` does the work, for one matrix here and for a whole
-    stack in a sweep.  D^-1 is kept only where :func:`build_diagonalizer`
-    accepts D under ``tol``: a near-defective D's inverse would be an n x n
-    array that no metric reads.
+    :func:`_spectra` does the work on H taken in by :func:`_intake`, whose
+    eigenvalues :func:`_unscale` scales back.  D^-1 is kept only where
+    :func:`build_diagonalizer` accepts D under ``tol``: a near-defective D's
+    inverse would be an n x n array that no metric reads.
     """
-    h = as_matrix(h)
+    h, f = _intake(as_matrix(h))
     tol = tol or DEFAULT_TOL
     w, residuals, v, inverses, scale = _spectra(h)
     flags = [f"residual_above_tolerance:index={k},residual={res:.3e}"
              for k, res in enumerate(residuals) if res > tol.residual_tol]
+    reality, w = _reality_tags(w, tol, scale), _unscale(w, f)
     for a in (w, residuals, v):
         a.flags.writeable = False
     near_defective = inverses.condition > 1.0 / tol.metric_tol  # as build_diagonalizer judges
     return Spectrum(
         eigenvalues=w,
         residuals=residuals,
-        reality=_reality_tags(w, tol, scale),
+        reality=reality,
         diagonalizer_condition=float(inverses.condition),
         eigenvectors=v,
         flags=tuple(flags),
@@ -515,10 +521,11 @@ def similarity_residual(s, h, target) -> float:
         raise DimensionMismatch(
             f"shape mismatch: S {s.shape}, H {h.shape}, target {target.shape}"
         )
+    h, f = _intake(h)
     similar, _, singular = _similarity(s, h)
     if singular:
         raise SingularMatrix("S is singular")
-    return fro(similar - target) / tolerance_scale(fro(h))
+    return fro(similar - target * f) / tolerance_scale(fro(h))
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,10 @@ from .linalg import (
     ToleranceConfig,
     ZeroVector,
     _fro_stack,
+    _intake,
     _inverse_times,
     _similarity,
-    _unit_scale,
+    _unit_factor,
     as_matrix,
     as_vector,
     build_diagonalizer,
@@ -228,7 +229,8 @@ def check_all(h, metric, tol: ToleranceConfig | None = None,
     residual equals ``similarity_residual(metric, h, target)`` for its
     target.  Raises :class:`SingularMatrix` when the metric cannot be inverted.
     """
-    return _check(as_matrix(h), as_matrix(metric), tol or DEFAULT_TOL, name, provenance)[0]
+    h = _intake(as_matrix(h))[0]
+    return _check(h, as_matrix(metric), tol or DEFAULT_TOL, name, provenance)[0]
 
 
 def check_pseudo_real(h, rho, tol: ToleranceConfig | None = None,
@@ -465,13 +467,13 @@ def symmetry_generator(eta_i, eta_j, h) -> tuple[np.ndarray, float]:
     in that order is the commuting generator; the function returns it with
     its relative commutator residual.  (Writing the product with the
     inverse on the right commutes with H^dagger instead, not H.)  Powers of
-    two scale H and the generator: the same residual, free of over/underflow.
+    four scale H and the generator: the same residual, free of over/underflow.
     """
     eta_i = as_matrix(eta_i)
     h = as_matrix(h)
     eta_j_inv, _ = inverse(eta_j)
     gen = eta_j_inv @ eta_i
-    h_s, gen_s = (m * _unit_scale(m)[1] for m in (h, gen))
+    h_s, gen_s = (m * _unit_factor(m)[0] for m in (h, gen))
     denom = fro(h_s) * fro(gen_s)
     residual = fro(h_s @ gen_s - gen_s @ h_s) / denom if denom > 0 else 0.0
     return gen, float(residual)
@@ -496,9 +498,11 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     It must come from :func:`eigendecompose` with the same ``tol``: it keeps
     D^-1 only where its own ``metric_tol`` accepts D, so under a smaller
     ``metric_tol`` a D it judged near-defective gets no diagonalizer
-    metrics ("the spectrum carries no inverse of D").
+    metrics ("the spectrum carries no inverse of D").  Every check runs on H
+    taken in by :func:`pseudoherm.linalg._intake`, as :func:`eigendecompose` takes it.
     """
-    h = as_matrix(h)
+    given = as_matrix(h)
+    h = _intake(given)[0]
     tol = tol or DEFAULT_TOL
 
     # S = 1: symmetry and Hermiticity of H
@@ -509,7 +513,7 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     failure = None
     if spectrum is None:
         try:
-            spectrum = eigendecompose(h, tol)
+            spectrum = eigendecompose(given, tol)
         except ConvergenceFailure as exc:
             failure = f"eigendecomposition failed: {exc}"
 

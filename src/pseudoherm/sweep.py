@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families, metrics
-from .linalg import DEFAULT_TOL, ToleranceConfig, _is_real, _spectra
+from .linalg import DEFAULT_TOL, ToleranceConfig, _intake, _is_real, _spectra, _unscale
 
 SECULAR_TOL = 1e-8
 
@@ -138,8 +138,8 @@ def sweep_family(family: str, parameter: str, values, fixed: dict,
     A candidate holds at a point when it certifies any relation, a
     diagonalizer metric when it certifies the one it is built for.  The
     points are built and analyzed as one stack (see the module docstring):
-    :func:`pseudoherm.families.builtin_stack`, :func:`pseudoherm.linalg._spectra`,
-    then :func:`pseudoherm.metrics._checks` once per metric name.
+    ``families.builtin_stack``, ``linalg._intake`` and ``_spectra``, then
+    :func:`pseudoherm.metrics._checks` once per metric name.
     """
     values = np.asarray(list(values), dtype=float)
     if values.size == 0:
@@ -149,9 +149,9 @@ def sweep_family(family: str, parameter: str, values, fixed: dict,
     tol = tol or DEFAULT_TOL
 
     h, carried = families.builtin_stack(family, {**fixed, parameter: values})
-    h = _stack(h)
+    h, f = _intake(_stack(h))
     w, _, d, inverses, scale = _spectra(h)
-    max_imag = np.abs(w.imag).max(axis=-1)
+    max_imag = np.abs(_unscale(w, f).imag).max(axis=-1)
     spectrum_real = _is_real(w, tol, scale).all(axis=-1)
 
     # name -> (indices of the points that carry it, holds, canonical)

@@ -1,11 +1,14 @@
 """Command line contract: interchange round trips, exit codes, reports."""
 
 import json
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from pseudoherm import (SIGMA_X, GridSpec, _lapack, build_hamiltonian, dumps_matrix, h5, h6,
                         harmonic, load_matrix, loads_matrix, metrics, morse, save_matrix)
@@ -163,9 +166,10 @@ class TestAnalyze:
         assert doc["classification"]["hermitian"]["holds"]
         assert [tag["tag"] for tag in doc["spectrum"]["reality"]] == ["real"] * 3
 
-    @pytest.mark.parametrize("unit", [1e200, 1e-200])
+    @pytest.mark.parametrize("unit", [1e200, 1e-160, 1e-200])
     def test_huge_and_tiny_entries_give_exact_eigenvalues(self, tmp_path, unit):
-        # both lie outside the range in which zgeev scales its eigenvalues back
+        # 1e200 and 1e-200 lie outside the range in which zgeev scales its
+        # eigenvalues back; at 1e-200 the squares of the entries underflow
         mat = tmp_path / "diag.json"
         save_matrix(mat, np.diag([1.0, 2.0, -3.0]) * unit)
         code, doc = run(tmp_path, "analyze", "--matrix", str(mat))
@@ -173,6 +177,19 @@ class TestAnalyze:
         spec = doc["spectrum"]
         assert spec["eigenvalues"] == [[-3 * unit, 0], [unit, 0], [2 * unit, 0]]
         assert spec["residuals"] == [0, 0, 0] and spec["flags"] == []
+        # not PT-symmetric under the reversal, at any scale
+        pt = doc["classification"]["pt_symmetric"]
+        assert not pt["holds"] and abs(pt["residual"] - 1.5118578920369088) <= 1e-15
+
+    def test_eigenvalue_beyond_the_float_range_is_a_warning(self, tmp_path):
+        # the eigenvalues of this matrix are 0 and 2e308
+        mat = tmp_path / "huge.json"
+        save_matrix(mat, np.full((2, 2), 1e308))
+        code, doc = run(tmp_path, "analyze", "--matrix", str(mat))
+        assert code == 0 and doc["spectrum"] is None and doc["grams"] == []
+        assert doc["warnings"] == [
+            "eigendecomposition failed: an eigenvalue lies beyond the float range of +-1.8e308"]
+        assert doc["classification"]["hermitian"]["holds"]
 
     def test_deterministic_bytes(self, tmp_path):
         mat = tmp_path / "h.json"
@@ -181,6 +198,49 @@ class TestAnalyze:
         assert main(["analyze", "--matrix", str(mat), "--json", str(out1)]) == 0
         assert main(["analyze", "--matrix", str(mat), "--json", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+@st.composite
+def interchange_texts(draw):
+    """An interchange document with n = 1-4 whose entries are finite floats of any
+    magnitude (log-uniform over [5e-324, 1.8e308], either sign), +-0 or small integers."""
+    n = draw(st.integers(1, 4))
+    magnitude = st.builds(lambda e, sign: sign * 2.0**e, st.floats(-1074.0, 1023.99),
+                          st.sampled_from([1.0, -1.0]))
+    value = st.one_of(magnitude, st.sampled_from([0.0, -0.0]), st.integers(-3, 3))
+    entry = st.lists(value, min_size=2, max_size=2)
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return json.dumps({"n": n, "rows": draw(rows)})
+
+
+def finite_numbers(node) -> bool:
+    if isinstance(node, dict):
+        return all(finite_numbers(value) for value in node.values())
+    if isinstance(node, list):
+        return all(map(finite_numbers, node))
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+class TestAnalyzeContract:
+    # every well-formed, finite document is analyzed: exit 2 is for input that
+    # cannot be parsed, 3 for inconsistent dimensions, and analyze reports a
+    # numerical failure (exit 4 elsewhere) as a warning; a RuntimeWarning
+    # escapes as an error (pyproject's filterwarnings)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(interchange_texts())
+    @example(dumps_matrix(np.diag([1e308 * (1 + 1j), -1e308 * (1 + 1j)])))
+    @example(dumps_matrix(h5(0.0, 1e308, 1.0)))
+    @example(dumps_matrix(np.full((2, 2), 1e308)))
+    @example(dumps_matrix(np.diag([1.0, 2.0, -3.0]) * 1e-200))
+    @example(dumps_matrix(np.array([[5e-324, 1.7e308], [0.0, -5e-324]])))
+    def test_every_finite_document_gets_a_finite_report(self, tmp_path, text):
+        mat = tmp_path / "m.json"
+        mat.write_text(text, encoding="utf-8")
+        (tmp_path / "report.json").unlink(missing_ok=True)
+        code, doc = run(tmp_path, "analyze", "--matrix", str(mat))
+        assert code == 0
+        assert finite_numbers(doc)
 
 
 class TestToleranceFlags:
@@ -256,6 +316,15 @@ class TestBuiltin:
         assert code == 0
         m = load_matrix(mat)
         np.testing.assert_array_equal(m, np.array([[0.6j, 1.0], [1.0, -0.6j]]))
+
+    def test_parameters_near_the_float_maximum_give_a_finite_report(self, tmp_path):
+        # c^2 - b^2 overflows: the closed form is taken scaled by max(|b|, |c|)
+        code, doc = run(tmp_path, "builtin", "H5", "a=0", "b=1e308", "c=1")
+        assert code == 0
+        formula, solved = ([complex(*x) for x in ev] for ev in
+                           (doc["input"]["eigenvalues"], doc["spectrum"]["eigenvalues"]))
+        np.testing.assert_allclose(formula, solved, rtol=1e-12)
+        assert formula == [-1e308j, 1e308j]
 
     def test_unknown_builtin_exit_2(self, tmp_path):
         assert run(tmp_path, "builtin", "H5", "a=oops")[0] == 2
@@ -454,14 +523,15 @@ class TestSweep:
         assert code == 2 and doc is None
         assert capsys.readouterr().err == "error: from, to and step must be finite\n"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_points_keep_their_exit(self, tmp_path, capsys):
-        # the residuals of an H with entries near 1e308 overflow, and the
-        # report cannot be written until H is scaled where an analysis begins
+    def test_points_near_the_float_maximum_give_a_finite_report(self, tmp_path):
+        # the residuals of an H with entries near 1e308 would overflow if it
+        # were not scaled where the sweep begins
         code, doc = run(tmp_path, "sweep", "H5", "b", "a=0", "c=1e308",
                         "--from", "0", "--to", "1", "--step", "0.5")
-        assert code == 2 and doc is None
-        assert capsys.readouterr().err == "error: cannot serialize non-finite float\n"
+        assert code == 0
+        assert all(point["spectrum_real"] and point["max_imag"] <= 1e-8 * 1e308
+                   for point in doc["points"])
+        assert all(point["metrics"]["sigma_x"]["holds"] for point in doc["points"])
 
     def test_singular_metric_does_not_hold(self, tmp_path):
         # at b = 1 the closed-form mu (and the eta+ built from it) of this H8

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -204,6 +205,45 @@ class TestPermutations:
             inverse(m)
         with pytest.raises(SingularMatrix):
             similarity_residual(m, np.eye(4), np.eye(4))
+
+
+class TestIntake:
+    @pytest.mark.parametrize("top", [0.0, 2.0**-400, 1.5, 2.0**400])
+    def test_in_range_is_taken_as_it_is(self, top):
+        m = np.array([[0.5, -1.0j], [0.0, 0.25]]) * top
+        taken, f = linalg._intake(m)
+        assert taken is m and f == 1.0
+
+    @pytest.mark.parametrize("top", [5e-324, 1e-300, 2.0**-401, 1.5 * 2.0**400, 1e308,
+                                     np.finfo(np.float64).max])
+    def test_out_of_range_is_scaled_by_a_power_of_four(self, top):
+        m = np.array([[0.5, -1.0j], [0.0, 0.25]]) * top
+        taken, f = linalg._intake(m)
+        mantissa, exponent = np.frexp(f)
+        assert mantissa == 0.5 and (exponent - 1) % 2 == 0 and 2.0**-1022 <= f <= 2.0**1022
+        np.testing.assert_array_equal(taken, m * f)
+        assert 0.25 <= np.abs(taken.imag).max() < 1.0 or abs(np.log2(f)) == 1022
+        assert linalg._intake(taken)[1] == 1.0  # taken in once
+
+    def test_stack_gets_one_factor_per_matrix(self):
+        m = np.array([np.eye(2) * 2.0**500, np.eye(2), np.zeros((2, 2))], dtype=np.complex128)
+        taken, f = linalg._intake(m)
+        assert f.tolist() == [2.0**-502, 1.0, 1.0]
+        assert taken[1].tobytes() == m[1].tobytes() and taken[2].tobytes() == m[2].tobytes()
+
+    def test_scan_takes_no_n_by_n_temporary(self):
+        m = np.asfortranarray(random_complex(np.random.default_rng(3), 256))
+        tracemalloc.start()
+        try:
+            linalg._intake(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 256**2 // 4
+
+    def test_eigenvalue_beyond_the_float_range_raises(self):
+        with pytest.raises(linalg.ConvergenceFailure, match="beyond the float range"):
+            eigendecompose(np.full((2, 2), 1e308))
 
 
 class TestEigendecompose:
@@ -409,13 +449,14 @@ class TestStacks:
     @settings(max_examples=150, deadline=None)
     @given(mixed_stacks())
     def test_stack_path_equals_one_matrix_path(self, h):
+        # each path takes the intake as an analysis does: a stack at once
         inverses = linalg._inverses(h)
-        spectra = linalg._spectra(h)
+        spectra = linalg._spectra(linalg._intake(h)[0])
         for i, m in enumerate(h):
             one = linalg._inverses(m)
             for name in one._fields:
                 assert_same_bytes(getattr(inverses, name)[i], getattr(one, name), name)
-            one = linalg._spectra(m)
+            one = linalg._spectra(linalg._intake(m)[0])
             for name in ("eigenvalues", "residuals", "eigenvectors", "reality_scale"):
                 assert_same_bytes(getattr(spectra, name)[i], getattr(one, name), name)
             for name in one.inverses._fields:

@@ -703,12 +703,27 @@ def gram_signatures(report, order):
             for kind, gram in grams.items()}
 
 
+def report_numbers(report):
+    """The bits of every residual, reality-check number and eigenvalue residual of ``report``."""
+    reps = report.pseudo_real + report.pseudo_adjoint + report.pseudo_hermitian
+    numbers = [report.hermitian[1], report.self_adjoint[1], report.pt_symmetric[1],
+               *(rep.residual for rep in reps), *report.spectrum.residuals.tolist()]
+    for check in report.reality_checks:
+        numbers += [check.epsilon.real, check.epsilon.imag, check.colinearity_residual]
+    return [float(x).hex() for x in numbers]
+
+
 class TestScaleInvariance:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(st.sampled_from([(h, {}) for h in SCALE_INPUTS]),
                      pseudo_real_systems().map(lambda system: (system[0], {"rho": system[1]}))),
-           st.integers(-60, 60), st.sampled_from([1.0, -1.0]))
+           st.integers(-1000, 1000), st.sampled_from([1.0, -1.0]))
     @example((h5(0.0, 1.5, 1.0), {}), -29, 1.0)
+    @example((h5(0.0, 1.5, 1.0), {}), -540, 1.0)
+    @example((h5(0.0, 0.6, 1.0), {}), -1000, 1.0)
+    @example((h5(0.0, 0.6, 1.0), {}), 1000, 1.0)
+    @example((m3(), {}), 999, -1.0)
+    @example((m3(), {}), -999, 1.0)
     def test_verdicts_do_not_depend_on_scale_of_h(self, system, k, sign):
         # c H is exact for c = +-2^k, so any change of verdict is a defect
         h, candidates = system
@@ -722,6 +737,12 @@ class TestScaleInvariance:
         assert sorted(order) == list(range(len(w)))
         assert report_verdicts(scaled, order) == report_verdicts(base, range(len(w)))
         assert gram_signatures(scaled, order) == gram_signatures(base, range(len(w)))
+        if c > 0 and k % 2 == 0 and np.array_equal(c * h / c, h):
+            # H and 4^(k/2) H are taken in as one matrix, up to a power of
+            # four that zgeev carries exactly: the same bits, and eigenvalues
+            # scaled back exactly
+            assert report_numbers(scaled) == report_numbers(base)
+            np.testing.assert_array_equal(scaled.spectrum.eigenvalues, c * w)
 
 
 class TestSymmetryGenerator:

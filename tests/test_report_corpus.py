@@ -41,3 +41,34 @@ def test_holds_flip_breaks_a_rule(corpus):
     b = {"pseudo_real": [{"name": "rho", "residual": 1e-9, "holds": False}]}
     moved, broken = corpus.compare_reports(a, b)
     assert moved == broken == ["pseudo_real.0.holds: True -> False"]
+
+
+MOVE = {"pt": {"residual": 0, "holds": True}}, {"pt": {"residual": 1.5, "holds": False}}
+
+
+def test_declared_moves_break_no_rule(corpus, tmp_path):
+    moves = tmp_path / "moves.txt"
+    moves.write_text("# by design\n0 pt.residual 0 1.5\n0 pt.holds true false  # PT\n",
+                     encoding="utf-8")
+    declared = corpus.read_moves(moves)
+    assert declared == {"0": {"pt.residual": (0, 1.5), "pt.holds": (True, False)}}
+    moved, broken = corpus.compare_reports(*MOVE, declared["0"])
+    assert broken == [] and len(moved) == 2 and declared["0"] == {}
+    # without the declaration the same moves break the rules
+    assert len(corpus.compare_reports(*MOVE)[1]) == 2
+
+
+def test_a_move_declared_with_other_values_fails(corpus):
+    moved, broken = corpus.compare_reports(*MOVE, {"pt.residual": (0, 1.25),
+                                                   "pt.holds": (True, False)})
+    assert broken == ["pt.residual: 0 -> 1.5, declared 0 -> 1.25"]
+
+
+def test_a_declared_move_that_does_not_occur_fails(corpus, tmp_path, capsys):
+    report = '{"pt": {"residual": 0, "holds": true}}'
+    save(tmp_path / "a", "aa", report)
+    save(tmp_path / "b", "aa", report)
+    assert corpus.compare(tmp_path / "a", tmp_path / "b", {"0": {"pt.holds": (True, False)}}) == 1
+    assert "FAIL pt.holds: declared True -> False, did not move" in capsys.readouterr().out
+    assert corpus.compare(tmp_path / "a", tmp_path / "b", {"7": {"pt.holds": (True, False)}}) == 1
+    assert corpus.compare(tmp_path / "a", tmp_path / "b") == 0

@@ -20,6 +20,7 @@ different order from run to run.
     python3 tools/report_corpus.py --src ../base/src --save base
     python3 tools/report_corpus.py --save change
     python3 tools/report_corpus.py --compare base change
+    python3 tools/report_corpus.py --compare base change --moves tools/corpus_moves.txt
 
 ``--src`` picks the source tree to run (default: this checkout's).
 ``--save DIR`` also keeps the lines in ``DIR/index.txt`` and each report
@@ -45,6 +46,12 @@ by sign bit as well as by value, since ``-0.0 == 0.0``.  The rules:
 * any other float must agree within ``FLOAT_REL`` times the largest
   magnitude of the same field (the path with list indices dropped) in
   that report.
+
+``--moves FILE`` lists the moves a change makes by design, one per line,
+``INDEX FIELD OLD NEW``: the report's index, the field's dotted path as the
+comparison prints it, and the two values as JSON (``#`` starts a comment).
+A declared move breaks no rule, but it must occur exactly as written: a
+declared field that did not move, or moved to other values, fails.
 """
 
 from __future__ import annotations
@@ -272,8 +279,30 @@ def _same(x, y) -> bool:
     return x == y
 
 
-def compare_reports(a, b) -> tuple[list[str], list[str]]:
-    """The fields that moved between two reports, and the rules those moves break."""
+def _exactly(x, value) -> bool:
+    """``x`` is ``value``: of one type, and :func:`_same`."""
+    return type(x) is type(value) and _same(x, value)
+
+
+def read_moves(path: Path) -> dict[str, dict[str, tuple]]:
+    """The declared moves of ``path``: report index -> field -> (old, new)."""
+    moves: dict[str, dict[str, tuple]] = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            index, field, old, new = line.split()
+            moves.setdefault(index, {})[field] = tuple(
+                json.loads(value, parse_int=_parse_int) for value in (old, new))
+    return moves
+
+
+def compare_reports(a, b, declared: dict | None = None) -> tuple[list[str], list[str]]:
+    """The fields that moved between two reports, and the rules those moves break.
+
+    A field of ``declared`` (field -> (old, new), see ``--moves``) that moves
+    from old to new breaks no rule; each one found is removed from it.
+    """
+    declared = {} if declared is None else declared
     top: dict[str, float] = {}
     _magnitudes(a, (), top)
     _magnitudes(b, (), top)
@@ -306,6 +335,11 @@ def compare_reports(a, b) -> tuple[list[str], list[str]]:
                 walk(u, v, (*path, i), owner, failing)
         elif _same(x, y):
             return
+        elif where in declared:
+            old, new = declared.pop(where)
+            moved.append(f"{where}: {x!r} -> {y!r} (declared)")
+            if not (_exactly(x, old) and _exactly(y, new)):
+                broken.append(f"{where}: {x!r} -> {y!r}, declared {old!r} -> {new!r}")
         elif isinstance(x, float) or isinstance(y, float):
             moved.append(f"{where}: {x!r} -> {y!r}")
             name = next(key for key in reversed(path) if isinstance(key, str))
@@ -325,35 +359,45 @@ def compare_reports(a, b) -> tuple[list[str], list[str]]:
     return moved, broken
 
 
-def compare(dir_a: Path, dir_b: Path) -> int:
-    """Compare two saved corpora; print every moved field; 1 when a rule is broken."""
+def compare(dir_a: Path, dir_b: Path, moves: dict | None = None) -> int:
+    """Compare two saved corpora; print every moved field; 1 when a rule is broken
+    or a declared move (``moves``, from :func:`read_moves`) did not occur as written."""
+    moves = {index: dict(fields) for index, fields in (moves or {}).items()}
     index_a = (dir_a / "index.txt").read_text(encoding="utf-8").splitlines()
     index_b = (dir_b / "index.txt").read_text(encoding="utf-8").splitlines()
     if len(index_a) != len(index_b):
         print(f"FAIL corpus size {len(index_a)} -> {len(index_b)}")
         return 1
-    failures = moves = 0
+    failures = moved_fields = 0
     for line_a, line_b in zip(index_a, index_b):
         index, code_a, digest_a, argv_a = line_a.split(" ", 3)
         _, code_b, digest_b, argv_b = line_b.split(" ", 3)
+        declared = moves.pop(index, {})
         if (code_a, argv_a, digest_a == "-") != (code_b, argv_b, digest_b == "-"):
             print(f"{index} FAIL exit {code_a} -> {code_b}: {argv_a} | {argv_b}")
             failures += 1
             continue
-        if digest_a == digest_b:
+        moved, broken = [], []
+        if digest_a != digest_b:
+            moved, broken = compare_reports(
+                *(json.loads((d / f"{index}.json").read_text(encoding="utf-8"),
+                             parse_int=_parse_int) for d in (dir_a, dir_b)), declared)
+        broken += [f"{field}: declared {old!r} -> {new!r}, did not move"
+                   for field, (old, new) in declared.items()]
+        if digest_a == digest_b and not broken:
             print(f"{index} identical {argv_a}")
             continue
-        moved, broken = compare_reports(
-            *(json.loads((d / f"{index}.json").read_text(encoding="utf-8"), parse_int=_parse_int)
-              for d in (dir_a, dir_b)))
-        moves += len(moved)
+        moved_fields += len(moved)
         failures += bool(broken)
         print(f"{index} {'FAIL' if broken else 'ok'} {len(moved)} moved {argv_a}")
         for line in moved:
             print(f"  moved {line}")
         for line in broken:
             print(f"  FAIL {line}")
-    print(f"{len(index_a)} reports, {moves} fields moved, {failures} failing")
+    for index in moves:
+        print(f"{index} FAIL moves declared for a report the corpus does not have")
+        failures += 1
+    print(f"{len(index_a)} reports, {moved_fields} fields moved, {failures} failing")
     return 1 if failures else 0
 
 
@@ -363,9 +407,11 @@ def main(argv=None) -> int:
     parser.add_argument("--save", type=Path, metavar="DIR", help="also keep every report in DIR")
     parser.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
                         help="compare two saved corpora instead of running one")
+    parser.add_argument("--moves", type=Path, metavar="FILE",
+                        help="with --compare: the moves declared by design, INDEX FIELD OLD NEW")
     args = parser.parse_args(argv)
     if args.compare:
-        return compare(*args.compare)
+        return compare(*args.compare, read_moves(args.moves) if args.moves else None)
     run(args.src.resolve(), args.save.resolve() if args.save else None)
     return 0
 
