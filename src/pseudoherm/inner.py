@@ -1,12 +1,14 @@
 """Inner-product structures and norm signatures for eigenstate sets.
 
-Four Gram matrices over states Psi_1..Psi_m, the columns of a matrix
-(the layout of ``Spectrum.eigenvectors``):
+The Grams over states Psi_1..Psi_m, the columns of a matrix (the layout of
+``Spectrum.eigenvectors``), are one form, ``G = L(Psi, M) Psi``: a left
+factor L, which may conjugate the states and apply a metric M, times the
+states.  The four (L, M) choices:
 
-* eta gram:        G[m, n] = Psi_m^dagger eta Psi_n          (pseudo-norms)
-* PT gram:         G[m, n] = (P conj(Psi_m))^T Psi_n
-* transpose gram:  G[m, n] = Psi_m^T Psi_n                   (no conjugation)
-* Hermitian gram:  G[m, n] = Psi_m^dagger Psi_n
+* eta gram:        L = Psi^dagger eta,       M = eta    (pseudo-norms)
+* PT gram:         L = (P conj(Psi))^T,      M = P
+* transpose gram:  L = Psi^T,                unit form  (no conjugation)
+* Hermitian gram:  L = Psi^dagger,           unit form
 
 For eigenstates of a Hamiltonian certified by a metric, off-diagonal
 entries of the matching gram vanish whenever the eigenvalue pair is
@@ -30,6 +32,7 @@ from .linalg import (
     DimensionMismatch,
     ToleranceConfig,
     ZeroVector,
+    _unit_factor,
     as_matrix,
     fro,
 )
@@ -82,69 +85,58 @@ def _offdiag_max(gram: np.ndarray, eigenvalues, conjugate_pairing: bool) -> floa
         ev = np.asarray(eigenvalues, dtype=np.complex128).reshape(-1)
         if ev.size != m:
             raise DimensionMismatch("one eigenvalue per state required")
+        # the eigenvalues and the floor 1 times the power of four that brings the
+        # largest part into [1/4, 1), so that |ev| and the gaps cannot overflow
+        f = float(_unit_factor(ev[None, :])[0])
+        ev = ev * f
         left = ev.conj() if conjugate_pairing else ev
-        with np.errstate(over="ignore"):  # an infinite gap is non-degenerate
-            scale = max(1.0, float(np.abs(ev).max()))
-            gap = np.abs(left[:, None] - ev[None, :])
-        mask &= gap > DEGENERACY_TOL * scale
+        scale = max(f, float(np.abs(ev).max()))
+        mask &= np.abs(left[:, None] - ev[None, :]) > DEGENERACY_TOL * scale
     if not mask.any():
         return 0.0
     return float(np.abs(gram[mask]).max())
 
 
-def _signature(gram: np.ndarray, metric_norm: float, state_norms: np.ndarray,
-               tol: ToleranceConfig) -> tuple[tuple[complex, ...], tuple[str, ...]]:
-    norms = tuple(complex(gram[k, k]) for k in range(gram.shape[0]))
-    signs = []
-    for k, value in enumerate(norms):
-        dead = tol.metric_tol * metric_norm * float(state_norms[k]) ** 2
-        if abs(value.real) <= dead:
-            signs.append("0")
-        else:
-            signs.append("+" if value.real > 0 else "-")
-    return norms, tuple(signs)
+def _gram(kind: str, states, metric, left, eigenvalues, conjugate_pairing: bool,
+          tol: ToleranceConfig | None) -> GramReport:
+    """The Gram ``left(Psi, M) @ Psi`` of the columns Psi of ``states``, with its summary.
 
-
-def _report(kind: str, gram: np.ndarray, metric_norm: float, state_norms: np.ndarray,
-            eigenvalues, conjugate_pairing: bool, tol: ToleranceConfig) -> GramReport:
-    norms, signs = _signature(gram, metric_norm, state_norms, tol)
-    return GramReport(
-        kind=kind,
-        gram=gram,
-        offdiag_max=_offdiag_max(gram, eigenvalues, conjugate_pairing),
-        norms=norms,
-        signature=signs,
-    )
+    ``metric`` is M, or ``None`` for the unit form, whose dead-zone norm
+    is sqrt(n), that of the n x n identity.  Only the eta Gram rejects a
+    zero state.
+    """
+    tol = tol or DEFAULT_TOL
+    v = _states(states)
+    n = v.shape[0]
+    if metric is None:
+        metric_norm = float(np.sqrt(n))
+    else:
+        metric = as_matrix(metric)
+        if metric.shape[0] != n:
+            word = "metric" if kind == ETA_GRAM else "parity"
+            raise DimensionMismatch(f"{word} is {metric.shape[0]}x{metric.shape[0]} "
+                                    f"but states have dimension {n}")
+        metric_norm = fro(metric)
+    state_norms = np.linalg.norm(v, axis=0)
+    if kind == ETA_GRAM and float(state_norms.min()) == 0.0:
+        raise ZeroVector("eta gram needs nonzero states")
+    gram = left(v, metric) @ v
+    norms = tuple(complex(z) for z in np.diagonal(gram))
+    dead = (tol.metric_tol * metric_norm * float(s) ** 2 for s in state_norms)
+    signature = tuple("0" if abs(z.real) <= d else "+" if z.real > 0 else "-"
+                      for z, d in zip(norms, dead))
+    return GramReport(kind, gram, _offdiag_max(gram, eigenvalues, conjugate_pairing),
+                      norms, signature)
 
 
 def eta_gram(states, eta, eigenvalues=None, tol: ToleranceConfig | None = None) -> GramReport:
     """Pseudo-norm Gram matrix ``Psi_m^dagger eta Psi_n`` of the columns of ``states`` (n x m)."""
-    tol = tol or DEFAULT_TOL
-    v = _states(states)
-    eta = as_matrix(eta)
-    if eta.shape[0] != v.shape[0]:
-        raise DimensionMismatch(
-            f"metric is {eta.shape[0]}x{eta.shape[0]} but states have dimension {v.shape[0]}"
-        )
-    state_norms = np.linalg.norm(v, axis=0)
-    if float(state_norms.min()) == 0.0:
-        raise ZeroVector("eta gram needs nonzero states")
-    gram = v.conj().T @ eta @ v
-    return _report(ETA_GRAM, gram, fro(eta), state_norms, eigenvalues, True, tol)
+    return _gram(ETA_GRAM, states, eta, lambda v, m: v.conj().T @ m, eigenvalues, True, tol)
 
 
 def pt_gram(states, parity, eigenvalues=None, tol: ToleranceConfig | None = None) -> GramReport:
     """PT Gram matrix ``(P conj(Psi_m))^T Psi_n`` of the columns of ``states`` (n x m)."""
-    tol = tol or DEFAULT_TOL
-    v = _states(states)
-    parity = as_matrix(parity)
-    if parity.shape[0] != v.shape[0]:
-        raise DimensionMismatch(
-            f"parity is {parity.shape[0]}x{parity.shape[0]} but states have dimension {v.shape[0]}"
-        )
-    gram = (parity @ v.conj()).T @ v
-    state_norms = np.linalg.norm(v, axis=0)
-    return _report(PT_GRAM, gram, fro(parity), state_norms, eigenvalues, True, tol)
+    return _gram(PT_GRAM, states, parity, lambda v, m: (m @ v.conj()).T, eigenvalues, True, tol)
 
 
 def transpose_gram(states, eigenvalues=None, tol: ToleranceConfig | None = None) -> GramReport:
@@ -153,19 +145,9 @@ def transpose_gram(states, eigenvalues=None, tol: ToleranceConfig | None = None)
     Nonzero vectors may still self-pair to zero here: the bilinear form
     has isotropic vectors such as (1, i).
     """
-    tol = tol or DEFAULT_TOL
-    v = _states(states)
-    gram = v.T @ v
-    state_norms = np.linalg.norm(v, axis=0)
-    metric_norm = float(np.sqrt(v.shape[0]))
-    return _report(TRANSPOSE_GRAM, gram, metric_norm, state_norms, eigenvalues, False, tol)
+    return _gram(TRANSPOSE_GRAM, states, None, lambda v, _: v.T, eigenvalues, False, tol)
 
 
 def hermitian_gram(states, tol: ToleranceConfig | None = None) -> GramReport:
     """Gram matrix ``Psi_m^dagger Psi_n`` of the columns of ``states``; its diagonal is > 0."""
-    tol = tol or DEFAULT_TOL
-    v = _states(states)
-    gram = v.conj().T @ v
-    state_norms = np.linalg.norm(v, axis=0)
-    metric_norm = float(np.sqrt(v.shape[0]))
-    return _report(HERMITIAN_GRAM, gram, metric_norm, state_norms, None, True, tol)
+    return _gram(HERMITIAN_GRAM, states, None, lambda v, _: v.conj().T, None, True, tol)

@@ -492,8 +492,12 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     metric.  Failed checks are recorded, never raised; only input-format
     errors propagate.
 
-    The PT verdict is pseudo-reality under a designated parity matrix
-    (grid/anti-diagonal reversal by default, overridable via ``parity``).
+    H's own relations and PT are checks of two designated metrics:
+    Hermiticity and self-adjointness are the pseudo-Hermitian and
+    pseudo-adjoint relations under the identity, and the PT verdict is
+    pseudo-reality under a parity matrix (grid/anti-diagonal reversal by
+    default, overridable via ``parity``).  A designated metric equal to a
+    candidate that was invertible takes that candidate's residuals.
     A precomputed ``spectrum`` may be passed to avoid a second eigensolve.
     It must come from :func:`eigendecompose` with the same ``tol``: it keeps
     D^-1 only where its own ``metric_tol`` accepts D, so under a smaller
@@ -504,11 +508,6 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     given = as_matrix(h)
     h = _intake(given)[0]
     tol = tol or DEFAULT_TOL
-
-    # S = 1: symmetry and Hermiticity of H
-    sa_res, herm_res = _residuals(h, h.copy(), (PSEUDO_ADJOINT, PSEUDO_HERMITIAN))
-    hermitian = (bool(herm_res <= tol.metric_tol), float(herm_res))
-    self_adjoint = (bool(sa_res <= tol.metric_tol), float(sa_res))
 
     failure = None
     if spectrum is None:
@@ -526,30 +525,31 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     parity = as_matrix(parity) if parity is not None else default_parity(h.shape[0])
     if parity.shape != h.shape:
         raise DimensionMismatch("parity matrix dimension mismatch")
-    # A candidate equal to the parity already holds this residual.  A
-    # singular one (residual inf) falls through to the inversion, which
-    # finds it singular.
-    pt_res = next((reports[PSEUDO_REAL].residual
-                   for reports, metric in zip(checked, (candidates or {}).values())
-                   if math.isfinite(reports[PSEUDO_REAL].residual)
-                   and np.array_equal(metric, parity)), None)
-    if pt_res is None:
-        similar, _, singular = _similarity(parity, h)
-        if not singular:
-            pt_res = _residuals(h, similar, (PSEUDO_REAL,))[0]
+
+    def designated(metric, kinds):
+        # A candidate equal to the metric that was invertible already holds
+        # these residuals; None for a singular metric.
+        for reports, candidate in zip(checked, (candidates or {}).values()):
+            if math.isfinite(reports[kinds[0]].residual) and np.array_equal(candidate, metric):
+                return [reports[kind].residual for kind in kinds]
+        residuals, _, _, singular = _checks(h, metric, kinds=kinds)
+        return None if singular else [float(r) for r in residuals]
+
+    sa_res, herm_res = designated(identity_view(h.shape[0]), (PSEUDO_ADJOINT, PSEUDO_HERMITIAN))
+    pt_res = designated(parity, (PSEUDO_REAL,))
     if pt_res is None:
         warn.append("parity matrix is singular; PT check skipped")
         pt = None
     else:
-        pt = (parity_name, float(pt_res), bool(pt_res <= tol.metric_tol))
+        pt = (parity_name, pt_res[0], bool(pt_res[0] <= tol.metric_tol))
 
     reality_checks = tuple(_reality_check(k, name, eps[k], residual[k], tol)
                            for k in range(len(spectrum) if spectrum else 0)
                            for name, eps, residual in reality)
 
     return ClassificationReport(
-        hermitian=hermitian,
-        self_adjoint=self_adjoint,
+        hermitian=(bool(herm_res <= tol.metric_tol), herm_res),
+        self_adjoint=(bool(sa_res <= tol.metric_tol), sa_res),
         pseudo_real=pseudo_real,
         pseudo_adjoint=pseudo_adjoint,
         pseudo_hermitian=pseudo_hermitian,

@@ -24,6 +24,21 @@ def run(tmp_path, *argv):
     return code, doc
 
 
+def traced_peak(call):
+    """``(peak, result)``: the tracemalloc peak of ``call()`` above what was traced before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 class TestInterchange:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_round_trip_bit_exact(self, tmp_path, seed):
@@ -190,6 +205,19 @@ class TestAnalyze:
         assert doc["warnings"] == [
             "eigendecomposition failed: an eigenvalue lies beyond the float range of +-1.8e308"]
         assert doc["classification"]["hermitian"]["holds"]
+
+    def test_gram_degeneracy_does_not_overflow(self, tmp_path):
+        # |1.5e308 (1 + i)| overflows; the Grams test degeneracy on the
+        # eigenvalues times a power of four, so the PT Gram's entry 1 pairing
+        # the first and last states counts at either scale
+        offdiag = []
+        for scale in (1.0, 1e-300):
+            mat = tmp_path / "m.json"
+            save_matrix(mat, np.diag([1.5e308 * (1 + 1j), -1.5e308 * (1 + 1j), 1.0]) * scale)
+            code, doc = run(tmp_path, "analyze", "--matrix", str(mat))
+            assert code == 0
+            offdiag.append(next(g["offdiag_max"] for g in doc["grams"] if g["kind"] == "pt"))
+        assert offdiag == [1, 1]
 
     def test_deterministic_bytes(self, tmp_path):
         mat = tmp_path / "h.json"
@@ -399,12 +427,17 @@ class TestDiscretize:
         # permutations, which take index gathers, and the diagonalizer metrics
         # come with their inverses from its inverse
         assert len(lu_calls) == 1
-        # H's own relations, the identity and parity candidates and the three
-        # diagonalizer metrics; the PT residual is the parity candidate's
+        # the identity and parity candidates and the three diagonalizer metrics;
+        # H's own relations are the identity candidate's, and the PT residual
+        # is the parity candidate's
         cls = doc["classification"]
         parity = next(r for r in cls["pseudo_real"] if r["name"] == "parity")
-        assert len(residual_calls) == 6
+        identity = {kind: next(r for r in cls[kind] if r["name"] == "identity")
+                    for kind in ("pseudo_adjoint", "pseudo_hermitian")}
+        assert len(residual_calls) == 5
         assert cls["pt_symmetric"]["residual"] == parity["residual"]
+        assert cls["hermitian"]["residual"] == identity["pseudo_hermitian"]["residual"]
+        assert cls["self_adjoint"]["residual"] == identity["pseudo_adjoint"]["residual"]
         assert len(cls["reality_checks"]) == 5 * 256
 
     # The tracemalloc peak of a report at n = 256, in 16 n^2-byte arrays.  On the
@@ -423,19 +456,39 @@ class TestDiscretize:
     def test_peak_memory_is_a_few_n_by_n_arrays(self, tmp_path, argv, arrays):
         n = 256
         argv = ["discretize", *argv, "--n", str(n), "--json", str(tmp_path / "report.json")]
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            code = main(argv)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if started:
-                tracemalloc.stop()
+        peak, code = traced_peak(lambda: main(argv))
         assert code == 0
         assert peak <= arrays * 16 * n * n, f"{peak / (16 * n * n):.2f} arrays"
+
+    def test_analyze_peak_memory_is_a_few_n_by_n_arrays(self, tmp_path):
+        # An analyze with two dense candidates at n = 256, as the analyze-dense
+        # benchmark input, in 16 n^2-byte arrays.  The analysis of the loaded
+        # matrices holds the candidates' canonical copies, D, D^-1 and the three
+        # diagonalizer metrics, with a metric, its inverse, a product and a
+        # difference buffer in the last check (11.2 measured); the identity's
+        # check, a gather and a buffer, comes after it and stays below that.  The
+        # whole command peaks in the JSON parse of the last file, about 13 arrays
+        # of Python lists and floats beside the two matrices read before it
+        # (15.1 measured).
+        n = 256
+        rng = np.random.default_rng(0)
+        s = np.eye(n) + (0.3 / math.sqrt(2.0 * n)) * (rng.normal(size=(n, n))
+                                                      + 1j * rng.normal(size=(n, n)))
+        s_inv = np.linalg.inv(s)
+        h = s @ np.diag(np.linspace(-2.0, 2.0, n)) @ s_inv
+        candidates = {"rho": s.conj() @ s_inv, "eta": np.linalg.inv(s @ s.conj().T)}
+        argv = ["analyze", "--matrix", str(tmp_path / "h.json"),
+                "--json", str(tmp_path / "report.json")]
+        save_matrix(tmp_path / "h.json", h)
+        for name, m in candidates.items():
+            save_matrix(tmp_path / f"{name}.json", m)
+            argv += [f"--{name}", f"{name}={tmp_path / name}.json"]
+        peak, code = traced_peak(lambda: main(argv))
+        assert code == 0
+        assert peak <= 16 * 16 * n * n, f"{peak / (16 * n * n):.2f} arrays"
+        peak, doc = traced_peak(lambda: build_report(h, candidates, DEFAULT_TOL, {}))
+        assert next(r for r in doc["classification"]["pseudo_real"] if r["name"] == "rho")["holds"]
+        assert peak <= 12 * 16 * n * n, f"{peak / (16 * n * n):.2f} arrays"
 
     @pytest.mark.parametrize("n", [2, 48])
     def test_reports_with_views_equal_dense(self, n):

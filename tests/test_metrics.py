@@ -819,10 +819,8 @@ def reference_check(h, metric, vectors):
 
 def reference_pt_gram(states, parity, eigenvalues, tol):
     """``pt_gram`` with the product ``P conj(Psi)``, as it was before its gather (reference)."""
-    v = np.column_stack(states)
-    gram = (parity @ v.conj()).T @ v
-    return inner._report(inner.PT_GRAM, gram, fro(parity), np.linalg.norm(v, axis=0),
-                         eigenvalues, True, tol)
+    return inner._gram(inner.PT_GRAM, np.column_stack(states), parity,
+                       lambda v, p: (p @ v.conj()).T, eigenvalues, True, tol)
 
 
 def bits(x) -> bytes:
@@ -935,6 +933,28 @@ class TestPermutationMetrics:
             assert reports[PSEUDO_REAL].metric.tobytes() == canonical.tobytes(), name
             assert bits(colinearity[0]) == bits(eps), name
             assert colinearity[1].tobytes() == residual.tobytes(), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(permutation_systems(), st.booleans())
+    def test_designated_metrics_take_an_equal_candidates_residuals(self, system, views):
+        # H's own relations are those under the identity and PT is pseudo-reality
+        # under the parity: candidates equal to them give the verdicts of the
+        # designated metrics' own checks bit for bit, and no check of their own
+        p, h = system
+        n = len(h)
+        identity = identity_view(n) if views else np.eye(n, dtype=np.complex128)
+        if views:
+            p = default_parity(n)
+        residuals = metrics._residuals
+        with mock.patch.object(metrics, "_residuals", side_effect=residuals) as spy:
+            report = classify(h, {"identity": identity, "P": p}, parity=p)
+        assert spy.call_count == len(report.pseudo_real)  # one pass per metric reported
+
+        def verdicts(r):
+            pairs = (r.hermitian, r.self_adjoint, r.pt_symmetric[:0:-1])
+            return [(holds, residual.hex()) for holds, residual in pairs]
+
+        assert verdicts(report) == verdicts(classify(h, None, parity=p))
 
     def test_pt_gram_keeps_the_product(self):
         # conj(Psi) of H6's eigenvectors has negative zeros; the product with
