@@ -111,11 +111,13 @@ def _spectrum_doc(spec: Spectrum | None) -> dict | None:
     }
 
 
-def _classification_doc(report: metrics.ClassificationReport) -> dict:
+def _classification_doc(report: metrics.ClassificationReport, matrices: list[JSONText]) -> dict:
+    """The classification document; ``matrices`` holds each checked metric's
+    :func:`_matrix_doc`, in the order of the reports."""
     entries = {kind: [] for kind in metrics.KINDS}
     # the three reports of one metric share its matrix document
-    for reps in zip(report.pseudo_real, report.pseudo_adjoint, report.pseudo_hermitian):
-        matrix = _matrix_doc(reps[0].metric)
+    for matrix, *reps in zip(matrices, report.pseudo_real, report.pseudo_adjoint,
+                             report.pseudo_hermitian, strict=True):
         for rep in reps:
             entries[rep.kind].append({
                 "name": rep.name,
@@ -166,11 +168,26 @@ def build_report(h, candidates, tol: ToleranceConfig, input_doc: dict,
     """Classify ``h`` and assemble the full report document.
 
     ``gram_spectrum`` selects the states the Gram reports run over
-    (defaults to the classification spectrum).
+    (defaults to the classification spectrum).  Each metric's matrix
+    document, and the eta Gram of a holding pseudo-Hermitian one, are
+    rendered right after its check, so that the metric is released before
+    the next is built.
     """
     parity = parity if parity is not None else metrics.default_parity(h.shape[0])
-    report = metrics.classify(h, candidates, tol, parity=parity,
-                              parity_name=parity_name, spectrum=spectrum)
+    matrices: list[JSONText] = []
+    eta_grams: list[dict] = []
+
+    def render(reports, spectrum):
+        metric = reports[metrics.PSEUDO_REAL].metric
+        matrices.append(_matrix_doc(metric))
+        shown = gram_spectrum if gram_spectrum is not None else spectrum
+        rep = reports[metrics.PSEUDO_HERMITIAN]
+        if rep.holds and shown is not None and len(shown) > 0:
+            eta_grams.append(_gram_doc(
+                inner.eta_gram(shown.eigenvectors, metric, shown.eigenvalues, tol), rep.name))
+
+    report = metrics.classify(h, candidates, tol, parity=parity, parity_name=parity_name,
+                              spectrum=spectrum, on_metric=render)
     warnings = list(report.warnings)
     shown = gram_spectrum if gram_spectrum is not None else report.spectrum
 
@@ -179,10 +196,7 @@ def build_report(h, candidates, tol: ToleranceConfig, input_doc: dict,
         states, eigenvalues = shown.eigenvectors, shown.eigenvalues
         grams.append(_gram_doc(inner.hermitian_gram(states, tol), None))
         grams.append(_gram_doc(inner.transpose_gram(states, eigenvalues, tol), None))
-        for rep in report.pseudo_hermitian:
-            if rep.holds:
-                grams.append(_gram_doc(
-                    inner.eta_gram(states, rep.metric, eigenvalues, tol), rep.name))
+        grams.extend(eta_grams)
         if report.pt_symmetric is not None:
             name = report.pt_symmetric[0]
             grams.append(_gram_doc(inner.pt_gram(states, parity, eigenvalues, tol), name))
@@ -190,7 +204,7 @@ def build_report(h, candidates, tol: ToleranceConfig, input_doc: dict,
     return {
         "input": input_doc,
         "spectrum": _spectrum_doc(shown),
-        "classification": _classification_doc(report),
+        "classification": _classification_doc(report, matrices),
         "grams": grams,
         "warnings": warnings,
     }

@@ -31,7 +31,7 @@ order is scaled to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,14 +72,15 @@ CANONICAL_ZERO_REL = 1e-12
 class MetricReport:
     """Outcome of one similarity check.
 
-    ``metric`` is stored canonically normalized; ``residual`` is the
-    relative similarity residual against the kind's target and the check
-    holds when it does not exceed ``metric_tol``.
+    ``metric`` is stored canonically normalized, or ``None`` once a
+    per-metric callback has used it (see :func:`check_metrics`);
+    ``residual`` is the relative similarity residual against the kind's
+    target and the check holds when it does not exceed ``metric_tol``.
     """
 
     kind: str
     name: str
-    metric: np.ndarray
+    metric: np.ndarray | None
     residual: float
     holds: bool
     provenance: str
@@ -197,18 +198,27 @@ def _check(h: np.ndarray, metric: np.ndarray, tol: ToleranceConfig, name: str,
     columns of ``vectors`` under the canonical metric if pseudo-real (else ``None``).
 
     The metric is inverted, or gathered if a permutation (see :func:`_similarity`),
-    unless ``metric_inv`` is given; that is scaled in place by the pivot unless it is 1.
-    A read-only metric whose pivot is 1, such as :func:`default_parity`, is
-    its own canonical form, held by the reports without a copy (``metric / 1``
-    would equal it bit for bit); a writable one is copied, so that a caller
-    who changes it later does not change the reports.
+    unless ``metric_inv`` is given: then the pair is the caller's own, such as a
+    diagonalizer pair, and is scaled in place: ``metric /= pivot``, the bits of
+    ``metric / pivot``, and ``metric_inv *= pivot`` unless the pivot is 1.  A
+    candidate given alone is never written to.  A read-only one whose pivot is 1, such as
+    :func:`default_parity`, is its own canonical form, held by the reports
+    without a copy (``metric / 1`` would equal it bit for bit); a writable one
+    is copied, so that a caller who changes it later does not change the reports.
     """
     if metric.shape != h.shape:
         raise DimensionMismatch(f"metric '{name}' has shape {metric.shape}, expected {h.shape}")
+    own_pair = metric_inv is not None
     residuals, pivot, metric_inv, singular = _checks(h, metric, metric_inv)
     if singular:
         raise SingularMatrix(f"metric '{name}' is singular")
-    canonical = metric if pivot == 1 and not metric.flags.writeable else metric / pivot
+    if own_pair:
+        metric /= pivot
+        canonical = metric
+    elif pivot == 1 and not metric.flags.writeable:
+        canonical = metric
+    else:
+        canonical = metric / pivot
     reports = {kind: MetricReport(kind, name, canonical, float(residual),
                                   bool(residual <= tol.metric_tol), provenance)
                for kind, residual in zip(KINDS, residuals)}
@@ -273,18 +283,24 @@ def _rho_pair(d: np.ndarray, d_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _mu_pair(d: np.ndarray, d_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # both averaged with their transposes: a projection onto the symmetry
-    # the exact expressions have
-    mu = _t(d_inv) @ d_inv
-    mu_inv = d @ _t(d)
-    return (mu + _t(mu)) / 2.0, (mu_inv + _t(mu_inv)) / 2.0
+    """``(mu, mu^-1)``, each averaged in place with its transpose, a projection onto
+    the symmetry the exact expressions have: the bits of ``(m + m^T) / 2``, as
+    numpy buffers the transpose that overlaps ``m``."""
+    pair = _t(d_inv) @ d_inv, d @ _t(d)
+    for m in pair:
+        m += _t(m)
+        m /= 2.0
+    return pair
 
 
 def _eta_plus_pair(d: np.ndarray, d_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # both averaged with their daggers, so exactly Hermitian
-    eta = _t(d_inv.conj()) @ d_inv
-    eta_inv = d @ _t(d.conj())
-    return (eta + _t(eta.conj())) / 2.0, (eta_inv + _t(eta_inv.conj())) / 2.0
+    """``(eta+, eta+^-1)``, each averaged in place with its dagger, so exactly
+    Hermitian, with the bits of ``(m + m^dagger) / 2``."""
+    pair = _t(d_inv.conj()) @ d_inv, d @ _t(d.conj())
+    for m in pair:
+        m += _t(m.conj())
+        m /= 2.0
+    return pair
 
 
 def rho_from_diagonalizer(d) -> np.ndarray:
@@ -325,7 +341,8 @@ DIAGONALIZER_METRICS = (
 
 
 def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig | None = None,
-                  vectors=None) -> tuple[list[dict[str, MetricReport]], list[tuple], list[str]]:
+                  vectors=None, on_metric=None
+                  ) -> tuple[list[dict[str, MetricReport]], list[tuple], list[str]]:
     """Run :func:`check_all` on each candidate, then on the diagonalizer metrics.
 
     Returns ``(checked, reality, warnings)``: the reports of each metric,
@@ -335,6 +352,10 @@ def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig
     ``inf``.  The diagonalizer metrics are products of the spectrum's D and
     D^-1, suppressed with a warning when D is near-defective or has no
     stored inverse; each pair is released before the next is built.
+
+    ``on_metric(reports, spectrum)``, if given, is called with each metric's
+    three reports, keyed by kind, right after its check; the reports kept
+    after it returns hold ``metric=None``, so that the metric is released.
     """
     h = as_matrix(h)
     tol = tol or DEFAULT_TOL
@@ -349,6 +370,9 @@ def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig
             reports = {kind: MetricReport(kind, name, metric, math.inf, False, provenance)
                        for kind in KINDS}
             colinearity = None
+        if on_metric is not None:
+            on_metric(reports, spectrum)
+            reports = {kind: replace(rep, metric=None) for kind, rep in reports.items()}
         checked.append(reports)
         if colinearity is not None:
             reality.append((name, *colinearity))
@@ -481,7 +505,7 @@ def symmetry_generator(eta_i, eta_j, h) -> tuple[np.ndarray, float]:
 
 def classify(h, candidates=None, tol: ToleranceConfig | None = None,
              parity=None, parity_name: str = "reversal",
-             spectrum: Spectrum | None = None) -> ClassificationReport:
+             spectrum: Spectrum | None = None, on_metric=None) -> ClassificationReport:
     """Run the full symmetry analysis of one Hamiltonian.
 
     ``candidates`` maps metric names to matrices; every candidate is tested
@@ -504,6 +528,8 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     ``metric_tol`` a D it judged near-defective gets no diagonalizer
     metrics ("the spectrum carries no inverse of D").  Every check runs on H
     taken in by :func:`pseudoherm.linalg._intake`, as :func:`eigendecompose` takes it.
+    ``on_metric`` is as in :func:`check_metrics`; without it the reports
+    keep the canonical metrics.
     """
     given = as_matrix(h)
     h = _intake(given)[0]
@@ -517,7 +543,7 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
             failure = f"eigendecomposition failed: {exc}"
 
     vectors = spectrum.eigenvectors if spectrum is not None else None
-    checked, reality, warn = check_metrics(h, candidates, spectrum, tol, vectors)
+    checked, reality, warn = check_metrics(h, candidates, spectrum, tol, vectors, on_metric)
     if failure is not None:
         warn.append(failure)
     pseudo_real, pseudo_adjoint, pseudo_hermitian = (tuple(r[k] for r in checked) for k in KINDS)

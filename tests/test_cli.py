@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pseudoherm import (SIGMA_X, GridSpec, _lapack, build_hamiltonian, dumps_matrix, h5, h6,
-                        harmonic, load_matrix, loads_matrix, metrics, morse, save_matrix)
+from pseudoherm import (SIGMA_X, GridSpec, _lapack, build_hamiltonian, canonical_normalize, cli,
+                        dumps_matrix, h5, h6, harmonic, inner, load_matrix, loads_matrix, metrics,
+                        morse, save_matrix)
 from pseudoherm.cli import build_report, main, sweep_family, sweep_values
 from pseudoherm.linalg import DEFAULT_TOL, MatrixFormatError, to_json_text
 
@@ -271,6 +272,108 @@ class TestAnalyzeContract:
         assert finite_numbers(doc)
 
 
+@st.composite
+def released_metric_systems(draw):
+    """``(h, candidates)``: H = S diag(lam) S^-1 (n = 2-8, a real spectrum or one
+    with a conjugate pair) and candidates that hold, fail, are singular, are
+    read-only views, or are writable with a canonical pivot other than 1."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = rng.permutation(np.arange(-8, 9))[:n] * 0.5 + rng.uniform(-0.1, 0.1, n)
+    swap = np.arange(n)
+    if draw(st.booleans()):
+        lam = lam.astype(complex)
+        lam[:2] = lam[0] + 1j * rng.uniform(0.5, 2.0) * np.array([1.0, -1.0])
+        swap[:2] = [1, 0]
+    s = np.eye(n) + (0.3 / np.sqrt(2.0 * n)) * (rng.normal(size=(n, n))
+                                                + 1j * rng.normal(size=(n, n)))
+    s_inv = np.linalg.inv(s)
+    factor = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
+    pool = {
+        "rho": lambda: factor * (s.conj() @ np.eye(n)[swap] @ s_inv),
+        "eta": lambda: np.linalg.inv(s @ s.conj().T),
+        "random": lambda: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+        "ones": lambda: np.ones((n, n)),
+        "zero": lambda: np.zeros((n, n)),
+        "identity": lambda: metrics.identity_view(n),
+        "parity": lambda: metrics.default_parity(n),
+        "twice_identity": lambda: 2.0 * np.eye(n),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(pool)), unique=True, max_size=len(pool)))
+    return s @ np.diag(lam) @ s_inv, {name: pool[name]() for name in names}
+
+
+def reference_report_text(h, candidates, tol) -> str:
+    """The report text of :func:`build_report`, rendered after the whole analysis
+    from the canonical metrics that :func:`metrics.classify` keeps without a
+    per-metric callback, each matrix document from its own report's metric."""
+    parity = metrics.default_parity(h.shape[0])
+    report = metrics.classify(h, candidates, tol, parity=parity)
+    classification = cli._classification_doc(report, [None] * len(report.pseudo_real))
+    for kind in metrics.KINDS:
+        for entry, rep in zip(classification[kind], getattr(report, kind), strict=True):
+            entry["metric"] = cli._matrix_doc(rep.metric)
+    grams = []
+    spec = report.spectrum
+    if spec is not None and len(spec) > 0:
+        v, ev = spec.eigenvectors, spec.eigenvalues
+        grams = [cli._gram_doc(inner.hermitian_gram(v, tol), None),
+                 cli._gram_doc(inner.transpose_gram(v, ev, tol), None)]
+        grams += [cli._gram_doc(inner.eta_gram(v, rep.metric, ev, tol), rep.name)
+                  for rep in report.pseudo_hermitian if rep.holds]
+        if report.pt_symmetric is not None:
+            grams.append(cli._gram_doc(inner.pt_gram(v, parity, ev, tol),
+                                       report.pt_symmetric[0]))
+    return to_json_text({"input": {}, "spectrum": cli._spectrum_doc(spec),
+                         "classification": classification, "grams": grams,
+                         "warnings": list(report.warnings)})
+
+
+class TestReleasedMetrics:
+    # build_report renders each metric's matrix document and eta Gram right
+    # after its check and lets it go; the bytes are those of a report rendered
+    # at the end from the metrics classify keeps
+    @settings(max_examples=60, deadline=None)
+    @given(released_metric_systems())
+    def test_report_bytes_equal_a_rendering_from_kept_metrics(self, system):
+        h, candidates = system
+        text = to_json_text(build_report(h, candidates, DEFAULT_TOL, {}))
+        reference = reference_report_text(h, candidates, DEFAULT_TOL)
+        # the first difference only: a diff of two long one-line texts is slow
+        at = next((i for i, pair in enumerate(zip(text, reference)) if len(set(pair)) > 1),
+                  min(len(text), len(reference)))
+        same = text == reference
+        assert same, f"byte {at}: {text[at - 60:at + 60]!r} != {reference[at - 60:at + 60]!r}"
+
+    def test_candidates_unchanged_and_library_reports_keep_metrics(self):
+        rng = np.random.default_rng(7)
+        n = 5
+        s = np.eye(n) + 0.1 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        h = s @ np.diag(np.arange(1.0, n + 1.0)) @ np.linalg.inv(s)
+        twice = 2.0 * np.eye(n, dtype=complex)
+        kept = twice.copy()
+        report = metrics.classify(h, {"twice": twice})
+        build_report(h, {"twice": twice}, DEFAULT_TOL, {})
+        # a caller's candidate with pivot 2 is divided into a copy, never in place
+        assert twice.tobytes() == kept.tobytes()
+        # without a callback the reports hold the canonical diagonalizer metrics
+        d, d_inv = report.spectrum.eigenvectors, report.spectrum.diagonalizer_inverse
+        for name, build, _ in metrics.DIAGONALIZER_METRICS:
+            reps = [next(r for r in getattr(report, kind) if r.name == name)
+                    for kind in metrics.KINDS]
+            expected = canonical_normalize(build(d, d_inv)[0])
+            assert all(rep.metric is reps[0].metric for rep in reps)
+            assert reps[0].metric.tobytes() == expected.tobytes(), name
+        # with one, each metric is seen once, then released from the reports
+        seen = []
+        released = metrics.classify(h, {"twice": twice},
+                                    on_metric=lambda reps, _: seen.append(reps))
+        assert [reps[metrics.PSEUDO_REAL].metric.tobytes() for reps in seen] == [
+            rep.metric.tobytes() for rep in report.pseudo_real]
+        assert all(rep.metric is None for kind in metrics.KINDS
+                   for rep in getattr(released, kind))
+
+
 class TestToleranceFlags:
     FLAGS = {"--tol-residual": "residual", "--tol-reality": "reality", "--tol-metric": "metric"}
 
@@ -443,15 +546,18 @@ class TestDiscretize:
     # The tracemalloc peak of a report at n = 256, in 16 n^2-byte arrays.  On the
     # near-defective Morse grid it holds H, the eigenvectors D and, in a check,
     # S H S^-1 and one difference buffer: 4 arrays, and about 0.3 more of vectors
-    # and small arrays (4.3 measured).  The oscillator grid also holds D^-1 and
-    # the three diagonalizer metrics, with a metric, its inverse and a product
-    # in the last check (10.4 measured).  Dense permutation metrics, a copy of a
-    # unit-pivot metric, a near-defective D's inverse or a separate identity to
-    # solve into each add one (7.3 and 14.2 before they were cut).
+    # and small arrays (4.3 measured).  On the oscillator grid the peak is in
+    # each diagonalizer metric's check: H, D, D^-1, that metric and its inverse,
+    # S H S^-1 and a product, 7 arrays (7.4 measured).  Each metric is released
+    # once its matrix document and eta Gram are rendered, and the pairs are
+    # averaged in place.  Dense permutation metrics, a copy of a unit-pivot
+    # metric, a near-defective D's inverse, a separate identity to solve into,
+    # each earlier metric kept to the end of the report or the averaging
+    # temporaries each add one (7.3, 14.2 and 10.4 before they were cut).
     @pytest.mark.parametrize("argv, arrays", [
         (["--family", "morse", "--C", "3.5", "--D", "4.0", "--shift", "0.5", "--xmin", "-4.0",
           "--xmax", "14.0", "--mass", "0.5"], 5),
-        (["--family", "harmonic", "--alpha", "1.0", "--xmax", "10.0"], 11),
+        (["--family", "harmonic", "--alpha", "1.0", "--xmax", "10.0"], 8),
     ], ids=["morse", "harmonic"])
     def test_peak_memory_is_a_few_n_by_n_arrays(self, tmp_path, argv, arrays):
         n = 256
@@ -463,13 +569,14 @@ class TestDiscretize:
     def test_analyze_peak_memory_is_a_few_n_by_n_arrays(self, tmp_path):
         # An analyze with two dense candidates at n = 256, as the analyze-dense
         # benchmark input, in 16 n^2-byte arrays.  The analysis of the loaded
-        # matrices holds the candidates' canonical copies, D, D^-1 and the three
-        # diagonalizer metrics, with a metric, its inverse, a product and a
-        # difference buffer in the last check (11.2 measured); the identity's
-        # check, a gather and a buffer, comes after it and stays below that.  The
-        # whole command peaks in the JSON parse of the last file, about 13 arrays
-        # of Python lists and floats beside the two matrices read before it
-        # (15.1 measured).
+        # matrices peaks in a diagonalizer metric's check: H, D, D^-1, that
+        # metric and its inverse, S H S^-1 and a product (6.7 measured).  Each
+        # canonical metric, a candidate's too, is released once its matrix
+        # document and eta Gram are rendered (11.2 when all were kept to the
+        # end).  The identity's check, a gather and a buffer, comes after it and
+        # stays below that.  The whole command peaks in the JSON parse of the
+        # last file, about 13 arrays of Python lists and floats beside the two
+        # matrices read before it (15.1 measured).
         n = 256
         rng = np.random.default_rng(0)
         s = np.eye(n) + (0.3 / math.sqrt(2.0 * n)) * (rng.normal(size=(n, n))
@@ -488,7 +595,7 @@ class TestDiscretize:
         assert peak <= 16 * 16 * n * n, f"{peak / (16 * n * n):.2f} arrays"
         peak, doc = traced_peak(lambda: build_report(h, candidates, DEFAULT_TOL, {}))
         assert next(r for r in doc["classification"]["pseudo_real"] if r["name"] == "rho")["holds"]
-        assert peak <= 12 * 16 * n * n, f"{peak / (16 * n * n):.2f} arrays"
+        assert peak <= 7 * 16 * n * n, f"{peak / (16 * n * n):.2f} arrays"
 
     @pytest.mark.parametrize("n", [2, 48])
     def test_reports_with_views_equal_dense(self, n):

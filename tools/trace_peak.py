@@ -7,6 +7,13 @@ arrays (16 N^2 bytes each)::
 
     python3 tools/trace_peak.py discretize --family harmonic --alpha 1 --xmax 10 --n 512
 
+With ``--max-arrays X`` before the command it exits 1 when the peak is
+above X n x n complex arrays (the command needs ``--n``), else with the
+command's exit code::
+
+    python3 tools/trace_peak.py --max-arrays 7.2 discretize --family harmonic \
+        --alpha 1 --xmax 10 --n 512
+
 ``tracemalloc`` counts the arrays numpy allocates, every n x n array of
 the pipeline among them, but not the workspace OpenBLAS allocates itself.
 """
@@ -22,6 +29,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def main(argv: list[str]) -> int:
+    max_arrays = None
+    if argv[:1] == ["--max-arrays"]:
+        max_arrays = float(argv[1])
+        argv = argv[2:]
+        if "--n" not in argv:
+            print("error: --max-arrays needs a command with --n", file=sys.stderr)
+            return 2
     sys.path.insert(0, str(SRC))
     from pseudoherm import cli
 
@@ -35,7 +49,11 @@ def main(argv: list[str]) -> int:
     line = f"peak {peak / 2**20:.1f} MiB"
     if "--n" in argv:
         n = int(argv[argv.index("--n") + 1])
-        line += f" = {peak / (16 * n * n):.2f} n x n complex arrays (n = {n})"
+        arrays = peak / (16 * n * n)
+        line += f" = {arrays:.2f} n x n complex arrays (n = {n})"
+        if max_arrays is not None and arrays > max_arrays:
+            print(f"{line}, above the bound of {max_arrays} arrays: {' '.join(argv)}")
+            return 1
     print(f"{line}, exit {code}: {' '.join(argv)}")
     return code
 
