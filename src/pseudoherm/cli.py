@@ -51,20 +51,28 @@ EMBED_LIMIT = 16
 
 def fingerprint(m) -> str:
     """Short content hash of a matrix (shape header + raw complex128 bytes)."""
-    return _fingerprints(np.ascontiguousarray(as_matrix(m)[np.newaxis]))[0]
+    return _fingerprints(as_matrix(m)[np.newaxis])[0]
 
 
 def _fingerprints(stack: np.ndarray) -> list[str]:
-    """:func:`fingerprint` of each matrix of a C-contiguous complex128 (k, n, n) stack,
-    each hashed from a view of its bytes in the stack."""
+    """:func:`fingerprint` of each matrix of a complex128 (k, n, n) stack, hashed from
+    views of its bytes: a C-contiguous stack matrix by matrix, any other row by row,
+    a row copied only if its own entries are not contiguous.  So a view such as
+    :func:`pseudoherm.metrics.identity_view`, each of whose rows is a slice of
+    one buffer, is hashed without an n x n copy."""
     k, n = stack.shape[:2]
-    data = memoryview(stack.reshape(-1).view(np.uint8))
-    size = len(data) // k
     header = hashlib.sha256(f"{n}:".encode())
+    if stack.flags.c_contiguous:
+        data = memoryview(stack.reshape(-1).view(np.uint8))
+        size = len(data) // k
+        matrices = ([data[start:start + size]] for start in range(0, len(data), size))
+    else:
+        matrices = (map(np.ascontiguousarray, m) for m in stack)
     prints = []
-    for start in range(0, len(data), size):
+    for parts in matrices:
         digest = header.copy()
-        digest.update(data[start:start + size])
+        for part in parts:
+            digest.update(part)
         prints.append(digest.hexdigest()[:16])
     return prints
 
@@ -74,7 +82,7 @@ def _matrix_texts(stack) -> list[JSONText]:
     stack, as JSON text; ``rows`` is written up to ``EMBED_LIMIT``, as
     :func:`pseudoherm.linalg.dumps_matrix` writes it.  One finiteness check
     covers the whole stack."""
-    stack = np.ascontiguousarray(stack, dtype=np.complex128)
+    stack = np.asarray(stack, dtype=np.complex128)
     require_finite(stack)
     n = stack.shape[1]
     prints = _fingerprints(stack)
@@ -169,22 +177,27 @@ def build_report(h, candidates, tol: ToleranceConfig, input_doc: dict,
 
     ``gram_spectrum`` selects the states the Gram reports run over
     (defaults to the classification spectrum).  Each metric's matrix
-    document, and the eta Gram of a holding pseudo-Hermitian one, are
-    rendered right after its check, so that the metric is released before
-    the next is built.
+    document, and its eta Gram unless it is known not to be
+    pseudo-Hermitian, are rendered when :func:`metrics.classify` hands the
+    metric over (a candidate after its check, a diagonalizer metric before
+    its inverse is built and its verdicts are known), so that the metric is
+    released at once; the report keeps the Gram of each metric that holds.
     """
     parity = parity if parity is not None else metrics.default_parity(h.shape[0])
     matrices: list[JSONText] = []
-    eta_grams: list[dict] = []
+    eta_grams: list[dict | None] = []
 
-    def render(reports, spectrum):
-        metric = reports[metrics.PSEUDO_REAL].metric
+    def render(name, metric, reports, spectrum):
         matrices.append(_matrix_doc(metric))
         shown = gram_spectrum if gram_spectrum is not None else spectrum
-        rep = reports[metrics.PSEUDO_HERMITIAN]
-        if rep.holds and shown is not None and len(shown) > 0:
-            eta_grams.append(_gram_doc(
-                inner.eta_gram(shown.eigenvectors, metric, shown.eigenvalues, tol), rep.name))
+        # a diagonalizer metric comes before its verdicts, which decide below
+        # whether its Gram is kept
+        gram = None
+        holds = reports is None or reports[metrics.PSEUDO_HERMITIAN].holds
+        if holds and shown is not None and len(shown) > 0:
+            gram = _gram_doc(inner.eta_gram(shown.eigenvectors, metric, shown.eigenvalues, tol),
+                             name)
+        eta_grams.append(gram)
 
     report = metrics.classify(h, candidates, tol, parity=parity, parity_name=parity_name,
                               spectrum=spectrum, on_metric=render)
@@ -196,7 +209,8 @@ def build_report(h, candidates, tol: ToleranceConfig, input_doc: dict,
         states, eigenvalues = shown.eigenvectors, shown.eigenvalues
         grams.append(_gram_doc(inner.hermitian_gram(states, tol), None))
         grams.append(_gram_doc(inner.transpose_gram(states, eigenvalues, tol), None))
-        grams.extend(eta_grams)
+        grams.extend(gram for gram, rep in zip(eta_grams, report.pseudo_hermitian, strict=True)
+                     if rep.holds)
         if report.pt_symmetric is not None:
             name = report.pt_symmetric[0]
             grams.append(_gram_doc(inner.pt_gram(states, parity, eigenvalues, tol), name))

@@ -35,6 +35,7 @@ from .linalg import (
     _unit_factor,
     as_matrix,
     fro,
+    permutation_of,
 )
 
 ETA_GRAM = "eta"
@@ -101,9 +102,11 @@ def _gram(kind: str, states, metric, left, eigenvalues, conjugate_pairing: bool,
           tol: ToleranceConfig | None) -> GramReport:
     """The Gram ``left(Psi, M) @ Psi`` of the columns Psi of ``states``, with its summary.
 
-    ``metric`` is M, or ``None`` for the unit form, whose dead-zone norm
-    is sqrt(n), that of the n x n identity.  Only the eta Gram rejects a
-    zero state.
+    ``metric`` is M, or ``None`` for the unit form.  The dead-zone norm of
+    the unit form is sqrt(n), and so is that of a strided permutation view
+    such as :func:`pseudoherm.metrics.default_parity`, whose ``fro`` would
+    copy it: the exact sum of n ones, the bits of ``fro``.  Only the eta
+    Gram rejects a zero state.
     """
     tol = tol or DEFAULT_TOL
     v = _states(states)
@@ -116,7 +119,9 @@ def _gram(kind: str, states, metric, left, eigenvalues, conjugate_pairing: bool,
             word = "metric" if kind == ETA_GRAM else "parity"
             raise DimensionMismatch(f"{word} is {metric.shape[0]}x{metric.shape[0]} "
                                     f"but states have dimension {n}")
-        metric_norm = fro(metric)
+        strided = not (metric.flags.c_contiguous or metric.flags.f_contiguous)
+        permutation = strided and permutation_of(metric) is not None
+        metric_norm = float(np.sqrt(n)) if permutation else fro(metric)
     state_norms = np.linalg.norm(v, axis=0)
     if kind == ETA_GRAM and float(state_norms.min()) == 0.0:
         raise ZeroVector("eta gram needs nonzero states")

@@ -20,6 +20,7 @@ is written ``-0``, which reads as the integer 0.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import math
@@ -201,10 +202,11 @@ def permutation_of(m: np.ndarray) -> np.ndarray | None:
     n = m.shape[0]
     if np.count_nonzero(m) != n:
         return None
-    rows, cols = np.nonzero(m)
-    ones = m[rows, cols]
-    if not (np.array_equal(rows, np.arange(n)) and (ones == 1.0).all()
-            and not np.signbit(ones.imag).any()
+    # the first nonzero of each row; with n nonzeros, a row holding two leaves
+    # another without one, whose entry found is then a zero
+    cols = np.argmax(m != 0, axis=1)
+    ones = m[np.arange(n), cols]
+    if not ((ones == 1.0).all() and not np.signbit(ones.imag).any()
             and np.array_equal(np.sort(cols), np.arange(n))):
         return None
     return cols
@@ -653,10 +655,10 @@ def matrix_from_doc(doc) -> np.ndarray:
     """Parse an interchange document; rejects non-square input.
 
     The rows are checked by one scan of the types and lengths of their
-    lists and values, and converted one row per array assignment.  Input the
-    scan or the conversion rejects is walked again entry by entry, in
-    row-major order, to name its first bad row or entry; non-finite
-    values are checked last.
+    lists and values, and converted by one ``np.fromiter`` over all the
+    values.  Input the scan or the conversion rejects is walked again entry
+    by entry, in row-major order, to name its first bad row or entry;
+    non-finite values are checked last.
     """
     if not isinstance(doc, dict):
         raise MatrixFormatError("document must be a JSON object")
@@ -671,12 +673,11 @@ def matrix_from_doc(doc) -> np.ndarray:
         raise MatrixFormatError(f"expected {n} rows")
     if not _is_pair_grid(rows, n):
         _raise_first_bad_entry(rows, n)
-    # row by row: one np.array of all rows would hold a conversion record
-    # for each of their n^2 lists, 2 MiB at n = 256, and peak memory with it
-    pairs = np.empty((n, n, 2))
+    # one pass over the values, into the one array: np.array of the rows would
+    # hold a conversion record for each of their n^2 lists, 2 MiB at n = 256
+    values = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
     try:
-        for i, row in enumerate(rows):
-            pairs[i] = row
+        pairs = np.fromiter(values, dtype=np.float64, count=2 * n * n)
     except OverflowError:  # an integer beyond the float range
         _raise_first_bad_entry(rows, n)
         raise
@@ -723,10 +724,18 @@ def dumps_matrix(m) -> str:
 
 
 def loads_matrix(text: str) -> np.ndarray:
+    # json.loads of an n x n matrix makes n^2 + n lists, none in a reference cycle, so
+    # the cyclic collector, which would scan the growing young generations again and
+    # again, is paused for it and then left as the caller had it
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"invalid JSON: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
     return matrix_from_doc(doc)
 
 

@@ -30,6 +30,7 @@ order is scaled to 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -73,7 +74,7 @@ class MetricReport:
     """Outcome of one similarity check.
 
     ``metric`` is stored canonically normalized, or ``None`` once a
-    per-metric callback has used it (see :func:`check_metrics`);
+    per-metric callback has been handed it (see :func:`check_metrics`);
     ``residual`` is the relative similarity residual against the kind's
     target and the check holds when it does not exceed ``metric_tol``.
     """
@@ -192,41 +193,68 @@ def _checks(h: np.ndarray, metric: np.ndarray, metric_inv: np.ndarray | None = N
 
 
 def _check(h: np.ndarray, metric: np.ndarray, tol: ToleranceConfig, name: str,
-           provenance: str, vectors=None, metric_inv: np.ndarray | None = None
-           ) -> tuple[dict[str, MetricReport], tuple[np.ndarray, np.ndarray] | None]:
-    """The reports of :func:`check_all`, and the colinearity ``(eps, residual)`` of the
-    columns of ``vectors`` under the canonical metric if pseudo-real (else ``None``).
+           provenance: str, vectors=None, inverse_of=None, on_metric=None
+           ) -> tuple[dict[str, MetricReport], tuple[np.ndarray, np.ndarray] | None, bool]:
+    """``(reports, colinearity, singular)``: the reports of :func:`check_all`, the
+    colinearity ``(eps, residual)`` of the columns of ``vectors`` under the canonical
+    metric if pseudo-real (else ``None``), and whether the metric is singular, when
+    its reports fail every relation with residual ``inf`` and hold a copy of it as given.
 
-    The metric is inverted, or gathered if a permutation (see :func:`_similarity`),
-    unless ``metric_inv`` is given: then the pair is the caller's own, such as a
-    diagonalizer pair, and is scaled in place: ``metric /= pivot``, the bits of
-    ``metric / pivot``, and ``metric_inv *= pivot`` unless the pivot is 1.  A
-    candidate given alone is never written to.  A read-only one whose pivot is 1, such as
+    A candidate is inverted, or gathered if a permutation (see :func:`_similarity`),
+    and is never written to.  A read-only one whose pivot is 1, such as
     :func:`default_parity`, is its own canonical form, held by the reports
     without a copy (``metric / 1`` would equal it bit for bit); a writable one
     is copied, so that a caller who changes it later does not change the reports.
+
+    With ``inverse_of``, the metric S is one of a pair, such as a diagonalizer
+    metric, which this check may write to, and ``inverse_of()`` builds S^-1.  S H is
+    formed from S as given, then S is scaled in place to its canonical form
+    (``metric /= pivot``, the bits of ``metric / pivot``) and handed to
+    ``on_metric``, and only then is S^-1 built.  S H S^-1 is formed as (S H) S^-1,
+    the order of ``S @ H @ S^-1``, so the residuals keep their bits, and S and
+    S^-1 are not held together.
+
+    ``on_metric(name, metric, reports)``, if given, is called once with the
+    canonical metric: with ``reports=None`` for a pair, whose verdicts come after
+    its inverse, else after the check.  The reports returned then hold
+    ``metric=None``, so that the metric is released.
     """
     if metric.shape != h.shape:
         raise DimensionMismatch(f"metric '{name}' has shape {metric.shape}, expected {h.shape}")
-    own_pair = metric_inv is not None
-    residuals, pivot, metric_inv, singular = _checks(h, metric, metric_inv)
+    if inverse_of is None:
+        residuals, pivot, metric_inv, singular = _checks(h, metric)
+    else:
+        pivot = _pivot(metric)
+        singular = pivot == 0
     if singular:
-        raise SingularMatrix(f"metric '{name}' is singular")
-    if own_pair:
+        canonical, residuals, metric_inv = metric.copy(), (math.inf,) * len(KINDS), None
+    elif inverse_of is None:
+        canonical = metric if pivot == 1 and not metric.flags.writeable else metric / pivot
+    else:
+        product = metric @ h
         metric /= pivot
         canonical = metric
-    elif pivot == 1 and not metric.flags.writeable:
-        canonical = metric
-    else:
-        canonical = metric / pivot
+        if on_metric is not None:
+            on_metric(name, metric, None)
+            canonical = metric = None
+        metric_inv = inverse_of()
+        similar = product @ metric_inv
+        del product
+        residuals = _residuals(h, similar)
+        del similar
     reports = {kind: MetricReport(kind, name, canonical, float(residual),
                                   bool(residual <= tol.metric_tol), provenance)
                for kind, residual in zip(KINDS, residuals)}
-    if vectors is None or not reports[PSEUDO_REAL].holds:
-        return reports, None
-    if pivot != 1:
-        metric_inv *= pivot  # (metric / pivot)^-1
-    return reports, _colinearity(metric_inv, vectors)
+    colinearity = None
+    if vectors is not None and reports[PSEUDO_REAL].holds:
+        if pivot != 1:
+            metric_inv *= pivot  # (metric / pivot)^-1
+        colinearity = _colinearity(metric_inv, vectors)
+    del metric_inv
+    if on_metric is not None and canonical is not None:
+        on_metric(name, canonical, reports)
+        reports = {kind: replace(rep, metric=None) for kind, rep in reports.items()}
+    return reports, colinearity, bool(singular)
 
 
 def check_all(h, metric, tol: ToleranceConfig | None = None,
@@ -240,7 +268,10 @@ def check_all(h, metric, tol: ToleranceConfig | None = None,
     target.  Raises :class:`SingularMatrix` when the metric cannot be inverted.
     """
     h = _intake(as_matrix(h))[0]
-    return _check(h, as_matrix(metric), tol or DEFAULT_TOL, name, provenance)[0]
+    reports, _, singular = _check(h, as_matrix(metric), tol or DEFAULT_TOL, name, provenance)
+    if singular:
+        raise SingularMatrix(f"metric '{name}' is singular")
+    return reports
 
 
 def check_pseudo_real(h, rho, tol: ToleranceConfig | None = None,
@@ -278,29 +309,45 @@ def _t(m: np.ndarray) -> np.ndarray:
     return m.swapaxes(-1, -2)
 
 
-def _rho_pair(d: np.ndarray, d_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return d.conj() @ d_inv, d @ d_inv.conj()
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """``m`` averaged in place with its transpose, a projection onto the symmetry the
+    exact mu and mu^-1 have: the bits of ``(m + m^T) / 2``, as numpy buffers the
+    transpose that overlaps ``m``."""
+    m += _t(m)
+    m /= 2.0
+    return m
 
 
-def _mu_pair(d: np.ndarray, d_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(mu, mu^-1)``, each averaged in place with its transpose, a projection onto
-    the symmetry the exact expressions have: the bits of ``(m + m^T) / 2``, as
-    numpy buffers the transpose that overlaps ``m``."""
-    pair = _t(d_inv) @ d_inv, d @ _t(d)
-    for m in pair:
-        m += _t(m)
-        m /= 2.0
-    return pair
+def _hermitized(m: np.ndarray) -> np.ndarray:
+    """``m`` averaged in place with its dagger, so exactly Hermitian, with the bits of
+    ``(m + m^dagger) / 2``."""
+    m += _t(m.conj())
+    m /= 2.0
+    return m
 
 
-def _eta_plus_pair(d: np.ndarray, d_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(eta+, eta+^-1)``, each averaged in place with its dagger, so exactly
-    Hermitian, with the bits of ``(m + m^dagger) / 2``."""
-    pair = _t(d_inv.conj()) @ d_inv, d @ _t(d.conj())
-    for m in pair:
-        m += _t(m.conj())
-        m /= 2.0
-    return pair
+def _rho(d: np.ndarray, d_inv: np.ndarray) -> np.ndarray:
+    return d.conj() @ d_inv
+
+
+def _rho_inverse(d: np.ndarray, d_inv: np.ndarray) -> np.ndarray:
+    return d @ d_inv.conj()
+
+
+def _mu(d: np.ndarray, d_inv: np.ndarray) -> np.ndarray:
+    return _symmetrized(_t(d_inv) @ d_inv)
+
+
+def _mu_inverse(d: np.ndarray, d_inv: np.ndarray) -> np.ndarray:
+    return _symmetrized(d @ _t(d))
+
+
+def _eta_plus(d: np.ndarray, d_inv: np.ndarray) -> np.ndarray:
+    return _hermitized(_t(d_inv.conj()) @ d_inv)
+
+
+def _eta_plus_inverse(d: np.ndarray, d_inv: np.ndarray) -> np.ndarray:
+    return _hermitized(d @ _t(d.conj()))
 
 
 def rho_from_diagonalizer(d) -> np.ndarray:
@@ -309,7 +356,7 @@ def rho_from_diagonalizer(d) -> np.ndarray:
     Satisfies ``rho conj(rho) = 1`` to machine precision.
     """
     d = as_matrix(d)
-    return _rho_pair(d, inverse(d)[0])[0]
+    return _rho(d, inverse(d)[0])
 
 
 def mu_from_diagonalizer(d) -> np.ndarray:
@@ -318,7 +365,7 @@ def mu_from_diagonalizer(d) -> np.ndarray:
     The result is made exactly transpose-symmetric by averaging.
     """
     d = as_matrix(d)
-    return _mu_pair(d, inverse(d)[0])[0]
+    return _mu(d, inverse(d)[0])
 
 
 def eta_plus_from_diagonalizer(d) -> np.ndarray:
@@ -327,16 +374,17 @@ def eta_plus_from_diagonalizer(d) -> np.ndarray:
     Exactly Hermitian by construction (averaged with its own dagger).
     """
     d = as_matrix(d)
-    return _eta_plus_pair(d, inverse(d)[0])[0]
+    return _eta_plus(d, inverse(d)[0])
 
 
-# Metrics built from the diagonalizer D: (name, builder, relation it
-# certifies).  A builder maps (D, D^-1) to (metric, metric^-1) by matrix
-# products alone, for one D or for each of a stack.
+# Metrics built from the diagonalizer D: (name, metric builder, inverse
+# builder, relation it certifies).  Each builder maps (D, D^-1) to one matrix
+# by products alone, for one D or for each of a stack, so that a check can
+# release the metric before it builds the inverse.
 DIAGONALIZER_METRICS = (
-    ("from_D_rho", _rho_pair, PSEUDO_REAL),
-    ("from_D_mu", _mu_pair, PSEUDO_ADJOINT),
-    ("from_D_eta_plus", _eta_plus_pair, PSEUDO_HERMITIAN),
+    ("from_D_rho", _rho, _rho_inverse, PSEUDO_REAL),
+    ("from_D_mu", _mu, _mu_inverse, PSEUDO_ADJOINT),
+    ("from_D_eta_plus", _eta_plus, _eta_plus_inverse, PSEUDO_HERMITIAN),
 )
 
 
@@ -351,34 +399,32 @@ def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig
     warnings.  A singular metric fails every relation with residual
     ``inf``.  The diagonalizer metrics are products of the spectrum's D and
     D^-1, suppressed with a warning when D is near-defective or has no
-    stored inverse; each pair is released before the next is built.
+    stored inverse; each is built, with its inverse, only once the one
+    before it is checked.
 
-    ``on_metric(reports, spectrum)``, if given, is called with each metric's
-    three reports, keyed by kind, right after its check; the reports kept
-    after it returns hold ``metric=None``, so that the metric is released.
+    ``on_metric(name, metric, reports, spectrum)``, if given, is called once
+    with each canonical metric: a candidate's right after its check, with
+    its three reports keyed by kind, and a diagonalizer metric's before its
+    inverse is built, with ``reports=None``, as its verdicts are not known
+    yet.  The reports kept hold ``metric=None``, so that each diagonalizer
+    metric is released before its inverse is built and every metric before
+    the next is checked.
     """
     h = as_matrix(h)
     tol = tol or DEFAULT_TOL
     checked, reality, warn = [], [], []
+    notify = None if on_metric is None else (
+        lambda name, metric, reports: on_metric(name, metric, reports, spectrum))
 
-    def check(name, metric, metric_inv, provenance):
-        try:
-            reports, colinearity = _check(h, metric, tol, name, provenance, vectors, metric_inv)
-        except SingularMatrix:
+    def record(name, reports, colinearity, singular):
+        if singular:
             warn.extend(f"metric '{name}' is singular; {kind} check skipped" for kind in KINDS)
-            metric = metric.copy()
-            reports = {kind: MetricReport(kind, name, metric, math.inf, False, provenance)
-                       for kind in KINDS}
-            colinearity = None
-        if on_metric is not None:
-            on_metric(reports, spectrum)
-            reports = {kind: replace(rep, metric=None) for kind, rep in reports.items()}
         checked.append(reports)
         if colinearity is not None:
             reality.append((name, *colinearity))
 
     for name, metric in (candidates or {}).items():
-        check(name, as_matrix(metric), None, "user")
+        record(name, *_check(h, as_matrix(metric), tol, name, "user", vectors, on_metric=notify))
     if spectrum is not None:
         try:
             d = build_diagonalizer(spectrum, tol)
@@ -387,8 +433,11 @@ def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig
         except (NearDefective, SingularMatrix) as exc:
             warn.append(f"diagonalizer metrics suppressed: {exc}")
         else:
-            for name, build, _ in DIAGONALIZER_METRICS:
-                check(name, *build(d, spectrum.diagonalizer_inverse), "from_diagonalizer")
+            d_inv = spectrum.diagonalizer_inverse
+            for name, build, build_inverse, _ in DIAGONALIZER_METRICS:
+                # the metric is built in the argument list, so that only _check holds it
+                record(name, *_check(h, build(d, d_inv), tol, name, "from_diagonalizer", vectors,
+                                     functools.partial(build_inverse, d, d_inv), notify))
     return checked, reality, warn
 
 
@@ -528,8 +577,10 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     ``metric_tol`` a D it judged near-defective gets no diagonalizer
     metrics ("the spectrum carries no inverse of D").  Every check runs on H
     taken in by :func:`pseudoherm.linalg._intake`, as :func:`eigendecompose` takes it.
-    ``on_metric`` is as in :func:`check_metrics`; without it the reports
-    keep the canonical metrics.
+    ``on_metric`` is as in :func:`check_metrics`: it runs with each
+    diagonalizer metric before that metric's inverse is built, and the
+    metric is released once it returns.  Without it the reports keep the
+    canonical metrics.
     """
     given = as_matrix(h)
     h = _intake(given)[0]

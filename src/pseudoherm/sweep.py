@@ -161,9 +161,10 @@ def sweep_family(family: str, parameter: str, values, fixed: dict,
     # the diagonalizer metrics are suppressed where D is near-defective or singular
     (idx,) = np.nonzero(~(inverses.condition > 1.0 / tol.metric_tol))
     if idx.size:
-        for name, build, kind in metrics.DIAGONALIZER_METRICS:
-            metric, metric_inv = build(d[idx], inverses.inverse[idx])
-            found[name] = (idx, *_verdicts(h[idx], metric, metric_inv, (kind,), tol))
+        pair = d[idx], inverses.inverse[idx]
+        for name, build, build_inverse, kind in metrics.DIAGONALIZER_METRICS:
+            found[name] = (idx, *_verdicts(h[idx], build(*pair), build_inverse(*pair),
+                                           (kind,), tol))
 
     breaking = None
     flips = np.flatnonzero(spectrum_real[1:] != spectrum_real[:-1])

@@ -4,6 +4,8 @@ import json
 import math
 import tracemalloc
 import warnings
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from pseudoherm import (SIGMA_X, GridSpec, _lapack, build_hamiltonian, canonical
                         dumps_matrix, h5, h6, harmonic, inner, load_matrix, loads_matrix, metrics,
                         morse, save_matrix)
 from pseudoherm.cli import build_report, main, sweep_family, sweep_values
-from pseudoherm.linalg import DEFAULT_TOL, MatrixFormatError, to_json_text
+from pseudoherm.linalg import DEFAULT_TOL, MatrixFormatError, fro, to_json_text
 
 
 def run(tmp_path, *argv):
@@ -81,6 +83,55 @@ class TestInterchange:
         code, doc = run(tmp_path, "analyze", "--matrix", str(tmp_path / "m.json"))
         assert code == 2 and doc is None
         assert message in capsys.readouterr().err
+
+
+def per_row_matrix(rows, n):
+    """The conversion of ``matrix_from_doc`` as it was, one row per array
+    assignment (reference)."""
+    pairs = np.empty((n, n, 2))
+    for i, row in enumerate(rows):
+        pairs[i] = row
+    return pairs.view(np.complex128).reshape(n, n)
+
+
+@st.composite
+def pair_grids(draw):
+    """``(n, rows)``: an n x n grid (n = 1-5) of [re, im] pairs of finite floats,
+    small integers, and integers above 2^53, up to and beyond 2^64 and up to 2^1023."""
+    n = draw(st.integers(1, 5))
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-3, 3),
+                      st.integers(2**53, 2**65), st.integers(-(2**65), -(2**53)),
+                      st.integers(-(2**1023), 2**1023))
+    entry = st.lists(value, min_size=2, max_size=2)
+    return n, draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+class TestInterchangeValues:
+    @settings(max_examples=200, deadline=None)
+    @given(pair_grids())
+    def test_values_have_the_bits_of_the_per_row_conversion(self, grid):
+        n, rows = grid
+        got = loads_matrix(json.dumps({"n": n, "rows": rows}))
+        assert got.tobytes() == per_row_matrix(rows, n).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair_grids(), st.data())
+    def test_first_bad_value_is_named(self, grid, data):
+        # an integer beyond the float range or a bool, at any place, is named
+        # by its entry, and the first bad entry in row-major order wins
+        n, rows = grid
+        places = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                              st.integers(0, 1), st.sampled_from([10**400, True])),
+                                    min_size=1, max_size=3))
+        for i, j, part, value in places:
+            rows[i][j][part] = value
+        i, j = min((i, j) for i, j, _, _ in places)
+        with pytest.raises(MatrixFormatError) as error:
+            loads_matrix(json.dumps({"n": n, "rows": rows}))
+        # the pair check comes before the conversion of its values
+        message = ("is not a [re, im] pair" if any(v is True for v in rows[i][j])
+                   else "is too large for a float")
+        assert str(error.value) == f"entry ({i},{j}) {message}"
 
 
 class TestAnalyze:
@@ -358,20 +409,57 @@ class TestReleasedMetrics:
         assert twice.tobytes() == kept.tobytes()
         # without a callback the reports hold the canonical diagonalizer metrics
         d, d_inv = report.spectrum.eigenvectors, report.spectrum.diagonalizer_inverse
-        for name, build, _ in metrics.DIAGONALIZER_METRICS:
+        for name, build, _, _ in metrics.DIAGONALIZER_METRICS:
             reps = [next(r for r in getattr(report, kind) if r.name == name)
                     for kind in metrics.KINDS]
-            expected = canonical_normalize(build(d, d_inv)[0])
+            expected = canonical_normalize(build(d, d_inv))
             assert all(rep.metric is reps[0].metric for rep in reps)
             assert reps[0].metric.tobytes() == expected.tobytes(), name
-        # with one, each metric is seen once, then released from the reports
+        # with one, each metric is seen once, then released from the reports; a
+        # candidate comes with its reports, a diagonalizer metric before its verdicts
         seen = []
-        released = metrics.classify(h, {"twice": twice},
-                                    on_metric=lambda reps, _: seen.append(reps))
-        assert [reps[metrics.PSEUDO_REAL].metric.tobytes() for reps in seen] == [
-            rep.metric.tobytes() for rep in report.pseudo_real]
+        released = metrics.classify(
+            h, {"twice": twice},
+            on_metric=lambda name, metric, reps, _: seen.append((name, metric, reps)))
+        assert [(name, metric.tobytes()) for name, metric, _ in seen] == [
+            (rep.name, rep.metric.tobytes()) for rep in report.pseudo_real]
+        assert [reps is None for _, _, reps in seen] == [False, True, True, True]
+        assert [seen[0][2][kind].holds for kind in metrics.KINDS] == [
+            getattr(report, kind)[0].holds for kind in metrics.KINDS]
         assert all(rep.metric is None for kind in metrics.KINDS
                    for rep in getattr(released, kind))
+        assert [getattr(released, kind)[i].residual for kind in metrics.KINDS for i in range(4)] == [
+            getattr(report, kind)[i].residual for kind in metrics.KINDS for i in range(4)]
+
+    def test_diagonalizer_metric_is_released_before_its_inverse_is_built(self, monkeypatch):
+        # build_report renders each diagonalizer metric and lets it go before
+        # its inverse builder runs, so that the two are never held together
+        rng = np.random.default_rng(11)
+        n = 6
+        s = np.eye(n) + 0.1 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        h = s @ np.diag(np.arange(1.0, n + 1.0)) @ np.linalg.inv(s)
+        alive = []
+
+        def traced(name, build, build_inverse, kind):
+            made = []
+
+            def metric(d, d_inv):
+                m = build(d, d_inv)
+                made.append(weakref.ref(m))
+                return m
+
+            def inverse(d, d_inv):
+                alive.append((name, made[-1]() is not None))
+                return build_inverse(d, d_inv)
+
+            return name, metric, inverse, kind
+
+        table = metrics.DIAGONALIZER_METRICS
+        want = to_json_text(build_report(h, {"sigma": np.eye(n)}, DEFAULT_TOL, {}))
+        monkeypatch.setattr(metrics, "DIAGONALIZER_METRICS", tuple(traced(*e) for e in table))
+        got = to_json_text(build_report(h, {"sigma": np.eye(n)}, DEFAULT_TOL, {}))
+        assert alive == [(name, False) for name, *_ in table]
+        assert got == want
 
 
 class TestToleranceFlags:
@@ -547,17 +635,19 @@ class TestDiscretize:
     # near-defective Morse grid it holds H, the eigenvectors D and, in a check,
     # S H S^-1 and one difference buffer: 4 arrays, and about 0.3 more of vectors
     # and small arrays (4.3 measured).  On the oscillator grid the peak is in
-    # each diagonalizer metric's check: H, D, D^-1, that metric and its inverse,
-    # S H S^-1 and a product, 7 arrays (7.4 measured).  Each metric is released
-    # once its matrix document and eta Gram are rendered, and the pairs are
-    # averaged in place.  Dense permutation metrics, a copy of a unit-pivot
-    # metric, a near-defective D's inverse, a separate identity to solve into,
-    # each earlier metric kept to the end of the report or the averaging
-    # temporaries each add one (7.3, 14.2 and 10.4 before they were cut).
+    # each diagonalizer metric's check once the metric S is released: H, D,
+    # D^-1, S H, S^-1 and S H S^-1 (or a difference buffer, or a temporary of
+    # the build of S^-1), 6 arrays (6.4 measured).  S H is formed, and S
+    # rendered (matrix document and eta Gram) and released, before S^-1 is
+    # built, and the metrics and inverses are averaged in place.  Dense
+    # permutation metrics, a copy of a unit-pivot metric, a near-defective D's
+    # inverse, a separate identity to solve into, each earlier metric kept to
+    # the end of the report, the averaging temporaries or S held beside S^-1
+    # each add one (7.3, 14.2, 10.4 and 7.4 before they were cut).
     @pytest.mark.parametrize("argv, arrays", [
         (["--family", "morse", "--C", "3.5", "--D", "4.0", "--shift", "0.5", "--xmin", "-4.0",
           "--xmax", "14.0", "--mass", "0.5"], 5),
-        (["--family", "harmonic", "--alpha", "1.0", "--xmax", "10.0"], 8),
+        (["--family", "harmonic", "--alpha", "1.0", "--xmax", "10.0"], 7),
     ], ids=["morse", "harmonic"])
     def test_peak_memory_is_a_few_n_by_n_arrays(self, tmp_path, argv, arrays):
         n = 256
@@ -569,12 +659,14 @@ class TestDiscretize:
     def test_analyze_peak_memory_is_a_few_n_by_n_arrays(self, tmp_path):
         # An analyze with two dense candidates at n = 256, as the analyze-dense
         # benchmark input, in 16 n^2-byte arrays.  The analysis of the loaded
-        # matrices peaks in a diagonalizer metric's check: H, D, D^-1, that
-        # metric and its inverse, S H S^-1 and a product (6.7 measured).  Each
-        # canonical metric, a candidate's too, is released once its matrix
-        # document and eta Gram are rendered (11.2 when all were kept to the
-        # end).  The identity's check, a gather and a buffer, comes after it and
-        # stays below that.  The whole command peaks in the JSON parse of the
+        # matrices (H and the candidates are not counted) peaks in a diagonalizer
+        # metric's check at 6 arrays beside small ones (6.7 measured): D, D^-1
+        # and, while the metric S is rendered, S, S H and two products of its eta
+        # Gram over all n states, or, once S is released, S H, S^-1, S H S^-1 and
+        # a buffer.  Each canonical metric, a candidate's too, is released once
+        # its matrix document and eta Gram are rendered (11.2 when all were kept
+        # to the end).  The identity's check, a gather and a buffer, comes after
+        # it and stays below that.  The whole command peaks in the JSON parse of the
         # last file, about 13 arrays of Python lists and floats beside the two
         # matrices read before it (15.1 measured).
         n = 256
@@ -617,6 +709,34 @@ class TestDiscretize:
             assert docs[0] == docs[1]
             # the default parity is the view
             assert to_json_text(build_report(h, views, DEFAULT_TOL, {})) == docs[0]
+
+    def test_views_are_hashed_and_normed_without_a_dense_copy(self):
+        # a view's fingerprint is hashed row by row from its buffer and a Gram
+        # takes a permutation's norm as sqrt(n): the bits of its dense copy
+        rng = np.random.default_rng(5)
+        for n in range(1, 65):
+            states = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+            for view in (metrics.identity_view(n), metrics.default_parity(n)):
+                dense = np.ascontiguousarray(view)
+                assert cli.fingerprint(view) == cli.fingerprint(dense), n
+                assert cli._matrix_doc(view) == cli._matrix_doc(dense), n
+                assert fro(dense) == math.sqrt(n)
+                for gram in (inner.eta_gram, inner.pt_gram):
+                    with mock.patch.object(inner, "fro", side_effect=fro) as norm:
+                        got = gram(states, view)
+                    # a 1 x 1 view is contiguous, and fro reads it in place
+                    assert norm.call_count == (n == 1), n
+                    want = gram(states, dense)
+                    assert (got.gram.tobytes(), got.norms, got.signature) == (
+                        want.gram.tobytes(), want.norms, want.signature), n
+        # at n = 512 neither takes as much as a tenth of one n x n array
+        n = 512
+        states = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        view = metrics.identity_view(n)
+        for call in (lambda: cli._matrix_doc(view),
+                     lambda: inner.pt_gram(states, metrics.default_parity(n))):
+            peak, _ = traced_peak(call)
+            assert peak < 0.1 * 16 * n * n, f"{peak / (16 * n * n):.3f} arrays"
 
     def test_invalid_grid_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "discretize", "--family", "harmonic", "--alpha", "1",

@@ -155,6 +155,18 @@ def not_permutations(p):
     return out
 
 
+@st.composite
+def edited_permutations(draw):
+    """A permutation matrix (n = 1-6) with up to three entries set to a zero, a
+    one (either sign of its zero imaginary part) or another value."""
+    m = permutation_matrix(draw(permutations(max_n=6)))
+    n = len(m)
+    values = st.sampled_from([0.0, complex(0.0, -0.0), 1.0, complex(1.0, -0.0), 1j, 2.0, 1e-300])
+    for _ in range(draw(st.integers(0, 3))):
+        m[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(values)
+    return m
+
+
 class TestPermutations:
     @settings(max_examples=150, deadline=None)
     @given(permutations())
@@ -162,6 +174,24 @@ class TestPermutations:
         np.testing.assert_array_equal(linalg.permutation_of(permutation_matrix(p)), p)
         for name, m in not_permutations(p).items():
             assert linalg.permutation_of(m) is None, name
+
+    @settings(max_examples=300, deadline=None)
+    @given(edited_permutations())
+    def test_detector_equals_a_scan_of_all_nonzeros(self, m):
+        # the detector as it was, from the positions of all nonzeros (reference)
+        n = len(m)
+        want = None
+        if np.count_nonzero(m) == n:
+            rows, cols = np.nonzero(m)
+            ones = m[rows, cols]
+            if (np.array_equal(rows, np.arange(n)) and (ones == 1.0).all()
+                    and not np.signbit(ones.imag).any()
+                    and np.array_equal(np.sort(cols), np.arange(n))):
+                want = cols
+        got = linalg.permutation_of(m)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_detector_rejects_non_permutations(self):
         rejected = [np.zeros((3, 3)), np.ones((2, 2)), np.eye(3)[[0, 0, 1]],

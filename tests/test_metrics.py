@@ -442,15 +442,47 @@ def conditioned_diagonalizers(draw):
     return (random_unitary(rng, n) * sigma) @ random_unitary(rng, n)
 
 
+def reference_pairs(d, d_inv):
+    """``(metric, inverse)`` of each diagonalizer metric by the expressions the pair
+    builders used before each split in two (reference): the sums into new arrays."""
+    t = metrics._t
+    rho = (d.conj() @ d_inv, d @ d_inv.conj())
+    mu = tuple((m + t(m)) / 2.0 for m in (t(d_inv) @ d_inv, d @ t(d)))
+    eta = tuple((m + t(m.conj())) / 2.0 for m in (t(d_inv.conj()) @ d_inv, d @ t(d.conj())))
+    return rho, mu, eta
+
+
+@st.composite
+def diagonalizer_stacks(draw):
+    """A stack of 1 to 4 random complex D, n in 1..8, with condition numbers up to 1e12,
+    beyond the 1e8 at which a report suppresses the diagonalizer metrics."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.stack([(random_unitary(rng, n) * np.logspace(0.0, -draw(st.floats(0.0, 12.0)), n))
+                     @ random_unitary(rng, n) for _ in range(draw(st.integers(1, 4)))])
+
+
 class TestDiagonalizerPairs:
     @settings(max_examples=200, deadline=None)
     @given(conditioned_diagonalizers())
     def test_builders_return_metric_and_inverse(self, d):
         d_inv, _ = inverse(d)
         cond = np.linalg.cond(d)
-        for name, build, _ in metrics.DIAGONALIZER_METRICS:
-            metric, metric_inv = build(d, d_inv)
+        for name, build, build_inverse, _ in metrics.DIAGONALIZER_METRICS:
+            metric, metric_inv = build(d, d_inv), build_inverse(d, d_inv)
             assert fro(metric @ metric_inv - np.eye(len(d))) <= 1e-10 * cond, name
+
+    @settings(max_examples=150, deadline=None)
+    @given(diagonalizer_stacks())
+    def test_split_builders_equal_the_pair_expressions_bit_for_bit(self, stack):
+        # one D and the stack of a sweep: the in-place averages give the bits
+        # of the sums into new arrays, matrix by matrix
+        d_inv = np.linalg.inv(stack)
+        for d, inv in [(stack, d_inv), *zip(stack, d_inv)]:
+            for (name, build, build_inverse, _), pair in zip(metrics.DIAGONALIZER_METRICS,
+                                                            reference_pairs(d, inv)):
+                got = build(d, inv), build_inverse(d, inv)
+                assert [m.tobytes() for m in got] == [m.tobytes() for m in pair], name
 
     @settings(max_examples=100, deadline=None)
     @given(pseudo_real_systems())
@@ -869,7 +901,7 @@ class TestPermutationMetrics:
         d = eigendecompose(h).eigenvectors
         vectors = list(d.T)
         with mock.patch.object(_lapack, "getrf") as getrf:
-            reports, colinearity = metrics._check(h, m, tol, "P", "user", d)
+            reports, colinearity, _ = metrics._check(h, m, tol, "P", "user", d)
         getrf.assert_not_called()
         canonical, residuals, (eps, residual) = reference_check(h, m, vectors)
         assert [reports[kind].residual for kind in metrics.KINDS] == list(residuals)
@@ -926,7 +958,7 @@ class TestPermutationMetrics:
         getrf = _lapack.getrf
         for name, m in near.items():
             with mock.patch.object(_lapack, "getrf", side_effect=getrf) as spy:
-                reports, colinearity = metrics._check(h, m, LOOSE_TOL, name, "user", d)
+                reports, colinearity, _ = metrics._check(h, m, LOOSE_TOL, name, "user", d)
             assert spy.call_count == 1, name
             canonical, residuals, (eps, residual) = reference_check(h, m, vectors)
             assert [reports[kind].residual for kind in metrics.KINDS] == list(residuals), name

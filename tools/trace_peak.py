@@ -11,7 +11,7 @@ With ``--max-arrays X`` before the command it exits 1 when the peak is
 above X n x n complex arrays (the command needs ``--n``), else with the
 command's exit code::
 
-    python3 tools/trace_peak.py --max-arrays 7.2 discretize --family harmonic \
+    python3 tools/trace_peak.py --max-arrays 6.2 discretize --family harmonic \
         --alpha 1 --xmax 10 --n 512
 
 ``tracemalloc`` counts the arrays numpy allocates, every n x n array of
