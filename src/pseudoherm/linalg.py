@@ -213,7 +213,7 @@ def permutation_of(m: np.ndarray) -> np.ndarray | None:
 
 
 class _Inverses(NamedTuple):
-    inverse: np.ndarray
+    inverse: np.ndarray | None
     condition: np.ndarray
     pivot: np.ndarray
     threshold: np.ndarray
@@ -223,46 +223,96 @@ class _Inverses(NamedTuple):
         return self.pivot <= self.threshold
 
 
-def _inverses(m: np.ndarray) -> _Inverses:
+# Identity columns per zgetrs call of an inverse (see _solve_identity).
+SOLVE_BLOCK = 64
+
+
+def _solve_identity(lu: np.ndarray, piv: np.ndarray, norm: float, limit: float
+                    ) -> tuple[np.ndarray | None, float]:
+    """``(inverse, norm1)``: the inverse of one n x n matrix (n >= 2) from its factors
+    ``getrf(m)``, solved ``SOLVE_BLOCK`` identity columns per ``zgetrs`` call, and its
+    1-norm, the largest column sum of its magnitudes.
+
+    The inverse is kept while ``norm`` (||m||_1) times the largest column sum so far
+    is at most ``limit``, and is ``None`` once it is above: the rest of its columns
+    are solved into blocks of their own, for their sums alone.  The first block is
+    solved into one of its own too; once it is within the limit, it is released
+    and solved again in place in the inverse, allocated then, so that the inverse
+    can take its memory (holding both left a hole that raised the peak resident
+    memory), and each later block is solved in place in its columns,
+    Fortran-ordered as a solve of the whole identity.  Each column gets the bits
+    of that whole solve, and each column sum those of ``_norm1``.  A trailing
+    single column joins the block before it: with more than one OpenBLAS thread,
+    ``zgetrs`` solves one right-hand side with other bits than several.
+    """
+    n = lu.shape[0]
+
+    def solve(start, stop, into):
+        into[np.arange(start, stop), np.arange(stop - start)] = 1.0
+        return _lapack.getrs(lu, piv, into)
+
+    inv, largest = None, 0.0
+    for start in range(0, n - 1, SOLVE_BLOCK):
+        stop = n if start + SOLVE_BLOCK >= n - 1 else start + SOLVE_BLOCK
+        block = solve(start, stop, np.zeros((n, stop - start), dtype=np.complex128, order="F")
+                      if inv is None else inv[:, start:stop])
+        largest = max(largest, float(np.abs(block).sum(axis=0).max()))
+        if norm * largest > limit:
+            inv = None
+        elif start == 0:
+            del block
+            inv = np.zeros((n, n), dtype=np.complex128, order="F")
+            solve(0, stop, inv[:, :stop])
+    return inv, largest
+
+
+def _inverses(m: np.ndarray, limit: float = math.inf) -> _Inverses:
     """Invert each matrix on the last two axes of ``m``.
 
     It inverts ``m * f`` (:func:`_intake`) and returns that inverse times f.
     A matrix is singular when its smallest LU pivot magnitude ``pivot`` is
     at most ``threshold = n * eps * ||m f||_F``; its inverse is then NaN and
     its condition infinite.  ``condition`` is the exact one-norm condition
-    number of the computed pair.
+    number of the computed pair.  Both norms of ``m f`` are taken before it
+    is factored, so that their temporaries are not held beside the factors.
 
     Each matrix is factored once, by LAPACK's ``zgetrf`` through
     :mod:`pseudoherm._lapack`, a stack one matrix at a time in a Python
-    loop.  One matrix is inverted from its factors by ``zgetrs``.  A
-    stack's non-singular matrices are inverted by ``np.linalg.inv``, whose
+    loop.  One matrix of n >= 2 is inverted from its factors by
+    :func:`_solve_identity`, a block of identity columns per ``zgetrs``
+    call, in place in the inverse, so the solve holds no n x n array beside
+    the factors and the result.  Where the condition is above ``limit``,
+    the inverse is ``None``: it is never held whole, as its columns are
+    solved for their norms alone, and ``condition`` keeps its exact bits.
+    A stack's non-singular matrices are inverted by ``np.linalg.inv``, whose
     loop runs in C, which factors them again (and fails on an exactly
-    singular one).  Each matrix gets the same bits on either path:
-    ``np.linalg.inv`` (LAPACK's ``zgesv``) solves the same LU factors
-    against the identity.  ``zgetrs`` solves in place, into a
-    Fortran-ordered identity that becomes the inverse, so the solve holds
-    no n x n array beside the factors and the result.  A 1 x 1 matrix is
-    the exception: with more than one OpenBLAS thread, ``zgetrs`` solves a
-    single right-hand side with other bits than ``zgesv``, so it is
-    inverted by ``np.linalg.inv`` on both paths.
+    singular one); ``limit`` does not apply to them.  Each matrix gets the
+    same bits on either path: ``np.linalg.inv`` (LAPACK's ``zgesv``) solves
+    the same LU factors against the identity.  A 1 x 1 matrix is inverted
+    by ``np.linalg.inv`` on both paths: with more than one OpenBLAS thread,
+    ``zgetrs`` solves a single right-hand side with other bits than ``zgesv``.
     """
     n = m.shape[-1]
-    stack = m.ndim > 2
     m, f = _intake(m)
+    threshold = n * EPS * _fro_stack(m)
+    norm = _norm1(m)
     lu, piv = _lapack.getrf(m)
     pivot = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)).min(axis=-1)
-    threshold = n * EPS * _fro_stack(m)
     ok = ~(pivot <= threshold)
-    if ok.all():
-        inv = (np.linalg.inv(m) if stack or n == 1 else
-               _lapack.getrs(lu, piv, np.eye(n, dtype=np.complex128, order="F")))
+    if m.ndim == 2 and n > 1 and ok:
+        inv, norm_inv = _solve_identity(lu, piv, float(norm), limit)
     else:
-        inv = np.full(m.shape, np.nan, dtype=np.complex128)
-        if ok.any():  # only a stack is partly singular
-            inv[ok] = np.linalg.inv(m[ok])
-    del lu  # release the factors before the condition's |m| and |inv| temporaries
-    cond = np.where(ok, np.maximum(_norm1(m) * _norm1(inv), 1.0), np.inf)
-    if (f != 1.0).any():  # by parts: a complex product turns NaN+0j into NaN+NaNj
+        del lu  # np.linalg.inv factors again
+        if ok.all():
+            inv = np.linalg.inv(m)
+        else:
+            inv = np.full(m.shape, np.nan, dtype=np.complex128)
+            if ok.any():  # only a stack is partly singular
+                inv[ok] = np.linalg.inv(m[ok])
+        norm_inv = _norm1(inv)
+    cond = np.where(ok, np.maximum(norm * norm_inv, 1.0), np.inf)
+    if inv is not None and (f != 1.0).any():
+        # by parts: a complex product turns NaN+0j into NaN+NaNj
         parts = inv[..., None].view(np.float64)
         with np.errstate(over="ignore"):
             parts *= f[..., None, None, None]
@@ -310,6 +360,8 @@ class Spectrum:
     It is ``None`` when D is singular, or near-defective: a condition above
     ``1 / metric_tol`` of the tolerances the spectrum was computed with,
     where :func:`build_diagonalizer` refuses D, so no metric needs D^-1.
+    A refused D is never inverted whole: its inverse is solved a block of
+    columns at a time for the exact condition alone (see :func:`_inverses`).
     :func:`eigendecompose` stores the three arrays read-only.  It solves H,
     taken in by :func:`_intake`, with LAPACK's ``zgeev``, ``zgetrf`` and
     ``zgetrs`` through :mod:`pseudoherm._lapack`; the stacks of a sweep
@@ -339,13 +391,15 @@ class _Spectra(NamedTuple):
     reality_scale: np.ndarray
 
 
-def _spectra(h: np.ndarray) -> _Spectra:
+def _spectra(h: np.ndarray, limit: float = math.inf) -> _Spectra:
     """Eigendecompose each matrix on the last two axes of ``h`` by one ``zgeev`` call each.
 
     A stack goes to ``np.linalg.eig``, one matrix to ``zgeev`` through
     :mod:`pseudoherm._lapack`; both run LAPACK's ``zgeev`` and give each
     matrix the same bits.  D^-1 comes from :func:`_inverses`, which splits
-    the same way.
+    the same way.  One matrix whose D has a condition above ``limit`` gets
+    no D^-1 (``inverses.inverse`` is ``None``), and D^-1 is never held whole;
+    a stack's D^-1 is kept whatever its condition.
 
     Each matrix gets what :func:`eigendecompose` documents for one: the
     order, the phase convention, the residuals, D^-1 with its condition,
@@ -383,7 +437,7 @@ def _spectra(h: np.ndarray) -> _Spectra:
         residuals[..., block] = (
             np.linalg.norm(h @ vb - vb * w[..., None, block], axis=-2)
             / (tolerance_scale(norm_h)[..., None] * np.linalg.norm(vb, axis=-2)))
-    return _Spectra(w, residuals, v, _inverses(v), tolerance_scale(norm_h))
+    return _Spectra(w, residuals, v, _inverses(v, limit), tolerance_scale(norm_h))
 
 
 def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
@@ -399,11 +453,13 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
     :func:`_spectra` does the work on H taken in by :func:`_intake`, whose
     eigenvalues :func:`_unscale` scales back.  D^-1 is kept only where
     :func:`build_diagonalizer` accepts D under ``tol``: a near-defective D's
-    inverse would be an n x n array that no metric reads.
+    inverse would be an n x n array that no metric reads, so it is never
+    built whole, only solved a block of columns at a time for the exact
+    ``diagonalizer_condition`` (``limit = 1 / metric_tol`` of :func:`_spectra`).
     """
     h, f = _intake(as_matrix(h))
     tol = tol or DEFAULT_TOL
-    w, residuals, v, inverses, scale = _spectra(h)
+    w, residuals, v, inverses, scale = _spectra(h, 1.0 / tol.metric_tol)
     flags = [f"residual_above_tolerance:index={k},residual={res:.3e}"
              for k, res in enumerate(residuals) if res > tol.residual_tol]
     reality, w = _reality_tags(w, tol, scale), _unscale(w, f)
@@ -491,12 +547,17 @@ def _similarity(s: np.ndarray, h: np.ndarray, s_inv: np.ndarray | None = None
     ``H[p_i, p_j]``, and S^-1 is returned as the row gather ``argsort(p)``;
     apply it with :func:`_inverse_times`.  The gather differs from the
     products only in the sign of a zero, which :func:`fro` squares away.
+    The identity's ``S H S^-1`` is ``h`` itself, read in place and not
+    copied, when ``h`` is C-contiguous; otherwise it is the C-ordered gather,
+    as :func:`fro` sums in memory order.  The caller must not write to it.
     """
     singular = np.zeros(s.shape[:-2], dtype=bool)
     if s_inv is None:
         first = s.reshape(-1, *s.shape[-2:])[0]
         p = permutation_of(first)
         if p is not None and (s == first).all():
+            if h.flags.c_contiguous and (p == np.arange(len(p))).all():
+                return h, p, singular
             return h[..., p[:, None], p], np.argsort(p), singular
         inverses = _inverses(s)
         s_inv, singular = inverses.inverse, inverses.singular

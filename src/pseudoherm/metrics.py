@@ -145,15 +145,20 @@ def _residuals(h: np.ndarray, similar: np.ndarray, kinds=KINDS) -> tuple:
 
     The targets are conj(H), H^T and H^dagger.  ``h`` and ``similar`` may
     be stacks, with one residual per matrix on their last two axes.  The
-    last difference is formed in ``similar``, which is overwritten.
+    last difference is formed in ``similar``, which is overwritten, unless
+    ``similar`` is ``h`` itself (the identity's, see
+    :func:`pseudoherm.linalg._similarity`): then it goes in the buffer, and
+    H is read in place and never written.
     """
     scale = tolerance_scale(_fro_stack(h))
     # Every difference is C-ordered whatever the order of H, as the temporary
     # similar - target was: fro sums in memory order, so another order would
     # change the last bits.  One buffer holds each target and difference in
-    # turn but the last, which similar holds.
+    # turn but the last, which similar holds unless it is H.
     similar = np.ascontiguousarray(similar)
-    buffer = np.empty_like(h, order="C") if len(kinds) > 1 else None
+    own = similar is not h
+    buffer = np.empty_like(h, order="C") if len(kinds) > 1 or not own else None
+    last = similar if own else buffer
     residuals = []
     for i, kind in enumerate(kinds):
         transposed, conjugated = _TARGETS[kind]
@@ -161,8 +166,8 @@ def _residuals(h: np.ndarray, similar: np.ndarray, kinds=KINDS) -> tuple:
         if i == len(kinds) - 1:
             # conj(S H S^-1) - T is the conjugate of S H S^-1 - conj(T): the
             # same norm, bit for bit
-            diff = np.conjugate(similar, out=similar) if conjugated else similar
-            np.subtract(diff, target, out=diff)
+            diff = np.conjugate(similar, out=last) if conjugated else similar
+            diff = np.subtract(diff, target, out=last)
         else:
             if conjugated:
                 target = np.conjugate(target, out=buffer)

@@ -17,14 +17,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pseudoherm import (
+    GridSpec,
     NearDefective,
     RealityTag,
     SingularMatrix,
     ToleranceConfig,
     build_diagonalizer,
+    build_hamiltonian,
     eigendecompose,
     inverse,
     involutions,
+    morse,
     similarity_residual,
 )
 from pseudoherm.families import SIGMA_X, SIGMA_Y, SIGMA_Z, h5, h8
@@ -516,10 +519,11 @@ class TestStacks:
 SRC = Path(linalg.__file__).resolve().parents[1]
 
 
-def run_child(code: str, *argv: str) -> dict:
+def run_child(code: str, *argv: str, **env: str) -> dict:
     """Run ``code`` in a fresh interpreter that imports pseudoherm from this
-    checkout; return the JSON object it prints last."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    checkout, with the environment variables ``env`` set; return the JSON
+    object it prints last."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), **env)
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -642,6 +646,122 @@ class TestLapack:
             "fallback": ("fallback", True, True),
         }
         assert len({child["digest"] for child in got.values()}) == 1
+
+
+def whole_solve(m):
+    """``(inverse, condition)`` of one matrix taken in by ``_intake``, by one ``zgetrs``
+    call against the whole identity and the 1-norms of the pair (reference)."""
+    m = linalg._intake(m)[0]
+    lu, piv = _lapack.getrf(m)
+    inv = _lapack.getrs(lu, piv, np.eye(len(m), dtype=np.complex128, order="F"))
+    return inv, np.maximum(linalg._norm1(m) * linalg._norm1(inv), 1.0)
+
+
+def morse_diagonalizer(n):
+    """D of the shifted Morse grid of the grid-complex benchmark, near-defective."""
+    h = build_hamiltonian(morse(shift=0.5), GridSpec(-4.0, 14.0, n, mass=0.5))
+    return eigendecompose(h).eigenvectors
+
+
+# The block solve against the whole solve, in an interpreter with the given
+# number of OpenBLAS threads.
+BLOCK_SOLVE_CHILD = """
+import json, math, sys
+import numpy as np
+from unittest import mock
+from pseudoherm import _lapack, linalg
+same = []
+for n in (2, 3, 65, 129, 130):
+    a = np.random.default_rng(n).normal(size=(n, n, 2)).view(np.complex128)[..., 0]
+    lu, piv = _lapack.getrf(a)
+    want = _lapack.getrs(lu, piv, np.eye(n, dtype=np.complex128, order="F"))
+    for width in (2, 64):
+        with mock.patch.object(linalg, "SOLVE_BLOCK", width):
+            got = linalg._solve_identity(lu, piv, 1.0, math.inf)[0]
+        same.append(got.tobytes() == want.tobytes())
+print(json.dumps({"same": all(same)}))
+"""
+
+
+class TestBlockSolve:
+    """One matrix is inverted ``SOLVE_BLOCK`` identity columns per ``zgetrs`` call,
+    with the bits of one call against the whole identity, and is not kept whole
+    once its condition is known to be above the limit."""
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 300])
+    @pytest.mark.parametrize("width", [2, 7, 64, 100, 256])
+    def test_blocks_equal_the_whole_solve(self, n, width):
+        a = random_complex(np.random.default_rng(n), n)
+        want, condition = whole_solve(a)
+        lu, piv = _lapack.getrf(a)
+        with mock.patch.object(linalg, "SOLVE_BLOCK", width):
+            inv, norm = linalg._solve_identity(lu, piv, float(linalg._norm1(a)), math.inf)
+            got = linalg._inverses(a)
+        assert (inv.dtype, inv.shape, inv.strides) == (want.dtype, want.shape, want.strides)
+        assert inv.tobytes() == want.tobytes()
+        assert norm == linalg._norm1(want)
+        assert got.inverse.tobytes() == want.tobytes()
+        assert got.condition.tobytes() == condition.tobytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_trailing_column_joins_the_block_before_it(self, threads):
+        # with two OpenBLAS threads, zgetrs solves a lone right-hand side with
+        # other bits than several: n = 65 and 129 would leave one in a block
+        assert run_child(BLOCK_SOLVE_CHILD, OPENBLAS_NUM_THREADS=threads) == {"same": True}
+
+    @pytest.mark.parametrize("n", [2, 65, 300])
+    def test_limit_drops_the_inverse_and_keeps_the_condition(self, n):
+        rng = np.random.default_rng(n)
+        for a in (random_complex(rng, n), near_threshold(rng, n, 1e6)):
+            whole = linalg._inverses(a)
+            c = float(whole.condition)
+            for limit in (c / 2, np.nextafter(c, 0.0), c, np.nextafter(c, np.inf), 2 * c):
+                got = linalg._inverses(a, limit)
+                for name in ("condition", "pivot", "threshold"):
+                    assert_same_bytes(getattr(got, name), getattr(whole, name), name)
+                if c > limit:
+                    assert got.inverse is None, limit
+                else:
+                    assert got.inverse.tobytes() == whole.inverse.tobytes(), limit
+
+    def test_refused_morse_diagonalizer_is_not_held_whole(self):
+        n = 256
+        d = morse_diagonalizer(n)
+        want, condition = whole_solve(d)
+        assert condition > 1e8
+        lu, piv = _lapack.getrf(d)
+        for width in (2, 7, 64, 100, 256):
+            with mock.patch.object(linalg, "SOLVE_BLOCK", width):
+                inv, _ = linalg._solve_identity(lu, piv, float(linalg._norm1(d)), math.inf)
+            assert inv.tobytes() == want.tobytes(), width
+        peaks = {}
+        for limit in (math.inf, 1e8):
+            tracemalloc.start()
+            try:
+                got = linalg._inverses(d, limit)
+                peaks[limit] = tracemalloc.get_traced_memory()[1] / (16 * n * n)
+            finally:
+                tracemalloc.stop()
+            assert got.condition.tobytes() == condition.tobytes()
+        assert got.inverse is None
+        # the LU factors and the inverse, against the factors and a block of
+        # SOLVE_BLOCK columns with its magnitudes (3/8 of an array at n = 256)
+        assert peaks[math.inf] > 2.0 and peaks[1e8] < 1.6, peaks
+        spectrum = eigendecompose(build_hamiltonian(morse(shift=0.5),
+                                                    GridSpec(-4.0, 14.0, n, mass=0.5)))
+        assert spectrum.diagonalizer_inverse is None
+        assert spectrum.diagonalizer_condition == float(condition)
+
+    def test_limit_leaves_singular_one_by_one_and_stack_paths(self):
+        rng = np.random.default_rng(9)
+        stack = np.array([random_complex(rng, 3) for _ in range(3)])
+        cases = {"singular": exact_rank1(rng, 4), "1 x 1": np.array([[3.0 + 1.0j]]),
+                 "stack": stack, "partly singular stack": np.array([*stack, exact_rank1(rng, 3)])}
+        for name, m in cases.items():
+            want = linalg._inverses(m)
+            got = linalg._inverses(m, 1.0)  # below every condition
+            for field in want._fields:
+                assert_same_bytes(getattr(got, field), getattr(want, field), f"{name} {field}")
 
 
 def reference_reality_tags(w, tol, scale):

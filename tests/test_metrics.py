@@ -49,7 +49,7 @@ from pseudoherm import (
     symmetry_generator,
     transpose_gram,
 )
-from pseudoherm import _lapack, inner, metrics
+from pseudoherm import _lapack, inner, linalg, metrics
 from pseudoherm.linalg import (DEFAULT_TOL, build_diagonalizer, fro, inverse, permutation_of,
                                tolerance_scale)
 from pseudoherm.metrics import PSEUDO_ADJOINT, PSEUDO_HERMITIAN, PSEUDO_REAL, RealityCheck
@@ -1052,3 +1052,54 @@ class TestPermutationMetrics:
             check_all(h, flat)
         report = classify(h, {"flat": flat}, parity=flat)
         assert report.pseudo_real[0].residual == np.inf and report.pt_symmetric is None
+
+
+def gathered_residuals(h, kinds=metrics.KINDS):
+    """The identity's residuals from a C-ordered gather copy of H (reference)."""
+    p = np.arange(h.shape[-1])
+    return metrics._residuals(h, h[..., p[:, None], p], kinds)
+
+
+class TestIdentityReadsHInPlace:
+    """The identity's S H S^-1 is a C-contiguous H itself, with no gather copy:
+    H is read in place, never written, and the residuals keep their bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from("CF"))
+    def test_read_only_h_through_check_all_and_classify(self, n, seed, view, order):
+        rng = np.random.default_rng(seed)
+        h = np.asarray(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), order=order)
+        h.flags.writeable = False
+        kept = h.copy(order="K")
+        identity = identity_view(n) if view else np.eye(n, dtype=np.complex128)
+        # an F-ordered H keeps the C-ordered gather, as fro sums in memory order
+        assert (linalg._similarity(identity, h)[0] is h) == (order == "C" or n == 1)
+        want = gathered_residuals(h)
+        for kinds in [metrics.KINDS, *((kind,) for kind in metrics.KINDS)]:
+            similar = linalg._similarity(identity, h)[0]  # a gather is overwritten
+            assert metrics._residuals(h, similar, kinds) == gathered_residuals(h, kinds)
+        reports = check_all(h, identity)
+        assert tuple(reports[kind].residual for kind in metrics.KINDS) == want
+        report = classify(h, {"identity": identity})
+        assert tuple(r.residual for r in (*report.pseudo_real, *report.pseudo_adjoint,
+                                          *report.pseudo_hermitian) if r.name == "identity") == want
+        assert (report.self_adjoint[1], report.hermitian[1]) == want[1:]
+        assert h.tobytes(order="A") == kept.tobytes(order="A")
+
+    def test_read_only_sweep_stack(self):
+        from pseudoherm import sweep
+
+        rng = np.random.default_rng(23)
+        h = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
+        h[1] = h[1] + h[1].conj().T  # one point Hermitian, where the identity holds
+        h.flags.writeable = False
+        kept = h.copy()
+        identity = np.broadcast_to(np.eye(6, dtype=np.complex128), h.shape)
+        residuals, pivot, _, singular = metrics._checks(h, identity)
+        for got, want in zip(residuals, gathered_residuals(h)):
+            assert got.tobytes() == want.tobytes()
+        assert not singular.any() and (pivot == 1.0).all()
+        holds, canonical = sweep._verdicts(h, identity, None, metrics.KINDS, DEFAULT_TOL)
+        assert holds.tolist() == [False, True, False, False, False]
+        assert canonical.tobytes() == np.ascontiguousarray(identity).tobytes()
+        assert h.tobytes() == kept.tobytes()
