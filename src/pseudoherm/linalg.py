@@ -7,8 +7,9 @@ explicit singularity guard, the non-Hermitian eigendecomposition with a
 deterministic ordering and phase convention, and the similarity residual
 that all symmetry checks are phrased in.  One matrix goes to LAPACK's
 ``zgeev``, ``zgetrf`` and ``zgetrs`` through :mod:`pseudoherm._lapack`,
-which loads them without ``scipy.linalg``; a stack goes to numpy's
-``eig`` and ``inv``.
+which loads them without ``scipy.linalg``; an upper Hessenberg matrix,
+as every grid H is, skips ``zgeev``'s Hessenberg reduction there, with
+``zgeev``'s bits.  A stack goes to numpy's ``eig`` and ``inv``.
 
 It also owns the matrix interchange format: a JSON document with an
 integer field ``n`` and ``rows``, an ``n x n`` nesting of ``[re, im]``
@@ -364,7 +365,8 @@ class Spectrum:
     columns at a time for the exact condition alone (see :func:`_inverses`).
     :func:`eigendecompose` stores the three arrays read-only.  It solves H,
     taken in by :func:`_intake`, with LAPACK's ``zgeev``, ``zgetrf`` and
-    ``zgetrs`` through :mod:`pseudoherm._lapack`; the stacks of a sweep
+    ``zgetrs`` through :mod:`pseudoherm._lapack`, which skips ``zgeev``'s
+    Hessenberg reduction on a grid H with the same bits; the stacks of a sweep
     take numpy's ``eig`` and ``inv`` instead, which give each matrix the
     same bits (see :func:`_spectra` and :func:`_inverses`).
     """
@@ -395,7 +397,8 @@ def _spectra(h: np.ndarray, limit: float = math.inf) -> _Spectra:
     """Eigendecompose each matrix on the last two axes of ``h`` by one ``zgeev`` call each.
 
     A stack goes to ``np.linalg.eig``, one matrix to ``zgeev`` through
-    :mod:`pseudoherm._lapack`; both run LAPACK's ``zgeev`` and give each
+    :mod:`pseudoherm._lapack` (or, when it is upper Hessenberg, as a grid H
+    is, to ``zgeev``'s stages after the Hessenberg reduction); all give each
     matrix the same bits.  D^-1 comes from :func:`_inverses`, which splits
     the same way.  One matrix whose D has a condition above ``limit`` gets
     no D^-1 (``inverses.inverse`` is ``None``), and D^-1 is never held whole;
@@ -407,8 +410,9 @@ def _spectra(h: np.ndarray, limit: float = math.inf) -> _Spectra:
     """
     try:
         # a stack goes to numpy, whose eig loops over it in C; one matrix
-        # straight to zgeev, which holds one n x n copy fewer than numpy's
-        # eig (9 MiB at n = 768)
+        # to _lapack.eig: zgeev, or its stages after the Hessenberg reduction
+        # for a grid H, either holding one n x n copy fewer than numpy's eig
+        # (9 MiB at n = 768)
         w, v = np.linalg.eig(h) if h.ndim > 2 else _lapack.eig(h)
     except np.linalg.LinAlgError as exc:  # how LAPACK reports non-convergence
         raise ConvergenceFailure(str(exc)) from exc
@@ -443,9 +447,11 @@ def _spectra(h: np.ndarray, limit: float = math.inf) -> _Spectra:
 def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
     """Eigendecompose a general complex matrix.
 
-    Backed by LAPACK's ``zgeev``, called through :mod:`pseudoherm._lapack`
-    (a stack goes through numpy's ``eig``, see :func:`_spectra`); the
-    external behavior is fixed by the contract, not the solver:
+    Backed by LAPACK's ``zgeev``, called through :mod:`pseudoherm._lapack`,
+    which skips its Hessenberg reduction on an upper Hessenberg H such as a
+    grid's, with the same bits (a stack goes through numpy's ``eig``, see
+    :func:`_spectra`); the external behavior is fixed by the contract, not
+    the solver:
     deterministic ordering, the largest-component phase convention,
     per-pair relative residuals ``||Hv - lambda v||_F / (||H||_F ||v||)``,
     taken ``RESIDUAL_BLOCK`` pairs per matrix product, and reality tags.

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 import weakref
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -841,6 +842,23 @@ def test_exit_4_on_eigensolver_failure(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.setattr(_lapack, "eig", no_convergence)
     monkeypatch.setattr(np.linalg, "eig", no_convergence)
     code, doc = run(tmp_path, *argv)
+    assert code == 4 and doc is None
+    assert "error: eigendecomposition failed" in capsys.readouterr().err
+
+
+def test_exit_4_when_the_hessenberg_route_does_not_converge(tmp_path, monkeypatch, capsys):
+    def not_converging(*args):
+        args[12]._obj.value = 2  # INFO, which zgeev passes on as its own
+
+    # a grid H takes zhseqr without zgeev's reduction; its failure is zgeev's
+    routines = {**vars(_lapack.HESSENBERG), "zhseqr": not_converging}
+    monkeypatch.setattr(_lapack, "HESSENBERG", SimpleNamespace(**routines))
+    tridiagonal = np.diag(np.arange(3.0)) + np.diag(np.ones(2), 1) + np.diag(np.ones(2), -1)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^eig algorithm \(zgeev\) did not converge "
+                       r"\(only eigenvalues with order >= 2 have converged\)$"):
+        _lapack.eig(tridiagonal.astype(complex))
+    code, doc = run(tmp_path, "discretize", "--family", "harmonic", "--alpha", "1", "--xmax", "6",
+                    "--n", "32", "--states", "2")
     assert code == 4 and doc is None
     assert "error: eigendecomposition failed" in capsys.readouterr().err
 

@@ -1,5 +1,6 @@
 """Core matrix algebra: involutions, inversion, eigendecomposition, residuals."""
 
+import ctypes.util
 import json
 import math
 import os
@@ -12,7 +13,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,8 +28,12 @@ from pseudoherm import (
     build_diagonalizer,
     build_hamiltonian,
     eigendecompose,
+    gauged_hermitian,
+    gauged_oscillator,
+    harmonic,
     inverse,
     involutions,
+    monomial_pt,
     morse,
     similarity_residual,
 )
@@ -572,6 +579,88 @@ print(json.dumps({"codes": codes, "scipy.linalg": "scipy.linalg" in sys.modules}
 """
 
 
+def tridiagonal(rng, n, dtype):
+    """A symmetric tridiagonal matrix, C-ordered complex128, with a complex
+    (``dtype=complex``) or real (``float``) diagonal and real off-diagonals."""
+    diagonal = rng.normal(size=n) + (1j * rng.normal(size=n) if dtype is complex else 0.0)
+    off = rng.normal(size=n - 1)
+    return (np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)).astype(np.complex128)
+
+
+def eig_with_route(a):
+    """``(w, vr, routed)``: ``_lapack.eig(a)`` and whether it took the Hessenberg route."""
+    routes = []
+    hessenberg_eig = _lapack._hessenberg_eig
+
+    def recording(*args):
+        result = hessenberg_eig(*args)
+        routes.append(result is not None)
+        return result
+
+    with mock.patch.object(_lapack, "_hessenberg_eig", recording):
+        w, vr = _lapack.eig(a)
+    return w, vr, routes == [True]
+
+
+def takes_hessenberg_route(a):
+    """The rule of ``_lapack._hessenberg_eig``, stated with dense numpy and scipy calls."""
+    if not a.flags.c_contiguous:
+        return False
+    parts = a.view(np.float64)
+    if (np.tril(a, -2) != 0).any() or (np.diagonal(a, -1).imag != 0).any():
+        return False
+    if np.signbit(parts[parts == 0]).any():  # a -0.0 anywhere
+        return False
+    top = np.abs(parts).max()
+    if not (2.0**-459 <= top and 2.0 * top <= 2.0**459):
+        return False
+    _, lo, hi, scale, _ = scipy.linalg.lapack.zgebal(a, permute=1, scale=1)
+    return lo == 0 and hi == len(a) - 1 and (scale == 1.0).all()
+
+
+def assert_same_arrays(got, want, names):
+    for name, x, y in zip(names, got, want):
+        assert (x.dtype, x.shape, x.strides) == (y.dtype, y.shape, y.strides), name
+        assert x.tobytes() == y.tobytes(), name
+
+
+# The five discretize families at n = 256; all but the gauged Hermitian one,
+# whose subdiagonal is complex, take the Hessenberg route.
+FAMILY_GRIDS = {
+    "harmonic": (harmonic(), GridSpec(-10.0, 10.0, 256)),
+    "gauged_oscillator": (gauged_oscillator(), GridSpec(-10.0, 10.0, 256)),
+    "gauged_hermitian": (gauged_hermitian(), GridSpec(-10.0, 10.0, 256)),
+    "morse": (morse(shift=0.5), GridSpec(-4.0, 14.0, 256, mass=0.5)),
+    "monomial_pt": (monomial_pt(), GridSpec(-5.0, 5.0, 256)),
+}
+
+
+@st.composite
+def hessenberg_matrices(draw):
+    """Upper Hessenberg matrices with a real subdiagonal, n = 1...40: symmetric
+    tridiagonal ones or ones with small entries above the band, real or complex,
+    scaled by 2^k, with exact +-0.0 entries, zero subdiagonal entries and
+    unbalanced magnitudes on request."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = tridiagonal(rng, n, draw(st.sampled_from([float, complex])))
+    if draw(st.booleans()):
+        a += np.triu(random_complex(rng, n), 2) * 2.0**-10
+    if draw(st.booleans()):
+        zero = rng.random((n, n)) < 0.2
+        a.real[zero & np.triu(np.ones((n, n), bool), -1)] = draw(st.sampled_from([0.0, -0.0]))
+        a.imag[rng.random((n, n)) < 0.2] = draw(st.sampled_from([0.0, -0.0]))
+        a[np.tril_indices(n, -2)] = 0.0
+        a.imag[np.arange(1, n), np.arange(n - 1)] = 0.0
+    if draw(st.booleans()):
+        rows = np.flatnonzero(rng.random(n - 1) < 0.3) + 1
+        a[rows, rows - 1] = 0.0
+    if draw(st.booleans()):
+        d = 2.0 ** rng.integers(-20, 21, size=n)
+        a = a * d[:, None] / d[None, :]
+    return np.ascontiguousarray(a * 2.0 ** draw(st.integers(-480, 480)))
+
+
 class TestLapack:
     """``pseudoherm._lapack`` calls scipy's private ``_flapack`` with the bits of
     scipy's public functions, without loading ``scipy.linalg``."""
@@ -579,17 +668,44 @@ class TestLapack:
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
     def test_calls_equal_scipy_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
-        for a in (random_complex(rng, n), np.asfortranarray(random_complex(rng, n))):
+        inputs = [random_complex(rng, n), np.asfortranarray(random_complex(rng, n))]
+        # Hessenberg inputs: a real-symmetric tridiagonal one takes the route
+        # as it is, and refused with its zeros' signs flipped by a negation
+        hessenberg = [tridiagonal(rng, n, complex), tridiagonal(rng, n, float)]
+        assert all(takes_hessenberg_route(a) for a in hessenberg)
+        inputs += [*hessenberg, -hessenberg[1]]
+        for a in inputs:
             lu, piv = _lapack.getrf(a)
             want_lu, want_piv = scipy.linalg.lu_factor(a, check_finite=False)
             b = random_complex(rng, n)
             # getrs consumes a Fortran-contiguous b (any 1 x 1 one); lu_solve needs it after
-            got = (*_lapack.eig(a), lu, piv, _lapack.getrs(lu, piv, b.copy()))
+            w, vr, routed = eig_with_route(a)
+            got = (w, vr, lu, piv, _lapack.getrs(lu, piv, b.copy()))
             want = (*scipy.linalg.eig(a, check_finite=False), want_lu, want_piv,
                     scipy.linalg.lu_solve((want_lu, want_piv), b, check_finite=False))
-            for name, x, y in zip(("w", "vr", "lu", "piv", "x"), got, want):
-                assert (x.dtype, x.shape, x.strides) == (y.dtype, y.shape, y.strides), name
-                assert x.tobytes() == y.tobytes(), name
+            assert_same_arrays(got, want, ("w", "vr", "lu", "piv", "x"))
+            assert routed == takes_hessenberg_route(a)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_GRIDS))
+    def test_grid_hamiltonians_equal_scipy_bit_for_bit(self, family):
+        h = build_hamiltonian(*FAMILY_GRIDS[family])
+        w, vr, routed = eig_with_route(h)
+        assert_same_arrays((w, vr), scipy.linalg.eig(h, check_finite=False), ("w", "vr"))
+        assert routed == (family != "gauged_hermitian")
+
+    @settings(max_examples=300, deadline=None)
+    @given(hessenberg_matrices())
+    def test_hessenberg_route_equals_scipy_bit_for_bit(self, a):
+        w, vr, routed = eig_with_route(a)
+        assert_same_arrays((w, vr), scipy.linalg.eig(a, check_finite=False), ("w", "vr"))
+        assert routed == takes_hessenberg_route(a)
+
+    def test_hessenberg_route_symbols_are_bound(self):
+        # scipy's OpenBLAS exports zhseqr, ztrevc3, zgebak and the BLAS of
+        # zgeev's normalization; without them every matrix takes zgeev
+        assert _lapack.HESSENBERG is not None
+        assert _lapack.bind(ctypes.util.find_library("m")) is None  # no such symbols
+        assert _lapack.bind(scipy.__file__) is None  # no library
 
     @pytest.mark.parametrize("n", [2, 7, 64, 300])
     def test_getrs_in_place_equals_a_fresh_identity(self, n):
@@ -622,6 +738,8 @@ class TestLapack:
                 return np.zeros(len(a), complex), None, np.zeros_like(a), 2
 
         monkeypatch.setattr(_lapack, "flapack", NotConverging)
+        # zgeev's own failure: every matrix, the identity too, takes zgeev
+        monkeypatch.setattr(_lapack, "HESSENBERG", None)
         with pytest.raises(np.linalg.LinAlgError, match="order >= 2"):
             _lapack.eig(np.eye(3, dtype=complex))
         with pytest.raises(linalg.ConvergenceFailure):
