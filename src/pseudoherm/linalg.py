@@ -542,12 +542,11 @@ def build_diagonalizer(spectrum: Spectrum, tol: ToleranceConfig | None = None) -
     return spectrum.eigenvectors
 
 
-def _similarity(s: np.ndarray, h: np.ndarray, s_inv: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _similarity(s: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(S H S^-1, S^-1, singular)`` for each S on the last two axes of ``s``.
 
-    S is inverted unless ``s_inv`` is given, all of a stack by one call of
-    :func:`_inverses`; where S is singular, S^-1 and S H S^-1 are NaN.
+    S is inverted, all of a stack by one call of :func:`_inverses`; where S
+    is singular, S^-1 and S H S^-1 are NaN.
     A permutation S (:func:`permutation_of`), the same at every point of a
     stack, is neither inverted nor multiplied: ``S H S^-1`` is the gather
     ``H[p_i, p_j]``, and S^-1 is returned as the row gather ``argsort(p)``;
@@ -557,17 +556,15 @@ def _similarity(s: np.ndarray, h: np.ndarray, s_inv: np.ndarray | None = None
     copied, when ``h`` is C-contiguous; otherwise it is the C-ordered gather,
     as :func:`fro` sums in memory order.  The caller must not write to it.
     """
-    singular = np.zeros(s.shape[:-2], dtype=bool)
-    if s_inv is None:
-        first = s.reshape(-1, *s.shape[-2:])[0]
-        p = permutation_of(first)
-        if p is not None and (s == first).all():
-            if h.flags.c_contiguous and (p == np.arange(len(p))).all():
-                return h, p, singular
-            return h[..., p[:, None], p], np.argsort(p), singular
-        inverses = _inverses(s)
-        s_inv, singular = inverses.inverse, inverses.singular
-    return s @ h @ s_inv, s_inv, singular
+    first = s.reshape(-1, *s.shape[-2:])[0]
+    p = permutation_of(first)
+    if p is not None and (s == first).all():
+        singular = np.zeros(s.shape[:-2], dtype=bool)
+        if h.flags.c_contiguous and (p == np.arange(len(p))).all():
+            return h, p, singular
+        return h[..., p[:, None], p], np.argsort(p), singular
+    inverses = _inverses(s)
+    return s @ h @ inverses.inverse, inverses.inverse, inverses.singular
 
 
 def _inverse_times(s_inv: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -26,6 +26,11 @@ metric eta = (mu rho^-1)^T.
 Metrics are meaningful only up to a nonzero complex scalar, so reports
 store them canonically normalized: the first nonzero entry in row-major
 order is scaled to 1.
+
+One kernel, :func:`_check`, runs every similarity check, of one matrix or
+a (points, n, n) stack: the candidates, the diagonalizer metrics and the
+designated metrics of :func:`classify` (the identity, the parity) in one
+loop, and each metric stack of :func:`pseudoherm.sweep.sweep_family`.
 """
 
 from __future__ import annotations
@@ -176,90 +181,66 @@ def _residuals(h: np.ndarray, similar: np.ndarray, kinds=KINDS) -> tuple:
     return tuple(residuals)
 
 
-def _checks(h: np.ndarray, metric: np.ndarray, metric_inv: np.ndarray | None = None,
-            kinds=KINDS) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
-    """``(residuals, pivot, metric_inv, singular)`` of each metric on the last two axes
-    of ``metric`` against the H on those of ``h``: the residuals against ``kinds``.
+def _check(h: np.ndarray, metric: np.ndarray, kinds=KINDS, inverse_of=None, on_metric=None
+           ) -> tuple[tuple, np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """``(residuals, singular, canonical, metric_inv, pivot)`` of each metric S on the last
+    two axes of ``metric`` against the H on those of ``h``: the one similarity check, of
+    one matrix or a (points, n, n) stack alike.
 
-    The metrics are inverted, or gathered if one permutation (see
-    :func:`_similarity`), unless ``metric_inv`` is given.  ``pivot`` is
-    the canonical normalization pivot (:func:`_pivot`), 1 for a gathered
-    permutation without a scan of its n^2 entries.  A singular or zero
-    metric has residual ``inf``.
+    ``residuals`` are those of S H S^-1 against the targets of ``kinds``
+    (:func:`_residuals`), ``inf`` where S is ``singular`` or zero.  ``canonical``
+    is S / ``pivot`` (:func:`_pivot`), but a singular S keeps its own entries.
+    ``metric_inv`` is S^-1 as :func:`_similarity` returns it, so that
+    ``metric_inv * pivot`` inverts the canonical S.
+
+    Without ``inverse_of``, S is a candidate, inverted or, if one permutation,
+    gathered (see :func:`_similarity`), with pivot 1 and no scan of its n^2
+    entries, and never written to.  A read-only S with pivot 1, such as
+    :func:`default_parity`, is its own canonical form (``metric / 1`` would equal
+    it bit for bit); any other is copied, once S H S^-1 is released, so that a
+    caller who changes it later does not change the result.
+
+    With ``inverse_of``, S is one of a pair, such as a diagonalizer metric, which
+    this check may write to, and ``inverse_of()`` builds S^-1.  S H is formed,
+    then S is scaled in place to its canonical form and handed to
+    ``on_metric(S)``, if given, which releases it (``canonical`` is then
+    ``None``), and only then is S^-1 built, so that S and S^-1 are not held
+    together.  (S H) S^-1 has the bits of ``S @ H @ S^-1``.
     """
-    similar, metric_inv, singular = _similarity(metric, h, metric_inv)
-    # a permutation's first nonzero entry is its 1; _pivot would also copy a
-    # strided view such as default_parity
-    gathered = metric_inv.ndim == 1
-    pivot = np.ones(metric.shape[:-2], dtype=np.complex128) if gathered else _pivot(metric)
-    singular = singular | (pivot == 0)
-    residuals = tuple(np.where(singular, np.inf, r) for r in _residuals(h, similar, kinds))
-    return residuals, pivot, metric_inv, singular
-
-
-def _check(h: np.ndarray, metric: np.ndarray, tol: ToleranceConfig, name: str,
-           provenance: str, vectors=None, inverse_of=None, on_metric=None
-           ) -> tuple[dict[str, MetricReport], tuple[np.ndarray, np.ndarray] | None, bool]:
-    """``(reports, colinearity, singular)``: the reports of :func:`check_all`, the
-    colinearity ``(eps, residual)`` of the columns of ``vectors`` under the canonical
-    metric if pseudo-real (else ``None``), and whether the metric is singular, when
-    its reports fail every relation with residual ``inf`` and hold a copy of it as given.
-
-    A candidate is inverted, or gathered if a permutation (see :func:`_similarity`),
-    and is never written to.  A read-only one whose pivot is 1, such as
-    :func:`default_parity`, is its own canonical form, held by the reports
-    without a copy (``metric / 1`` would equal it bit for bit); a writable one
-    is copied, so that a caller who changes it later does not change the reports.
-
-    With ``inverse_of``, the metric S is one of a pair, such as a diagonalizer
-    metric, which this check may write to, and ``inverse_of()`` builds S^-1.  S H is
-    formed from S as given, then S is scaled in place to its canonical form
-    (``metric /= pivot``, the bits of ``metric / pivot``) and handed to
-    ``on_metric``, and only then is S^-1 built.  S H S^-1 is formed as (S H) S^-1,
-    the order of ``S @ H @ S^-1``, so the residuals keep their bits, and S and
-    S^-1 are not held together.
-
-    ``on_metric(name, metric, reports)``, if given, is called once with the
-    canonical metric: with ``reports=None`` for a pair, whose verdicts come after
-    its inverse, else after the check.  The reports returned then hold
-    ``metric=None``, so that the metric is released.
-    """
-    if metric.shape != h.shape:
-        raise DimensionMismatch(f"metric '{name}' has shape {metric.shape}, expected {h.shape}")
     if inverse_of is None:
-        residuals, pivot, metric_inv, singular = _checks(h, metric)
+        similar, metric_inv, singular = _similarity(metric, h)
+        # a permutation's first nonzero entry is its 1; _pivot would also copy a
+        # strided view such as default_parity
+        gathered = metric_inv.ndim == 1
+        pivot = np.ones(metric.shape[:-2], dtype=np.complex128) if gathered else _pivot(metric)
+        singular = singular | (pivot == 0)
     else:
         pivot = _pivot(metric)
         singular = pivot == 0
-    if singular:
-        canonical, residuals, metric_inv = metric.copy(), (math.inf,) * len(KINDS), None
-    elif inverse_of is None:
-        canonical = metric if pivot == 1 and not metric.flags.writeable else metric / pivot
-    else:
-        product = metric @ h
-        metric /= pivot
-        canonical = metric
+        similar = metric @ h
+        keep = ~singular[..., None, None]
+        canonical = np.divide(metric, pivot[..., None, None], out=metric, where=keep)
         if on_metric is not None:
-            on_metric(name, metric, None)
+            on_metric(canonical)
             canonical = metric = None
         metric_inv = inverse_of()
-        similar = product @ metric_inv
-        del product
-        residuals = _residuals(h, similar)
-        del similar
-    reports = {kind: MetricReport(kind, name, canonical, float(residual),
-                                  bool(residual <= tol.metric_tol), provenance)
-               for kind, residual in zip(KINDS, residuals)}
-    colinearity = None
-    if vectors is not None and reports[PSEUDO_REAL].holds:
-        if pivot != 1:
-            metric_inv *= pivot  # (metric / pivot)^-1
-        colinearity = _colinearity(metric_inv, vectors)
-    del metric_inv
-    if on_metric is not None and canonical is not None:
-        on_metric(name, canonical, reports)
-        reports = {kind: replace(rep, metric=None) for kind, rep in reports.items()}
-    return reports, colinearity, bool(singular)
+        similar = similar @ metric_inv
+    residuals = tuple(np.where(singular, np.inf, r) for r in _residuals(h, similar, kinds))
+    del similar
+    if inverse_of is None:
+        canonical = metric if not metric.flags.writeable and (pivot == 1).all() else np.divide(
+            metric, pivot[..., None, None], out=metric.copy(), where=~singular[..., None, None])
+    return residuals, singular, canonical, metric_inv, pivot
+
+
+def _taken_in(h: np.ndarray, candidates) -> dict[str, np.ndarray]:
+    """The candidates as complex matrices, each checked to have the shape of H."""
+    taken = {}
+    for name, metric in (candidates or {}).items():
+        taken[name] = metric = as_matrix(metric)
+        if metric.shape != h.shape:
+            raise DimensionMismatch(f"metric '{name}' has shape {metric.shape}, expected {h.shape}")
+    return taken
 
 
 def check_all(h, metric, tol: ToleranceConfig | None = None,
@@ -273,10 +254,11 @@ def check_all(h, metric, tol: ToleranceConfig | None = None,
     target.  Raises :class:`SingularMatrix` when the metric cannot be inverted.
     """
     h = _intake(as_matrix(h))[0]
-    reports, _, singular = _check(h, as_matrix(metric), tol or DEFAULT_TOL, name, provenance)
-    if singular:
+    (reports,), _, singular, _ = _check_loop(h, _taken_in(h, {name: metric}), None,
+                                             tol or DEFAULT_TOL, None, None)
+    if singular:  # its only warnings
         raise SingularMatrix(f"metric '{name}' is singular")
-    return reports
+    return {kind: replace(rep, provenance=provenance) for kind, rep in reports.items()}
 
 
 def check_pseudo_real(h, rho, tol: ToleranceConfig | None = None,
@@ -396,16 +378,17 @@ DIAGONALIZER_METRICS = (
 def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig | None = None,
                   vectors=None, on_metric=None
                   ) -> tuple[list[dict[str, MetricReport]], list[tuple], list[str]]:
-    """Run :func:`check_all` on each candidate, then on the diagonalizer metrics.
+    """Check each candidate against all three relations, then the diagonalizer metrics.
 
     Returns ``(checked, reality, warnings)``: the reports of each metric,
     candidates first; ``(name, eps, residual)`` for each pseudo-real metric
     whose reality checks ran on the columns of ``vectors``; and the
     warnings.  A singular metric fails every relation with residual
-    ``inf``.  The diagonalizer metrics are products of the spectrum's D and
-    D^-1, suppressed with a warning when D is near-defective or has no
-    stored inverse; each is built, with its inverse, only once the one
-    before it is checked.
+    ``inf``.  Every candidate's shape is checked before the first check.
+    The diagonalizer metrics are products of the spectrum's D and D^-1,
+    suppressed with a warning when D is near-defective or has no stored
+    inverse; each is built, with its inverse, only once the one before it
+    is checked.  Each metric takes the one kernel, :func:`_check`.
 
     ``on_metric(name, metric, reports, spectrum)``, if given, is called once
     with each canonical metric: a candidate's right after its check, with
@@ -416,20 +399,39 @@ def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig
     the next is checked.
     """
     h = as_matrix(h)
-    tol = tol or DEFAULT_TOL
-    checked, reality, warn = [], [], []
-    notify = None if on_metric is None else (
-        lambda name, metric, reports: on_metric(name, metric, reports, spectrum))
+    return _check_loop(h, _taken_in(h, candidates), spectrum, tol or DEFAULT_TOL, vectors,
+                       on_metric)[:3]
 
-    def record(name, reports, colinearity, singular):
+
+def _check_loop(h: np.ndarray, candidates: dict, spectrum: Spectrum | None, tol: ToleranceConfig,
+                vectors, on_metric, designated=()) -> tuple[list, list, list, list]:
+    """``(checked, reality, warnings, own)``: :func:`check_metrics` of candidates taken in
+    by :func:`_taken_in`, then in ``own`` the residuals of each designated ``(metric, kinds)``
+    (``None`` if singular), or those of an equal candidate that was invertible."""
+    checked, reality, warn = [], [], []
+
+    def record(name, provenance, outcome):
+        # the kernel's outcome comes whole, so that S^-1 is released here,
+        # before on_metric runs
+        residuals, singular, canonical, metric_inv, pivot = outcome
+        del outcome
         if singular:
             warn.extend(f"metric '{name}' is singular; {kind} check skipped" for kind in KINDS)
+        reports = {kind: MetricReport(kind, name, canonical, float(residual),
+                                      bool(residual <= tol.metric_tol), provenance)
+                   for kind, residual in zip(KINDS, residuals)}
+        if vectors is not None and reports[PSEUDO_REAL].holds:
+            if pivot != 1:
+                metric_inv *= pivot  # (metric / pivot)^-1
+            reality.append((name, *_colinearity(metric_inv, vectors)))
+        del metric_inv
+        if on_metric is not None and canonical is not None:
+            on_metric(name, canonical, reports, spectrum)
+            reports = {kind: replace(rep, metric=None) for kind, rep in reports.items()}
         checked.append(reports)
-        if colinearity is not None:
-            reality.append((name, *colinearity))
 
-    for name, metric in (candidates or {}).items():
-        record(name, *_check(h, as_matrix(metric), tol, name, "user", vectors, on_metric=notify))
+    for name, metric in candidates.items():
+        record(name, "user", _check(h, metric))
     if spectrum is not None:
         try:
             d = build_diagonalizer(spectrum, tol)
@@ -440,10 +442,23 @@ def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig
         else:
             d_inv = spectrum.diagonalizer_inverse
             for name, build, build_inverse, _ in DIAGONALIZER_METRICS:
+                handed = None if on_metric is None else (
+                    lambda metric: on_metric(name, metric, None, spectrum))
                 # the metric is built in the argument list, so that only _check holds it
-                record(name, *_check(h, build(d, d_inv), tol, name, "from_diagonalizer", vectors,
-                                     functools.partial(build_inverse, d, d_inv), notify))
-    return checked, reality, warn
+                record(name, "from_diagonalizer", _check(
+                    h, build(d, d_inv), KINDS, functools.partial(build_inverse, d, d_inv), handed))
+
+    own = []
+    for metric, kinds in designated:
+        reports = next((reports for reports, candidate in zip(checked, candidates.values())
+                        if math.isfinite(reports[kinds[0]].residual)
+                        and np.array_equal(candidate, metric)), None)
+        if reports is not None:
+            own.append([reports[kind].residual for kind in kinds])
+        else:
+            residuals, singular = _check(h, metric, kinds)[:2]
+            own.append(None if singular else [float(r) for r in residuals])
+    return checked, reality, warn, own
 
 
 # Eigenvectors per matrix product of the reality check: enough columns for
@@ -570,12 +585,14 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     metric.  Failed checks are recorded, never raised; only input-format
     errors propagate.
 
-    H's own relations and PT are checks of two designated metrics:
+    H's own relations and PT are checks of two designated metrics, run
+    after the diagonalizer metrics in the loop of :func:`check_metrics`:
     Hermiticity and self-adjointness are the pseudo-Hermitian and
     pseudo-adjoint relations under the identity, and the PT verdict is
     pseudo-reality under a parity matrix (grid/anti-diagonal reversal by
     default, overridable via ``parity``).  A designated metric equal to a
-    candidate that was invertible takes that candidate's residuals.
+    candidate that was invertible takes that candidate's residuals.  The
+    shapes of the candidates and the parity are checked before any solve.
     A precomputed ``spectrum`` may be passed to avoid a second eigensolve.
     It must come from :func:`eigendecompose` with the same ``tol``: it keeps
     D^-1 only where its own ``metric_tol`` accepts D, so under a smaller
@@ -588,6 +605,10 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     canonical metrics.
     """
     given = as_matrix(h)
+    candidates = _taken_in(given, candidates)
+    parity = as_matrix(parity) if parity is not None else default_parity(len(given))
+    if parity.shape != given.shape:
+        raise DimensionMismatch("parity matrix dimension mismatch")
     h = _intake(given)[0]
     tol = tol or DEFAULT_TOL
 
@@ -599,26 +620,12 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
             failure = f"eigendecomposition failed: {exc}"
 
     vectors = spectrum.eigenvectors if spectrum is not None else None
-    checked, reality, warn = check_metrics(h, candidates, spectrum, tol, vectors, on_metric)
+    checked, reality, warn, ((sa_res, herm_res), pt_res) = _check_loop(
+        h, candidates, spectrum, tol, vectors, on_metric,
+        ((identity_view(len(given)), (PSEUDO_ADJOINT, PSEUDO_HERMITIAN)), (parity, (PSEUDO_REAL,))))
     if failure is not None:
         warn.append(failure)
     pseudo_real, pseudo_adjoint, pseudo_hermitian = (tuple(r[k] for r in checked) for k in KINDS)
-
-    parity = as_matrix(parity) if parity is not None else default_parity(h.shape[0])
-    if parity.shape != h.shape:
-        raise DimensionMismatch("parity matrix dimension mismatch")
-
-    def designated(metric, kinds):
-        # A candidate equal to the metric that was invertible already holds
-        # these residuals; None for a singular metric.
-        for reports, candidate in zip(checked, (candidates or {}).values()):
-            if math.isfinite(reports[kinds[0]].residual) and np.array_equal(candidate, metric):
-                return [reports[kind].residual for kind in kinds]
-        residuals, _, _, singular = _checks(h, metric, kinds=kinds)
-        return None if singular else [float(r) for r in residuals]
-
-    sa_res, herm_res = designated(identity_view(h.shape[0]), (PSEUDO_ADJOINT, PSEUDO_HERMITIAN))
-    pt_res = designated(parity, (PSEUDO_REAL,))
     if pt_res is None:
         warn.append("parity matrix is singular; PT check skipped")
         pt = None

@@ -2,15 +2,15 @@
 
 A sweep builds and analyzes its points as one (points, n, n) stack of
 Hamiltonians: one call of the family's builders, one eigensolve over the
-stack, then one inversion and one residual pass per metric name over
-the points that carry it.  These are the helpers the analysis of one
-matrix runs with no stack axis, so each point gets the verdicts and
-canonical metrics, bit for bit, of :func:`pseudoherm.metrics.check_metrics`
-on its own H.  The result keeps these stacks; the objects of one point
-are built only when asked for.  The special cases keep their per-point
-outcome: a singular candidate fails with residual ``inf`` and keeps its
-own entries, and a near-defective or singular D suppresses the
-diagonalizer metrics at that point.
+stack, then one check per metric name over the points that carry it, by
+the kernel that checks one matrix, :func:`pseudoherm.metrics._check`.
+So each point gets the verdicts and canonical metrics, bit for bit, of
+:func:`pseudoherm.metrics.check_metrics` on its own H.  The result keeps
+these stacks; the objects of one point are built only when asked for.
+The special cases keep their per-point outcome: a singular candidate
+fails with residual ``inf`` and keeps its own entries, and a
+near-defective or singular D suppresses the diagonalizer metrics at that
+point.
 """
 
 from __future__ import annotations
@@ -105,21 +105,6 @@ def _stack(matrices) -> np.ndarray:
     return stack
 
 
-def _verdicts(h, metric, metric_inv, kinds, tol: ToleranceConfig):
-    """Whether each metric of a stack certifies any of ``kinds``, and its canonical form.
-
-    A singular metric holds nothing and keeps its own entries.
-    """
-    residuals, pivot, _, singular = metrics._checks(h, metric, metric_inv, kinds)
-    holds = np.logical_or.reduce([r <= tol.metric_tol for r in residuals])
-    if singular.any():
-        canonical = metric.copy()
-        canonical[~singular] = metric[~singular] / pivot[~singular, None, None]
-    else:
-        canonical = metric / pivot[:, None, None]
-    return holds, canonical
-
-
 def _secular(idx: np.ndarray, holds: np.ndarray, canonical: np.ndarray,
              real: np.ndarray) -> bool:
     """Whether a metric carried at points ``idx`` holds at every real-phase
@@ -139,7 +124,7 @@ def sweep_family(family: str, parameter: str, values, fixed: dict,
     diagonalizer metric when it certifies the one it is built for.  The
     points are built and analyzed as one stack (see the module docstring):
     ``families.builtin_stack``, ``linalg._intake`` and ``_spectra``, then
-    :func:`pseudoherm.metrics._checks` once per metric name.
+    :func:`pseudoherm.metrics._check` once per metric name.
     """
     values = np.asarray(list(values), dtype=float)
     if values.size == 0:
@@ -156,15 +141,21 @@ def sweep_family(family: str, parameter: str, values, fixed: dict,
 
     # name -> (indices of the points that carry it, holds, canonical)
     found: dict[str, tuple] = {}
+
+    def record(name, idx, outcome):
+        residuals, _, canonical = outcome[:3]
+        found[name] = (idx, np.logical_or.reduce([r <= tol.metric_tol for r in residuals]),
+                       canonical)
+
     for name, (idx, metric) in carried.items():
-        found[name] = (idx, *_verdicts(h[idx], _stack(metric), None, metrics.KINDS, tol))
+        record(name, idx, metrics._check(h[idx], _stack(metric)))
     # the diagonalizer metrics are suppressed where D is near-defective or singular
     (idx,) = np.nonzero(~(inverses.condition > 1.0 / tol.metric_tol))
     if idx.size:
         pair = d[idx], inverses.inverse[idx]
         for name, build, build_inverse, kind in metrics.DIAGONALIZER_METRICS:
-            found[name] = (idx, *_verdicts(h[idx], build(*pair), build_inverse(*pair),
-                                           (kind,), tol))
+            record(name, idx, metrics._check(h[idx], build(*pair), (kind,),
+                                             functools.partial(build_inverse, *pair)))
 
     breaking = None
     flips = np.flatnonzero(spectrum_real[1:] != spectrum_real[:-1])

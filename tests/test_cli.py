@@ -178,6 +178,22 @@ class TestAnalyze:
             code, _ = run(tmp_path, "analyze", "--matrix", str(mat), flag, str(big))
             assert code == 3, flag
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--rho", "metric 'small' has shape (39, 39), expected (40, 40)"),
+        ("--parity", "parity matrix dimension mismatch"),
+    ])
+    def test_exit_3_before_the_eigensolve(self, tmp_path, monkeypatch, capsys, flag, message):
+        mat = tmp_path / "h.json"
+        save_matrix(mat, np.random.default_rng(2).normal(size=(40, 40)))
+        small = tmp_path / "small.json"
+        save_matrix(small, np.eye(39))
+        eig = mock.Mock(side_effect=AssertionError("eigensolve before the shape check"))
+        monkeypatch.setattr(_lapack, "eig", eig)
+        code, doc = run(tmp_path, "analyze", "--matrix", str(mat), flag, str(small))
+        assert code == 3 and doc is None
+        assert capsys.readouterr().err == f"error: {message}\n"
+        eig.assert_not_called()
+
     @pytest.mark.parametrize("specs", [
         ("--rho", "a.json", "--eta", "other/a.json"),
         ("--rho", "x=a.json", "--rho", "x=other/a.json"),

@@ -656,6 +656,25 @@ class TestClassify:
         sing = [r for r in report.pseudo_real if r.name == "singular"]
         assert sing and not sing[0].holds
 
+    @pytest.mark.parametrize("candidates, parity, message", [
+        ({"rho": np.eye(3)}, None, "metric 'rho' has shape (3, 3), expected (4, 4)"),
+        ({"rho": np.ones((4, 3))}, None, "expected a nonempty square matrix, got shape (4, 3)"),
+        ({"identity": np.eye(4)}, np.eye(5), "parity matrix dimension mismatch"),
+    ])
+    def test_shapes_are_checked_before_the_eigensolve(self, candidates, parity, message):
+        h = np.random.default_rng(6).normal(size=(4, 4)).astype(np.complex128)
+        with mock.patch.object(_lapack, "eig") as eig, \
+                mock.patch.object(metrics, "_residuals") as residuals:
+            with pytest.raises(metrics.DimensionMismatch) as raised:
+                classify(h, {"first": np.eye(4), **candidates}, parity=parity)
+            if parity is None:
+                # check_metrics takes in every candidate before its first check
+                with pytest.raises(metrics.DimensionMismatch):
+                    metrics.check_metrics(h, {"first": np.eye(4), **candidates}, None)
+        assert str(raised.value) == message
+        eig.assert_not_called()
+        residuals.assert_not_called()
+
     def test_defective_input_suppresses_constructions(self):
         report = classify(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert any("suppressed" in w for w in report.warnings)
@@ -668,14 +687,16 @@ class TestClassify:
         assert name == "reversal" and holds and residual <= 1e-14
 
     def test_one_check_pass(self, monkeypatch):
+        # the candidates, the diagonalizer metrics and the designated metrics
+        # are checked in one loop, the one check_metrics runs
         calls = []
-        check_metrics = metrics.check_metrics
+        check_loop = metrics._check_loop
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return check_metrics(*args, **kwargs)
+            return check_loop(*args, **kwargs)
 
-        monkeypatch.setattr(metrics, "check_metrics", counting)
+        monkeypatch.setattr(metrics, "_check_loop", counting)
         report = classify(h5(0.0, 0.6, 1.0), {"sigma_x": SIGMA_X})
         assert len(calls) == 1
         holding = {r.name for r in report.pseudo_real if r.holds}
@@ -901,7 +922,7 @@ class TestPermutationMetrics:
         d = eigendecompose(h).eigenvectors
         vectors = list(d.T)
         with mock.patch.object(_lapack, "getrf") as getrf:
-            reports, colinearity, _ = metrics._check(h, m, tol, "P", "user", d)
+            (reports,), reality, _ = metrics.check_metrics(h, {"P": m}, None, tol, d)
         getrf.assert_not_called()
         canonical, residuals, (eps, residual) = reference_check(h, m, vectors)
         assert [reports[kind].residual for kind in metrics.KINDS] == list(residuals)
@@ -910,10 +931,12 @@ class TestPermutationMetrics:
         for kind in metrics.KINDS:
             assert reports[kind].metric.tobytes() == canonical.tobytes()
         if reports[PSEUDO_REAL].holds:
-            assert bits(colinearity[0]) == bits(eps)
-            assert colinearity[1].tobytes() == residual.tobytes()
+            ((name, got_eps, got_residual),) = reality
+            assert name == "P"
+            assert bits(got_eps) == bits(eps)
+            assert got_residual.tobytes() == residual.tobytes()
         else:
-            assert colinearity is None
+            assert reality == []
         public = check_all(h, m, tol, "P")
         assert [public[kind].residual for kind in metrics.KINDS] == list(residuals)
 
@@ -958,13 +981,14 @@ class TestPermutationMetrics:
         getrf = _lapack.getrf
         for name, m in near.items():
             with mock.patch.object(_lapack, "getrf", side_effect=getrf) as spy:
-                reports, colinearity, _ = metrics._check(h, m, LOOSE_TOL, name, "user", d)
+                (reports,), ((_, got_eps, got_residual),), _ = metrics.check_metrics(
+                    h, {name: m}, None, LOOSE_TOL, d)
             assert spy.call_count == 1, name
             canonical, residuals, (eps, residual) = reference_check(h, m, vectors)
             assert [reports[kind].residual for kind in metrics.KINDS] == list(residuals), name
             assert reports[PSEUDO_REAL].metric.tobytes() == canonical.tobytes(), name
-            assert bits(colinearity[0]) == bits(eps), name
-            assert colinearity[1].tobytes() == residual.tobytes(), name
+            assert bits(got_eps) == bits(eps), name
+            assert got_residual.tobytes() == residual.tobytes(), name
 
     @settings(max_examples=60, deadline=None)
     @given(permutation_systems(), st.booleans())
@@ -1042,8 +1066,9 @@ class TestPermutationMetrics:
         monkeypatch.setattr(metrics, "_pivot", scan)
         h = random_real_spectrum(np.random.default_rng(9), 6)
         for m in (identity_view(6), default_parity(6)):
-            residuals, pivot, _, singular = metrics._checks(h, m)
+            residuals, singular, canonical, _, pivot = metrics._check(h, m)
             assert (pivot, singular) == (1.0, False)
+            assert canonical is m
 
     def test_repeated_column_is_singular(self):
         h = np.random.default_rng(5).normal(size=(4, 4)).astype(np.complex128)
@@ -1087,19 +1112,110 @@ class TestIdentityReadsHInPlace:
         assert h.tobytes(order="A") == kept.tobytes(order="A")
 
     def test_read_only_sweep_stack(self):
-        from pseudoherm import sweep
-
         rng = np.random.default_rng(23)
         h = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
         h[1] = h[1] + h[1].conj().T  # one point Hermitian, where the identity holds
         h.flags.writeable = False
         kept = h.copy()
         identity = np.broadcast_to(np.eye(6, dtype=np.complex128), h.shape)
-        residuals, pivot, _, singular = metrics._checks(h, identity)
+        residuals, singular, canonical, _, pivot = metrics._check(h, identity)
         for got, want in zip(residuals, gathered_residuals(h)):
             assert got.tobytes() == want.tobytes()
         assert not singular.any() and (pivot == 1.0).all()
-        holds, canonical = sweep._verdicts(h, identity, None, metrics.KINDS, DEFAULT_TOL)
+        # a sweep's candidate holds where it certifies any relation
+        holds = np.logical_or.reduce([r <= DEFAULT_TOL.metric_tol for r in residuals])
         assert holds.tolist() == [False, True, False, False, False]
         assert canonical.tobytes() == np.ascontiguousarray(identity).tobytes()
         assert h.tobytes() == kept.tobytes()
+
+
+@st.composite
+def kernel_stacks(draw):
+    """``(h, s, kinds, inverse)``: a (points, n, n) stack of H and one of metrics S for
+    ``metrics._check`` (1 to 4 points, n in 1..8), the kinds to check, and for a pair
+    the stack of S^-1, else ``None``.
+
+    S is dense, with any point replaced by a zero matrix, a matrix with a repeated
+    column (singular) or a permutation; or one permutation shared by every point,
+    as a writable stack or as a read-only broadcast view; or a pair, dense with any
+    point zero, whose inverses are built apart (zero where S is zero).
+    """
+    points, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def dense(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def permutation():
+        m = np.zeros((n, n), dtype=np.complex128)
+        m[np.arange(n), draw(st.permutations(range(n)))] = 1.0
+        return m
+
+    h = dense(points, n, n)
+    kind = draw(st.sampled_from(["dense", "shared permutation", "read-only view", "pair"]))
+    if kind == "shared permutation":
+        s = np.repeat(permutation()[None], points, axis=0)
+    elif kind == "read-only view":
+        s = np.broadcast_to(permutation(), (points, n, n))
+    else:
+        s = dense(points, n, n)
+        members = ["invertible", "zero"] + (["repeated column", "permutation"] if kind == "dense"
+                                            else [])
+        for i in range(points):
+            member = draw(st.sampled_from(members))
+            if member == "zero":
+                s[i] = 0.0
+            elif member == "repeated column":
+                s[i, :, -1] = s[i, :, 0]
+            elif member == "permutation":
+                s[i] = permutation()
+    inverse = None
+    if kind == "pair":
+        inverse = np.zeros_like(s)
+        live = (s != 0).any(axis=(-2, -1))
+        inverse[live] = np.linalg.inv(s[live])
+    kinds = draw(st.sampled_from([metrics.KINDS, *((k,) for k in metrics.KINDS),
+                                  (PSEUDO_ADJOINT, PSEUDO_HERMITIAN)]))
+    return h, s, kinds, inverse
+
+
+class TestCheckKernel:
+    """``metrics._check`` on a stack gives each point what it gives that point alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_stacks(), st.booleans())
+    def test_stack_equals_each_matrix_alone(self, system, hand_over):
+        h, s, kinds, inverse = system
+        kept = s.copy()
+
+        def check(h, s, inverse):
+            # a pair's S is written to, so it gets a copy, and so does its inverse
+            if inverse is None:
+                return metrics._check(h, s, kinds)
+            handed = []
+            outcome = metrics._check(h, s.copy(), kinds, inverse.copy,
+                                     handed.append if hand_over else None)
+            if hand_over:
+                assert outcome[2] is None and len(handed) == 1
+                return (*outcome[:2], handed[0], *outcome[3:])
+            return outcome
+
+        residuals, singular, canonical, _, pivot = check(h, s, inverse)
+        assert s.tobytes() == kept.tobytes()  # a candidate is not written
+        assert singular.shape == pivot.shape == (len(h),)
+        assert canonical.shape == s.shape
+        for i in range(len(h)):
+            alone = check(h[i], s[i], None if inverse is None else inverse[i])
+            assert [r[i].tobytes() for r in residuals] == [
+                np.asarray(r).tobytes() for r in alone[0]], i
+            assert (singular[i], pivot[i].tobytes()) == (alone[1], alone[4].tobytes()), i
+            assert canonical[i].tobytes() == alone[2].tobytes(), i
+            assert all(np.isinf(r[i]) == singular[i] for r in residuals), i
+            if singular[i]:
+                assert canonical[i].tobytes() == s[i].tobytes(), i  # its own entries
+            else:
+                assert canonical[i].tobytes() == (s[i] / pivot[i]).tobytes(), i
+        zero = ~s.any(axis=(-2, -1))
+        assert singular[zero].all()
+        if not s.flags.writeable:
+            assert canonical is s  # a read-only view with pivot 1 is not copied
