@@ -16,9 +16,10 @@ and ``zgebak``, then normalizes each eigenvector.  A grid Hamiltonian is
 already upper Hessenberg, and on such a matrix with a real subdiagonal
 ``zgehrd``'s reflectors are all the identity (τ = 0): the reduction, one
 O(n³) stage, does no work.  :func:`eig` skips it there (the Hessenberg
-route, :func:`_hessenberg_eig`) and runs the other stages as ``zgeev``
-runs them, with its workspace, so the bits are the same.  ``_flapack``
-wraps ``zgebal`` but not ``zhseqr``, ``ztrevc3`` or ``zgebak``; these,
+route, :func:`_hessenberg_eig`), and ``zgebak`` too, which the route's
+balancing leaves with nothing to undo; it runs the other stages as
+``zgeev`` runs them, with its workspace, so the bits are the same.
+``_flapack`` wraps ``zgebal`` but not ``zhseqr`` or ``ztrevc3``; these,
 ``zunghr`` (so that it shares the one workspace) and the four BLAS
 routines of the normalization are called through ``ctypes`` from the
 library of ``_flapack``, whose symbol lookup reaches scipy's bundled
@@ -89,7 +90,6 @@ _SIGNATURES = {
     "zunghr": (None, [_P] * 9),
     "zhseqr": (None, [_P] * 13 + [ctypes.c_size_t] * 2),
     "ztrevc3": (None, [_P] * 17 + [ctypes.c_size_t] * 2),
-    "zgebak": (None, [_P] * 10 + [ctypes.c_size_t] * 2),
     "dznrm2": (ctypes.c_double, [_P] * 3),
     "zdscal": (None, [_P] * 4),
     "idamax": (ctypes.c_int, [_P] * 3),
@@ -191,9 +191,12 @@ def _hessenberg_eig(a: np.ndarray, lwork: int) -> tuple[np.ndarray, np.ndarray] 
     an output, Q is built by ``zunghr`` rather than set to I.  ``zhseqr('S', 'V')``
     and ``ztrevc3('R', 'B')`` then run on a Fortran copy T of ``a`` with
     ``zgeev``'s workspace ``lwork`` (their block sizes depend on it), and
-    ``zgebak`` and the normalization follow as in ``zgeev``, through the
-    same BLAS.  T overwrites itself with the Schur form; it and the
-    eigenvectors are the two n x n arrays ``zgeev`` holds besides ``a``.
+    the normalization follows as in ``zgeev``, through the same BLAS.
+    ``zgeev``'s ``zgebak('B', 'R')`` is not called: with ilo = 1, ihi = n and
+    every scale 1 it scales each row by 1.0, exact for every float and both
+    zeros, and permutes none, as it swaps only rows outside ilo..ihi.  T
+    overwrites itself with the Schur form; it and the eigenvectors are the
+    two n x n arrays ``zgeev`` holds besides ``a``.
     """
     if (HESSENBERG is None or a.dtype != np.complex128 or a.ndim != 2
             or a.shape[0] != a.shape[1] or not a.flags.c_contiguous or not _is_hessenberg(a)):
@@ -224,9 +227,6 @@ def _hessenberg_eig(a: np.ndarray, lwork: int) -> tuple[np.ndarray, np.ndarray] 
                    rwork.ctypes.data, size, info, 1, 1)
     _raise_if_illegal(status.value, "ztrevc3")
     del t, work
-    lapack.zgebak(b"B", b"R", size, one, size, scaling.ctypes.data, size, vr.ctypes.data, size,
-                  info, 1, 1)
-    _raise_if_illegal(status.value, "zgebak")
 
     # each column to unit 2-norm, then its first largest |v_k| rotated onto
     # the real axis and its imaginary part set to +0.0.  zgeev's phase

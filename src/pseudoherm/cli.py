@@ -326,6 +326,7 @@ def _emit(args, doc: dict) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    tol = _tol_from_args(args)
     h = load_matrix(args.matrix)
     candidates = {}
     for kind in ("rho", "mu", "eta"):
@@ -335,7 +336,6 @@ def _cmd_analyze(args) -> int:
     if args.parity:
         parity = load_matrix(args.parity)
         parity_name = Path(args.parity).stem
-    tol = _tol_from_args(args)
     input_doc = _input_doc(h, candidates, tol, source=args.matrix)
     _emit(args, build_report(h, candidates, tol, input_doc,
                              parity=parity, parity_name=parity_name))
@@ -343,11 +343,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_builtin(args) -> int:
+    tol = _tol_from_args(args)
     assignments = _parse_assignments(args.params)
     h, params, candidates, extras = families.instantiate_builtin(args.name, assignments)
     if args.matrix:
         save_matrix(args.matrix, h)
-    tol = _tol_from_args(args)
     input_doc = _input_doc(h, candidates, tol, source=f"builtin:{args.name}", parameters=params)
     input_doc.update(extras)
     _emit(args, build_report(h, candidates, tol, input_doc))
@@ -358,6 +358,7 @@ _FAMILY_DEFAULT_MASS = {"morse": 0.5}
 
 
 def _cmd_discretize(args) -> int:
+    tol = _tol_from_args(args)
     family = args.family.replace("-", "_")
     params = {}
     for name in ("alpha", "beta", "gamma", "C", "D", "g"):
@@ -377,7 +378,6 @@ def _cmd_discretize(args) -> int:
     if args.matrix:
         save_matrix(args.matrix, h)
 
-    tol = _tol_from_args(args)
     full = eigendecompose(h, tol)
     bound = schrodinger.bound_spectrum(h, grid, args.states, tol, spectrum=full)
 
@@ -404,9 +404,9 @@ def _cmd_discretize(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    tol = _tol_from_args(args)
     fixed = _parse_assignments(args.fixed)
     values = sweep_values(getattr(args, "from"), args.to, args.step)
-    tol = _tol_from_args(args)
     result = sweep_family(args.family, args.parameter, values, fixed, tol)
     _emit(args, _sweep_doc(result))
     return 0

@@ -20,7 +20,6 @@ is written ``-0``, which reads as the integer 0.
 
 from __future__ import annotations
 
-import functools
 import gc
 import itertools
 import json
@@ -65,7 +64,8 @@ RESIDUAL_BLOCK = 64
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Tolerances shared by the whole toolkit, each relative to :func:`tolerance_scale`."""
+    """Tolerances shared by the whole toolkit, each relative to :func:`tolerance_scale`;
+    each must be finite and above 0."""
 
     residual_tol: float = 1e-10
     reality_tol: float = 1e-8
@@ -74,8 +74,9 @@ class ToleranceConfig:
 
     def __post_init__(self) -> None:
         for name in ("residual_tol", "reality_tol", "pairing_tol", "metric_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite, "
+                                 f"got {getattr(self, name)!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -486,7 +487,8 @@ def eigendecompose(h, tol: ToleranceConfig | None = None) -> Spectrum:
 
 def _is_real(w: np.ndarray, tol: ToleranceConfig, scale) -> np.ndarray:
     """Which eigenvalues count as real: ``|Im w| <= reality_tol * scale``, one scale per row."""
-    return np.abs(w.imag) <= tol.reality_tol * np.expand_dims(scale, -1)
+    with np.errstate(over="ignore"):  # a bound above the float range is inf: every w is real
+        return np.abs(w.imag) <= tol.reality_tol * np.expand_dims(scale, -1)
 
 
 def _reality_tags(w: np.ndarray, tol: ToleranceConfig, scale: float) -> tuple[RealityTag, ...]:
@@ -546,7 +548,8 @@ def _similarity(s: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     """``(S H S^-1, S^-1, singular)`` for each S on the last two axes of ``s``.
 
     S is inverted, all of a stack by one call of :func:`_inverses`; where S
-    is singular, S^-1 and S H S^-1 are NaN.
+    is singular, S^-1 and S H S^-1 are NaN, and S H S^-1 is ``None`` where
+    every S is singular, as no product is formed.
     A permutation S (:func:`permutation_of`), the same at every point of a
     stack, is neither inverted nor multiplied: ``S H S^-1`` is the gather
     ``H[p_i, p_j]``, and S^-1 is returned as the row gather ``argsort(p)``;
@@ -564,7 +567,8 @@ def _similarity(s: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
             return h, p, singular
         return h[..., p[:, None], p], np.argsort(p), singular
     inverses = _inverses(s)
-    return s @ h @ inverses.inverse, inverses.inverse, inverses.singular
+    singular = inverses.singular
+    return None if singular.all() else s @ h @ inverses.inverse, inverses.inverse, singular
 
 
 def _inverse_times(s_inv: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -641,7 +645,8 @@ def _emit(obj, out: list[str]) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(obj))
     elif isinstance(obj, np.ndarray) and obj.dtype.kind in "fc" and obj.size:
-        _emit_array(obj, out)
+        require_finite(obj)
+        out.append(array_texts(obj[np.newaxis])[0])
     elif isinstance(obj, (list, tuple, np.ndarray)):
         if all(isinstance(val, float) for val in obj):  # a complex scalar's [re, im], sweep values
             out.append("[" + ", ".join(map(format_float, obj)) + "]")
@@ -666,12 +671,6 @@ def _emit(obj, out: list[str]) -> None:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _emit_array(a: np.ndarray, out: list[str]) -> None:
-    """A nonempty float or complex array, as nested lists (complex values as ``[re, im]``)."""
-    require_finite(a)
-    out.append(array_texts(a[np.newaxis])[0])
-
-
 def require_finite(a: np.ndarray) -> None:
     """Raise the writer's ``ValueError`` unless every value of ``a`` is finite."""
     if not np.isfinite(a).all():
@@ -682,37 +681,20 @@ def array_texts(stack: np.ndarray) -> list[str]:
     """The nested-list text of each array along the first axis of a float or
     complex ``stack`` (complex values as ``[re, im]``), from one ``tolist()``.
 
-    The values are not checked: a non-finite one is written as ``nan`` or
-    ``inf``, so a caller checks them first (:func:`require_finite`).
+    The lists are built once per call as a template with a ``%.17g`` (the
+    conversion of :func:`format_float`) for each value, which every array
+    fills in; no template is kept between writes.  The values are not
+    checked: a non-finite one is written as ``nan`` or ``inf``, so a caller
+    checks them first (:func:`require_finite`).
     """
     shape = stack.shape[1:]
     if stack.dtype.kind == "c":
         shape += (2,)
         stack = np.ascontiguousarray(stack).view(stack.real.dtype)  # re, im, re, im, ...
-    if math.prod(shape) <= TEMPLATE_VALUES:
-        template = _array_template(shape)
-    else:
-        template = _array_template.__wrapped__(shape)  # built for this write alone
-    return [template % tuple(values) for values in stack.reshape(len(stack), -1).tolist()]
-
-
-# The templates kept: those of the TEMPLATE_SHAPES array shapes written last
-# that hold at most TEMPLATE_VALUES values.  One report writes at most four
-# shapes (its matrices, eigenvalues and residuals).  A template is as long as
-# its array's text, about 1 MB for a 256 x 256 complex matrix, and filling in
-# a template takes longer than building it.
-TEMPLATE_SHAPES = 8
-TEMPLATE_VALUES = 4096
-
-
-@functools.lru_cache(maxsize=TEMPLATE_SHAPES)
-def _array_template(shape: tuple[int, ...]) -> str:
-    """The nested lists of an array of ``shape``, with a ``%.17g`` (the
-    conversion of :func:`format_float`) for each value."""
     texts = ["%.17g"] * math.prod(shape)
     for size in reversed(shape):  # close the innermost lists first
         texts = ["[" + ", ".join(texts[i:i + size]) + "]" for i in range(0, len(texts), size)]
-    return texts[0]
+    return [texts[0] % tuple(values) for values in stack.reshape(len(stack), -1).tolist()]
 
 
 def matrix_from_doc(doc) -> np.ndarray:

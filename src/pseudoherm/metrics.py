@@ -188,7 +188,8 @@ def _check(h: np.ndarray, metric: np.ndarray, kinds=KINDS, inverse_of=None, on_m
     one matrix or a (points, n, n) stack alike.
 
     ``residuals`` are those of S H S^-1 against the targets of ``kinds``
-    (:func:`_residuals`), ``inf`` where S is ``singular`` or zero.  ``canonical``
+    (:func:`_residuals`), ``inf`` where S is ``singular`` or zero; a candidate
+    that is singular at every point forms no S H S^-1.  ``canonical``
     is S / ``pivot`` (:func:`_pivot`), but a singular S keeps its own entries.
     ``metric_inv`` is S^-1 as :func:`_similarity` returns it, so that
     ``metric_inv * pivot`` inverts the canonical S.
@@ -225,7 +226,8 @@ def _check(h: np.ndarray, metric: np.ndarray, kinds=KINDS, inverse_of=None, on_m
             canonical = metric = None
         metric_inv = inverse_of()
         similar = similar @ metric_inv
-    residuals = tuple(np.where(singular, np.inf, r) for r in _residuals(h, similar, kinds))
+    residuals = (np.inf,) * len(kinds) if similar is None else _residuals(h, similar, kinds)
+    residuals = tuple(np.where(singular, np.inf, r) for r in residuals)
     del similar
     if inverse_of is None:
         canonical = metric if not metric.flags.writeable and (pivot == 1).all() else np.divide(

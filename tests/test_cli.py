@@ -510,6 +510,52 @@ class TestToleranceFlags:
         assert code == 2 and doc is None
         assert "must be strictly positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-inf"])
+    @pytest.mark.parametrize("flag", FLAGS)
+    @pytest.mark.parametrize("command", [
+        ("builtin", "H5", "a=0", "b=0.5", "c=1"),
+        ("discretize", "--family", "harmonic", "--alpha", "1", "--xmax", "6", "--n", "64"),
+    ])
+    def test_non_finite_tolerance_exits_2_before_the_eigensolve(
+            self, tmp_path, monkeypatch, capsys, command, flag, value):
+        eig = mock.Mock(side_effect=AssertionError("eigensolve before the tolerance check"))
+        monkeypatch.setattr(_lapack, "eig", eig)
+        matrix = tmp_path / "h.json"
+        code, doc = run(tmp_path, *command, "--matrix", str(matrix), f"{flag}={value}")
+        assert code == 2 and doc is None
+        name = f"{self.FLAGS[flag]}_tol"
+        assert capsys.readouterr().err == (
+            f"error: {name} must be strictly positive and finite, got {float(value)!r}\n")
+        eig.assert_not_called()
+        assert not matrix.exists()  # nothing is written either
+
+    # every float, and the valid ones as often again, from subnormal to the largest
+    positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from([("builtin", "H5", "a=0", "b=0.5", "c=1"),
+                            ("sweep", "H8", "b", "a=0.3", "c=1", "d=0.5",
+                             "--from", "0", "--to", "0.5", "--step", "0.25")]),
+           st.fixed_dictionaries({}, optional=dict.fromkeys(FLAGS, st.floats() | positive_floats)))
+    @example(("builtin", "H5", "a=0", "b=0.5", "c=1"),
+             {"--tol-residual": 5e-324, "--tol-reality": 1e308, "--tol-metric": 1e-300})
+    @example(("builtin", "H5", "a=0", "b=0.5", "c=1"), {"--tol-metric": 1.7976931348623157e308})
+    @example(("builtin", "H5", "a=0", "b=0.5", "c=1"), {"--tol-reality": -0.0})
+    def test_every_tolerance_gets_a_finite_report_or_exit_2(self, tmp_path, capsys, command,
+                                                            values):
+        (tmp_path / "report.json").unlink(missing_ok=True)
+        code, doc = run(tmp_path, *command,
+                        *(f"{flag}={value!r}" for flag, value in values.items()))
+        err = capsys.readouterr().err
+        bad = [flag for flag in self.FLAGS if not 0.0 < values.get(flag, 1.0) < math.inf]
+        if bad:
+            assert code == 2 and doc is None
+            assert err.startswith(f"error: {self.FLAGS[bad[0]]}_tol must be strictly positive")
+        else:
+            assert code == 0 and err == ""
+            assert finite_numbers(doc)
+
 
 class TestBuiltin:
     def test_h7_pseudo_hermitian_under_sigma_y(self, tmp_path):

@@ -701,7 +701,7 @@ class TestLapack:
         assert routed == takes_hessenberg_route(a)
 
     def test_hessenberg_route_symbols_are_bound(self):
-        # scipy's OpenBLAS exports zhseqr, ztrevc3, zgebak and the BLAS of
+        # scipy's OpenBLAS exports zunghr, zhseqr, ztrevc3 and the BLAS of
         # zgeev's normalization; without them every matrix takes zgeev
         assert _lapack.HESSENBERG is not None
         assert _lapack.bind(ctypes.util.find_library("m")) is None  # no such symbols
@@ -1089,6 +1089,7 @@ class TestJsonWriter:
     @given(float_arrays())
     @example(np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]))
     @example(np.array([[complex(-0.0, 0.0), complex(5e-324, -0.0)], [1e-310j, -1.0]]))
+    @example(np.arange(4097.0))  # a long array, 4097 values
     def test_array_writes_the_bytes_of_its_lists(self, m):
         assert linalg.to_json_text(m.tolist()) == _nested_lists_text(m.tolist())
         assert linalg.to_json_text(m) == linalg.to_json_text(m.tolist())
@@ -1106,19 +1107,6 @@ class TestJsonWriter:
             linalg.to_json_text({"rows": m})
         with pytest.raises(ValueError, match="cannot serialize non-finite float"):
             linalg.to_json_text({"rows": m.tolist()})
-
-    def test_template_cache_is_bounded(self):
-        linalg._array_template.cache_clear()
-        for size in range(1, linalg.TEMPLATE_SHAPES + 4):
-            assert linalg.to_json_text(np.full(size, 0.5)) == "[" + ", ".join(["0.5"] * size) + "]"
-        info = linalg._array_template.cache_info()
-        assert info.maxsize == info.currsize == linalg.TEMPLATE_SHAPES
-        assert linalg.to_json_text(np.array([-0.0])) == "[-0]"  # an evicted shape, built again
-
-        linalg._array_template.cache_clear()
-        big = np.arange(linalg.TEMPLATE_VALUES + 1.0)  # one value too many to keep
-        assert linalg.to_json_text(big) == linalg.to_json_text(big.tolist())
-        assert linalg._array_template.cache_info().misses == 0
 
 
 def reference_matrix_from_doc(doc) -> np.ndarray:

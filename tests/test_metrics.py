@@ -1219,3 +1219,30 @@ class TestCheckKernel:
         assert singular[zero].all()
         if not s.flags.writeable:
             assert canonical is s  # a read-only view with pivot 1 is not copied
+
+    @pytest.mark.parametrize("points", [None, 3])
+    def test_singular_candidate_forms_no_product(self, points):
+        # S^-1 of a singular S is NaN, so S H S^-1 and its residuals would be
+        # thrown away: every residual is inf without them
+        rng = np.random.default_rng(11)
+        h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        s = np.ones((6, 6), dtype=np.complex128)
+        if points is not None:
+            h, s = np.stack([h] * points), np.stack([s] + [np.zeros_like(s)] * (points - 1))
+        with mock.patch.object(metrics, "_residuals") as residuals:
+            got, singular, canonical, _, _ = metrics._check(h, s)
+        residuals.assert_not_called()
+        assert np.all(singular)
+        assert [np.shape(r) for r in got] == [np.shape(singular)] * 3
+        assert all(np.isinf(r).all() for r in got)
+        assert canonical.tobytes() == s.tobytes()
+
+    def test_partly_singular_stack_keeps_its_products(self):
+        rng = np.random.default_rng(12)
+        h = np.stack([rng.normal(size=(4, 4)) + 0j] * 2)
+        s = np.stack([np.ones((4, 4)), np.diag([1.0, 2.0, 3.0, 4.0])]).astype(np.complex128)
+        with mock.patch.object(metrics, "_residuals", wraps=metrics._residuals) as residuals:
+            got, singular, _, _, _ = metrics._check(h, s)
+        residuals.assert_called_once()
+        assert singular.tolist() == [True, False]
+        assert all(np.isinf(r[0]) and np.isfinite(r[1]) for r in got)
