@@ -67,12 +67,23 @@ def h8(a, b, c, d) -> np.ndarray:
     return _matrix([[a + 1j * b, c + 1j * d], [c - 1j * d, a - 1j * b]])
 
 
+def _gap(b, c, d=0.0) -> tuple:
+    """``(k, b / 2^k, g)`` with g = c^2 + d^2 - b^2 of b, c, d over 2^k, elementwise.
+
+    2^k brings the largest of |b|, |c| and |d| into [1, 2), so g neither
+    overflows nor underflows.  The scale is exact and 2^k finite: g has the
+    sign of c^2 + d^2 - b^2, sqrt(g) 2^k is its square root, and where the
+    unscaled squares stay normal g is exactly theirs over 4^k.
+    """
+    k = np.frexp(np.maximum(np.maximum(np.abs(b), np.abs(c)), np.abs(d)))[1] - 1
+    b, c, d = (np.ldexp(x, -k) for x in (b, c, d))
+    return k, b, c * c + d * d - b * b
+
+
 def two_level_eigenvalues(a: float, b: float, c: float) -> tuple[complex, complex]:
     """Eigenvalues a +- sqrt(c^2 - b^2) of H5/H6/H7, complex when c^2 < b^2."""
-    root = np.sqrt(np.complex128(c * c - b * b))
-    if not np.isfinite(root):  # c^2 - b^2 overflows: take it scaled by the larger of |b|, |c|
-        s = max(abs(b), abs(c))
-        root = s * np.sqrt(np.complex128((c / s) ** 2 - (b / s) ** 2))
+    k, _, g = _gap(b, c)
+    root = np.sqrt(np.complex128(g)) * np.ldexp(1.0, k)
     lo, hi = a - root, a + root
     if (lo.real, lo.imag) > (hi.real, hi.imag):
         lo, hi = hi, lo
@@ -109,11 +120,11 @@ def h8_angles(a, b, c, d) -> tuple:
 
     Elementwise over array parameters; raises if any point is in the broken phase.
     """
-    e2 = c * c + d * d - b * b
-    if np.any(e2 <= 0):
+    k, b_scaled, g = _gap(b, c, d)
+    if np.any(g <= 0):
         raise ValueError("real-spectrum closed forms need c^2 + d^2 > b^2")
-    e = np.sqrt(e2)
-    return e, np.arctan2(b, e), np.arctan2(d, c)
+    e = np.sqrt(g)  # e / 2^k
+    return np.ldexp(e, k), np.arctan2(b_scaled, e), np.arctan2(d, c)
 
 
 def _squared(x) -> np.ndarray:
@@ -215,7 +226,7 @@ def _h8_candidates(params: dict, k: int) -> dict:
     cand = {"sigma_x": _constant(SIGMA_X, k)}
     b, c, d = params["b"], params["c"], params["d"]
     # the closed forms apply in the real phase only (and at a NaN c^2 + d^2 - b^2)
-    (real,) = np.nonzero(~(c * c + d * d - b * b <= 0))
+    (real,) = np.nonzero(~(_gap(b, c, d)[2] <= 0))
     if real.size:
         at = {name: value[real] for name, value in params.items()}
         cand["closed_form_rho"] = real, h8_rho(**at)

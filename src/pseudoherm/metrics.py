@@ -28,15 +28,14 @@ store them canonically normalized: the first nonzero entry in row-major
 order is scaled to 1.
 
 One kernel, :func:`_check`, runs every similarity check, of one matrix or
-a (points, n, n) stack: the candidates, the diagonalizer metrics and the
-designated metrics of :func:`classify` (the identity, the parity) in one
-loop, and each metric stack of :func:`pseudoherm.sweep.sweep_family`.
+a (points, n, n) stack: the candidates and the diagonalizer metrics in the
+loop of :func:`check_metrics`, the parity of :func:`classify`, and each
+metric stack of :func:`pseudoherm.sweep.sweep_family`.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -255,9 +254,7 @@ def check_all(h, metric, tol: ToleranceConfig | None = None,
     residual equals ``similarity_residual(metric, h, target)`` for its
     target.  Raises :class:`SingularMatrix` when the metric cannot be inverted.
     """
-    h = _intake(as_matrix(h))[0]
-    (reports,), _, singular, _ = _check_loop(h, _taken_in(h, {name: metric}), None,
-                                             tol or DEFAULT_TOL, None, None)
+    (reports,), _, singular = check_metrics(_intake(as_matrix(h))[0], {name: metric}, None, tol)
     if singular:  # its only warnings
         raise SingularMatrix(f"metric '{name}' is singular")
     return {kind: replace(rep, provenance=provenance) for kind, rep in reports.items()}
@@ -396,20 +393,13 @@ def check_metrics(h, candidates, spectrum: Spectrum | None, tol: ToleranceConfig
     with each canonical metric: a candidate's right after its check, with
     its three reports keyed by kind, and a diagonalizer metric's before its
     inverse is built, with ``reports=None``, as its verdicts are not known
-    yet.  The reports kept hold ``metric=None``, so that each diagonalizer
+    yet.  The reports then hold ``metric=None``, so that each diagonalizer
     metric is released before its inverse is built and every metric before
     the next is checked.
     """
     h = as_matrix(h)
-    return _check_loop(h, _taken_in(h, candidates), spectrum, tol or DEFAULT_TOL, vectors,
-                       on_metric)[:3]
-
-
-def _check_loop(h: np.ndarray, candidates: dict, spectrum: Spectrum | None, tol: ToleranceConfig,
-                vectors, on_metric, designated=()) -> tuple[list, list, list, list]:
-    """``(checked, reality, warnings, own)``: :func:`check_metrics` of candidates taken in
-    by :func:`_taken_in`, then in ``own`` the residuals of each designated ``(metric, kinds)``
-    (``None`` if singular), or those of an equal candidate that was invertible."""
+    candidates = _taken_in(h, candidates)
+    tol = tol or DEFAULT_TOL
     checked, reality, warn = [], [], []
 
     def record(name, provenance, outcome):
@@ -419,7 +409,8 @@ def _check_loop(h: np.ndarray, candidates: dict, spectrum: Spectrum | None, tol:
         del outcome
         if singular:
             warn.extend(f"metric '{name}' is singular; {kind} check skipped" for kind in KINDS)
-        reports = {kind: MetricReport(kind, name, canonical, float(residual),
+        kept = canonical if on_metric is None else None
+        reports = {kind: MetricReport(kind, name, kept, float(residual),
                                       bool(residual <= tol.metric_tol), provenance)
                    for kind, residual in zip(KINDS, residuals)}
         if vectors is not None and reports[PSEUDO_REAL].holds:
@@ -429,7 +420,6 @@ def _check_loop(h: np.ndarray, candidates: dict, spectrum: Spectrum | None, tol:
         del metric_inv
         if on_metric is not None and canonical is not None:
             on_metric(name, canonical, reports, spectrum)
-            reports = {kind: replace(rep, metric=None) for kind, rep in reports.items()}
         checked.append(reports)
 
     for name, metric in candidates.items():
@@ -449,18 +439,7 @@ def _check_loop(h: np.ndarray, candidates: dict, spectrum: Spectrum | None, tol:
                 # the metric is built in the argument list, so that only _check holds it
                 record(name, "from_diagonalizer", _check(
                     h, build(d, d_inv), KINDS, functools.partial(build_inverse, d, d_inv), handed))
-
-    own = []
-    for metric, kinds in designated:
-        reports = next((reports for reports, candidate in zip(checked, candidates.values())
-                        if math.isfinite(reports[kinds[0]].residual)
-                        and np.array_equal(candidate, metric)), None)
-        if reports is not None:
-            own.append([reports[kind].residual for kind in kinds])
-        else:
-            residuals, singular = _check(h, metric, kinds)[:2]
-            own.append(None if singular else [float(r) for r in residuals])
-    return checked, reality, warn, own
+    return checked, reality, warn
 
 
 # Eigenvectors per matrix product of the reality check: enough columns for
@@ -587,13 +566,12 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
     metric.  Failed checks are recorded, never raised; only input-format
     errors propagate.
 
-    H's own relations and PT are checks of two designated metrics, run
-    after the diagonalizer metrics in the loop of :func:`check_metrics`:
-    Hermiticity and self-adjointness are the pseudo-Hermitian and
-    pseudo-adjoint relations under the identity, and the PT verdict is
-    pseudo-reality under a parity matrix (grid/anti-diagonal reversal by
-    default, overridable via ``parity``).  A designated metric equal to a
-    candidate that was invertible takes that candidate's residuals.  The
+    The metrics are checked by :func:`check_metrics`; then H's own
+    relations and PT.  Hermiticity and self-adjointness are the
+    pseudo-Hermitian and pseudo-adjoint relations under the identity, whose
+    residuals :func:`_residuals` takes of H against itself, read in place.
+    The PT verdict is pseudo-reality under a parity matrix (grid/anti-diagonal
+    reversal by default, overridable via ``parity``), one :func:`_check`.  The
     shapes of the candidates and the parity are checked before any solve.
     A precomputed ``spectrum`` may be passed to avoid a second eigensolve.
     It must come from :func:`eigendecompose` with the same ``tol``: it keeps
@@ -622,17 +600,18 @@ def classify(h, candidates=None, tol: ToleranceConfig | None = None,
             failure = f"eigendecomposition failed: {exc}"
 
     vectors = spectrum.eigenvectors if spectrum is not None else None
-    checked, reality, warn, ((sa_res, herm_res), pt_res) = _check_loop(
-        h, candidates, spectrum, tol, vectors, on_metric,
-        ((identity_view(len(given)), (PSEUDO_ADJOINT, PSEUDO_HERMITIAN)), (parity, (PSEUDO_REAL,))))
+    checked, reality, warn = check_metrics(h, candidates, spectrum, tol, vectors, on_metric)
     if failure is not None:
         warn.append(failure)
     pseudo_real, pseudo_adjoint, pseudo_hermitian = (tuple(r[k] for r in checked) for k in KINDS)
-    if pt_res is None:
+    # H's own relations are those under the identity, whose S H S^-1 is H itself
+    sa_res, herm_res = (float(r) for r in _residuals(h, h, (PSEUDO_ADJOINT, PSEUDO_HERMITIAN)))
+    (pt_res,), singular = _check(h, parity, (PSEUDO_REAL,))[:2]
+    if singular:
         warn.append("parity matrix is singular; PT check skipped")
         pt = None
     else:
-        pt = (parity_name, pt_res[0], bool(pt_res[0] <= tol.metric_tol))
+        pt = (parity_name, float(pt_res), bool(pt_res <= tol.metric_tol))
 
     reality_checks = tuple(_reality_check(k, name, eps[k], residual[k], tol)
                            for k in range(len(spectrum) if spectrum else 0)

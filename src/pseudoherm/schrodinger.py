@@ -210,10 +210,10 @@ def _diagonal_potential(pot: PotentialSpec, x: np.ndarray) -> np.ndarray:
             if pot.family == "morse":
                 return (p["D"] ** 2 * np.exp(-2.0 * z)
                         - (2.0 * p["C"] + 1.0) * p["D"] * np.exp(-z))
+            if pot.family == "monomial_pt":
+                return 1j * p["g"] * _sequential_power(z, int(p["k"]))
     except OverflowError as exc:
         raise ParameterOutOfRange("potential overflows on this grid") from exc
-    if pot.family == "monomial_pt":
-        return 1j * p["g"] * _sequential_power(z, int(p["k"]))
     raise ParameterOutOfRange(f"unknown family '{pot.family}'")
 
 
@@ -231,18 +231,21 @@ def build_hamiltonian(pot: PotentialSpec, grid: GridSpec) -> np.ndarray:
     m = grid.mass
 
     h_mat = _kinetic(grid)
-    if pot.family == "gauged_oscillator":
-        beta = pot.params["beta"]
-        expo = 0.5 * beta * (x[:, None] ** 2 - x[None, :] ** 2)
-        h_mat = h_mat * np.exp(expo)
-    elif pot.family == "gauged_hermitian":
-        gamma = pot.params["gamma"]
-        x3 = _sequential_power(x, 3)
-        phase = gamma * (x3[:, None] - x3[None, :])
-        h_mat = h_mat * np.exp(1j * phase)
-
     v = _diagonal_potential(pot, x)
     with np.errstate(over="ignore", invalid="ignore"):
+        if pot.family == "gauged_oscillator":
+            # on the two bands only, where the stencil is nonzero: off them the
+            # exponent may overflow, and 0 * inf would be NaN
+            beta = pot.params["beta"]
+            x2 = x ** 2
+            off = np.arange(n - 1)
+            h_mat[off, off + 1] *= np.exp(0.5 * beta * (x2[:-1] - x2[1:]))
+            h_mat[off + 1, off] *= np.exp(0.5 * beta * (x2[1:] - x2[:-1]))
+        elif pot.family == "gauged_hermitian":
+            gamma = pot.params["gamma"]
+            x3 = _sequential_power(x, 3)
+            phase = gamma * (x3[:, None] - x3[None, :])
+            h_mat = h_mat * np.exp(1j * phase)
         if pot.family in ("harmonic", "gauged_oscillator", "gauged_hermitian"):
             v = m * v
         h_mat[np.arange(n), np.arange(n)] += v

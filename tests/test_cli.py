@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from pseudoherm import (SIGMA_X, GridSpec, _lapack, build_hamiltonian, canonical_normalize, cli,
@@ -600,13 +600,77 @@ class TestBuiltin:
         np.testing.assert_array_equal(m, np.array([[0.6j, 1.0], [1.0, -0.6j]]))
 
     def test_parameters_near_the_float_maximum_give_a_finite_report(self, tmp_path):
-        # c^2 - b^2 overflows: the closed form is taken scaled by max(|b|, |c|)
+        # c^2 - b^2 overflows: the closed form squares b and c scaled by a power of two
         code, doc = run(tmp_path, "builtin", "H5", "a=0", "b=1e308", "c=1")
         assert code == 0
         formula, solved = ([complex(*x) for x in ev] for ev in
                            (doc["input"]["eigenvalues"], doc["spectrum"]["eigenvalues"]))
         np.testing.assert_allclose(formula, solved, rtol=1e-12)
         assert formula == [-1e308j, 1e308j]
+
+    def test_tiny_parameters_give_the_closed_form_eigenvalues(self, tmp_path):
+        # c^2 - b^2 underflows to 0 unless b and c are scaled before they are squared
+        code, doc = run(tmp_path, "builtin", "H5", "a=0", "b=1e-170", "c=2e-170")
+        assert code == 0
+        formula, solved = ([complex(*x) for x in ev] for ev in
+                           (doc["input"]["eigenvalues"], doc["spectrum"]["eigenvalues"]))
+        np.testing.assert_allclose(formula, solved, rtol=1e-12)
+        assert formula == [-1.7320508075688772e-170, 1.7320508075688772e-170]
+
+    @pytest.mark.parametrize("k", [-540, 520])
+    def test_h8_closed_forms_at_parameters_scaled_by_a_power_of_two(self, tmp_path, k):
+        # unscaled, c^2 + d^2 - b^2 underflows to 0 at 2^-540, a broken phase with
+        # no closed forms, and overflows to NaN at 2^520, closed forms of NaN
+        scaled = [f"{name}={math.ldexp(x, k)!r}" for name, x in zip("bcd", (0.6, 1.0, 0.5))]
+        code, doc = run(tmp_path, "builtin", "H8", "a=0", *scaled)
+        assert code == 0
+        _, unit = run(tmp_path, "builtin", "H8", "a=0", "b=0.6", "c=1", "d=0.5")
+        assert doc["input"]["phase"] == "real"
+        assert doc["input"]["e"] == math.ldexp(unit["input"]["e"], k)
+        for kind in metrics.KINDS:
+            got, want = ([(r["name"], r["holds"]) for r in d["classification"][kind]]
+                         for d in (doc, unit))
+            assert got == want
+            assert [name for name, _ in got][:4] == [
+                "sigma_x", "closed_form_rho", "closed_form_mu", "closed_form_eta_plus"]
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(["H5", "H6", "H7", "H8"]), *[st.sampled_from(
+        [s * x for x in (0.25, 0.5, 0.75, 1.0, 1.5) for s in (1, -1)])] * 3,
+        st.integers(-560, 560))
+    @example("H5", math.ldexp(1e-170, 564), math.ldexp(2e-170, 564), 1.0, -564)
+    @example("H8", 0.6, 1.0, 0.5, -540)
+    @example("H8", 0.6, 1.0, 0.5, 520)
+    def test_closed_forms_scale_with_the_parameters(self, tmp_path, family, b, c, d, k):
+        # the closed forms are built from the parameters, not from H: at a = 0,
+        # b, c and d times 2^k scale each eigenvalue and e by 2^k and keep
+        # the angles and every verdict
+        h8 = family == "H8"
+        assume(c * c + (d * d if h8 else 0.0) != b * b)  # no exceptional point
+        names = "bcd" if h8 else "bc"
+        docs = []
+        for scale in (0, k):
+            code, doc = run(tmp_path, "builtin", family, "a=0", *[
+                f"{name}={math.ldexp(x, scale)!r}" for name, x in zip(names, (b, c, d))])
+            assert code == 0
+            docs.append(doc)
+        unit, scaled = (doc["input"] for doc in docs)
+        if h8:
+            assert [scaled.get(key) for key in ("phase", "theta", "phi")] == [
+                unit.get(key) for key in ("phase", "theta", "phi")]
+            assert scaled.get("e") == (None if "e" not in unit else math.ldexp(unit["e"], k))
+        else:
+            assert [math.ldexp(x, k).hex() for ev in unit["eigenvalues"] for x in ev] == [
+                float(x).hex() for ev in scaled["eigenvalues"] for x in ev]
+
+        def verdicts(doc):
+            cls = doc["classification"]
+            return ([(r["name"], r["holds"]) for kind in metrics.KINDS for r in cls[kind]],
+                    [cls[key]["holds"] for key in ("hermitian", "self_adjoint", "pt_symmetric")],
+                    [r["holds"] for r in cls["reality_checks"]])
+
+        assert verdicts(docs[1]) == verdicts(docs[0])
 
     def test_unknown_builtin_exit_2(self, tmp_path):
         assert run(tmp_path, "builtin", "H5", "a=oops")[0] == 2
@@ -616,6 +680,27 @@ class TestBuiltin:
 
 
 class TestDiscretize:
+    def test_gauge_exponents_off_the_bands_do_not_overflow(self, tmp_path):
+        # exp(beta (x_i^2 - x_j^2) / 2) overflows off H's bands, where the
+        # stencil is 0; on them it stays within exp(+-59)
+        code, doc = run(tmp_path, "discretize", "--family", "gauged-oscillator", "--alpha", "1",
+                        "--beta", "20", "--xmax", "10", "--n", "64", "--states", "2")
+        assert code == 0
+        assert doc["classification"]["hermitian"]["residual"] > 0
+        assert "metric 'gauge_mu' is singular; pseudo_real check skipped" in doc["warnings"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "monomial-pt", "--g", "3", "--k", "5", "--xmax", "1e200", "--states", "1"),
+        ("--family", "gauged-hermitian", "--alpha", "1", "--gamma", "1", "--xmax", "1e120",
+         "--states", "1"),
+        ("--family", "gauged-oscillator", "--alpha", "5e-324", "--beta", "1e154", "--xmax", "1",
+         "--xmin", "-0.5", "--states", "2"),
+    ])
+    def test_overflow_on_the_grid_exits_2_without_numpy_warnings(self, tmp_path, capsys, argv):
+        code, doc = run(tmp_path, "discretize", *argv, "--n", "16")
+        assert (code, doc) == (2, None)
+        assert capsys.readouterr().err == "error: potential overflows on this grid\n"
+
     def test_monomial_pt(self, tmp_path):
         code, doc = run(tmp_path, "discretize", "--family", "monomial-pt",
                         "--g", "1", "--k", "3", "--xmax", "6", "--n", "128",
@@ -681,14 +766,14 @@ class TestDiscretize:
         # permutations, which take index gathers, and the diagonalizer metrics
         # come with their inverses from its inverse
         assert len(lu_calls) == 1
-        # the identity and parity candidates and the three diagonalizer metrics;
-        # H's own relations are the identity candidate's, and the PT residual
-        # is the parity candidate's
+        # the identity and parity candidates, the three diagonalizer metrics,
+        # H's own relations and PT; H's own relations equal the identity
+        # candidate's, and the PT residual the parity candidate's
         cls = doc["classification"]
         parity = next(r for r in cls["pseudo_real"] if r["name"] == "parity")
         identity = {kind: next(r for r in cls[kind] if r["name"] == "identity")
                     for kind in ("pseudo_adjoint", "pseudo_hermitian")}
-        assert len(residual_calls) == 5
+        assert len(residual_calls) == 7
         assert cls["pt_symmetric"]["residual"] == parity["residual"]
         assert cls["hermitian"]["residual"] == identity["pseudo_hermitian"]["residual"]
         assert cls["self_adjoint"]["residual"] == identity["pseudo_adjoint"]["residual"]

@@ -687,16 +687,16 @@ class TestClassify:
         assert name == "reversal" and holds and residual <= 1e-14
 
     def test_one_check_pass(self, monkeypatch):
-        # the candidates, the diagonalizer metrics and the designated metrics
-        # are checked in one loop, the one check_metrics runs
+        # the candidates and the diagonalizer metrics are checked in one loop,
+        # one call of check_metrics
         calls = []
-        check_loop = metrics._check_loop
+        check_metrics = metrics.check_metrics
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return check_loop(*args, **kwargs)
+            return check_metrics(*args, **kwargs)
 
-        monkeypatch.setattr(metrics, "_check_loop", counting)
+        monkeypatch.setattr(metrics, "check_metrics", counting)
         report = classify(h5(0.0, 0.6, 1.0), {"sigma_x": SIGMA_X})
         assert len(calls) == 1
         holding = {r.name for r in report.pseudo_real if r.holds}
@@ -992,19 +992,15 @@ class TestPermutationMetrics:
 
     @settings(max_examples=60, deadline=None)
     @given(permutation_systems(), st.booleans())
-    def test_designated_metrics_take_an_equal_candidates_residuals(self, system, views):
+    def test_own_relations_and_pt_do_not_depend_on_equal_candidates(self, system, views):
         # H's own relations are those under the identity and PT is pseudo-reality
-        # under the parity: candidates equal to them give the verdicts of the
-        # designated metrics' own checks bit for bit, and no check of their own
+        # under the parity: candidates equal to them leave those verdicts bit for bit
         p, h = system
         n = len(h)
         identity = identity_view(n) if views else np.eye(n, dtype=np.complex128)
         if views:
             p = default_parity(n)
-        residuals = metrics._residuals
-        with mock.patch.object(metrics, "_residuals", side_effect=residuals) as spy:
-            report = classify(h, {"identity": identity, "P": p}, parity=p)
-        assert spy.call_count == len(report.pseudo_real)  # one pass per metric reported
+        report = classify(h, {"identity": identity, "P": p}, parity=p)
 
         def verdicts(r):
             pairs = (r.hermitian, r.self_adjoint, r.pt_symmetric[:0:-1])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudoherm import (
     GridSpec,
@@ -184,6 +186,25 @@ class TestBuildersEqualReference:
             assert (got is None) == (want is None)
             if got is not None:
                 assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(-30.0, -1e-3),
+           st.floats(1e-3, 30.0), st.integers(16, 40), st.floats(0.1, 10.0))
+    def test_gauged_oscillator_equals_the_dense_gauge_where_that_is_finite(
+            self, alpha, beta, x_min, x_max, n, mass):
+        # the gauge multiplies the two bands only; the dense product of the
+        # reference may overflow off them, where the stencil is 0, and the
+        # builder then gives a finite H or refuses the grid, without a warning
+        pot, grid = gauged_oscillator(alpha, beta), GridSpec(x_min, x_max, n, mass)
+        with np.errstate(all="ignore"):
+            want = reference_hamiltonian(pot, grid)
+        try:
+            got = build_hamiltonian(pot, grid)
+        except ParameterOutOfRange:
+            assert not np.isfinite(want).all()
+        else:
+            if np.isfinite(want).all():
+                assert got.tobytes() == want.tobytes()
 
 
 class TestPotentialValidation:
