@@ -7,6 +7,7 @@ report fingerprints hash them.
 """
 
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -67,11 +68,15 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 def reference_h8_candidates(a, b, c, d) -> dict:
     """The H8 candidates of one point, built from Python floats."""
     cand = {"sigma_x": SIGMA_X}
-    e2 = c * c + d * d - b * b
+    # over 2^k, the largest of |b|, |c| and |d| lies in [1, 2): the squares
+    # neither overflow nor underflow, so e2 has the sign of c^2 + d^2 - b^2
+    k = math.frexp(max(abs(b), abs(c), abs(d)))[1] - 1
+    bk, ck, dk = (math.ldexp(x, -k) for x in (b, c, d))
+    e2 = ck * ck + dk * dk - bk * bk
     if e2 <= 0:
         return cand
-    e = float(np.sqrt(e2))
-    th, ph = float(np.arctan2(b, e)), float(np.arctan2(d, c))
+    e = float(np.sqrt(e2))  # e / 2^k; theta is the same at any scale
+    th, ph = float(np.arctan2(bk, e)), float(np.arctan2(d, c))
     s = np.sin(th)
     pref = 0.5 / np.cos(th) ** 2  # a numpy scalar: C pow
     cand["closed_form_rho"] = np.array([
@@ -237,6 +242,8 @@ def test_stacked_builders_match_instantiate_builtin(family, data, values):
 @example(b=[0.0, 1.1682152287530652, 1.5], c=1.1218120574938264, d=-0.5762663372179997)
 # a product that underflows to -0.0 in a fused multiply-add and to +0.0 - (-0.0) without
 @example(b=[1.4475541226621065e-209], c=1.0, d=-3.6383071441244075e-277)
+# d^2 underflows to 0, yet c^2 + d^2 - b^2 > 0: the real phase, closed forms included
+@example(b=[0.0], c=0.0, d=5e-324)
 def test_h8_closed_forms_match_per_point(b, c, d):
     assert_stack_matches_points("H8", "b", b, {"a": 0.3, "c": c, "d": d})
 
