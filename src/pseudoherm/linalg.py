@@ -700,9 +700,9 @@ def array_texts(stack: np.ndarray) -> list[str]:
 def matrix_from_doc(doc) -> np.ndarray:
     """Parse an interchange document; rejects non-square input.
 
-    The rows are checked by one scan of the types and lengths of their
-    lists and values, and converted by one ``np.fromiter`` over all the
-    values.  Input the scan or the conversion rejects is walked again entry
+    The rows are checked by :func:`_is_pair_row`, the check of the row
+    reader :func:`_read_rows`, and converted by one ``np.fromiter`` over all
+    the values.  Input the check or the conversion rejects is walked again entry
     by entry, in row-major order, to name its first bad row or entry;
     non-finite values are checked last.
     """
@@ -717,7 +717,7 @@ def matrix_from_doc(doc) -> np.ndarray:
         raise MatrixFormatError("'n' must be a positive integer")
     if not isinstance(rows, list) or len(rows) != n:
         raise MatrixFormatError(f"expected {n} rows")
-    if not _is_pair_grid(rows, n):
+    if not all(_is_pair_row(row, n) for row in rows):
         _raise_first_bad_entry(rows, n)
     # one pass over the values, into the one array: np.array of the rows would
     # hold a conversion record for each of their n^2 lists, 2 MiB at n = 256
@@ -739,12 +739,11 @@ def _all_of(values, kinds) -> bool:
     return all(issubclass(t, kinds) and not issubclass(t, bool) for t in set(map(type, values)))
 
 
-def _is_pair_grid(rows: list, n: int) -> bool:
-    """Whether ``rows`` holds ``n`` lists of ``n`` ``[re, im]`` lists of numbers."""
-    entries = itertools.chain.from_iterable
-    return (_all_of(rows, list) and set(map(len, rows)) == {n}
-            and _all_of(entries(rows), list) and set(map(len, entries(rows))) == {2}
-            and _all_of(entries(entries(rows)), (int, float)))
+def _is_pair_row(row, n: int) -> bool:
+    """Whether ``row`` is a list of ``n`` ``[re, im]`` lists of numbers."""
+    return (isinstance(row, list) and len(row) == n
+            and _all_of(row, list) and set(map(len, row)) == {2}
+            and _all_of(itertools.chain.from_iterable(row), (int, float)))
 
 
 def _raise_first_bad_entry(rows: list, n: int) -> None:
@@ -770,6 +769,18 @@ def dumps_matrix(m) -> str:
 
 
 def loads_matrix(text: str) -> np.ndarray:
+    """Parse interchange text into a complex matrix.
+
+    Text in the layout :func:`dumps_matrix` writes is read one row at a
+    time (:func:`_read_rows`), so that no more than one row of Python lists
+    and floats is held beside the matrix.  Any other text, and any text the
+    row reader does not accept, is parsed whole by ``json.loads`` and
+    :func:`matrix_from_doc`, which raises the :class:`MatrixFormatError` that
+    names what is wrong.  Both give the same matrix for the same text.
+    """
+    m = _read_rows(text)
+    if m is not None:
+        return m
     # json.loads of an n x n matrix makes n^2 + n lists, none in a reference cycle, so
     # the cyclic collector, which would scan the growing young generations again and
     # again, is paused for it and then left as the caller had it
@@ -783,6 +794,49 @@ def loads_matrix(text: str) -> np.ndarray:
         if collecting:
             gc.enable()
     return matrix_from_doc(doc)
+
+
+_HEAD, _ROWS = '{"n": ', ', "rows": ['
+
+
+def _read_rows(text: str) -> np.ndarray | None:
+    """The matrix of ``text`` if it has the layout of :func:`dumps_matrix` and
+    finite values, read one row at a time; else ``None``.
+
+    The layout is the exact header ``{"n": N, "rows": [``, ``N`` rows joined
+    by ``", "``, then ``]}`` and JSON whitespace.  Each row is decoded by
+    json's own scanner, checked by :func:`_is_pair_row` and converted into
+    its line of one preallocated array before the next is decoded.  Nothing
+    is allocated unless ``text`` is long enough to hold ``N^2`` entries.
+    """
+    if not isinstance(text, str):  # json.loads reads bytes too
+        return None
+    start = text.find(_ROWS, 0, 48)  # a header with at most 31 digits of n
+    digits = text[len(_HEAD):start] if start > len(_HEAD) and text.startswith(_HEAD) else ""
+    if not (digits.isascii() and digits.isdigit()) or digits[0] == "0":
+        return None
+    n = int(digits)
+    if 8 * n * n > len(text):  # a writer's row of n entries has at least 8 n characters
+        return None
+    decode = json.JSONDecoder().raw_decode
+    pairs = np.empty((n, 2 * n))
+    pos = start + len(_ROWS)
+    for i in range(n):
+        try:
+            row, pos = decode(text, pos)
+        except ValueError:  # invalid JSON, or an integer of too many digits
+            return None
+        if not _is_pair_row(row, n) or not text.startswith(", " if i < n - 1 else "]}", pos):
+            return None
+        try:
+            pairs[i] = np.fromiter(itertools.chain.from_iterable(row), np.float64, 2 * n)
+        except OverflowError:  # an integer beyond the float range
+            return None
+        pos += 2
+    m = pairs.view(np.complex128)  # (n, n): re, im, re, im, ... in each row
+    if text[pos:].strip(" \t\n\r") or not np.isfinite(m).all():
+        return None
+    return m
 
 
 def save_matrix(path, m) -> None:

@@ -234,9 +234,16 @@ def _check(h: np.ndarray, metric: np.ndarray, kinds=KINDS, inverse_of=None, on_m
     return residuals, singular, canonical, metric_inv, pivot
 
 
+class _TakenIn(dict):
+    """Candidates :func:`_taken_in` has already converted and checked."""
+
+
 def _taken_in(h: np.ndarray, candidates) -> dict[str, np.ndarray]:
-    """The candidates as complex matrices, each checked to have the shape of H."""
-    taken = {}
+    """The candidates as complex matrices, each checked to have the shape of H;
+    candidates it returned before are returned as they are."""
+    if isinstance(candidates, _TakenIn):
+        return candidates
+    taken = _TakenIn()
     for name, metric in (candidates or {}).items():
         taken[name] = metric = as_matrix(metric)
         if metric.shape != h.shape:

@@ -257,14 +257,20 @@ def build_hamiltonian(pot: PotentialSpec, grid: GridSpec) -> np.ndarray:
 def gauge_metric(pot: PotentialSpec, grid: GridSpec) -> tuple[str, np.ndarray] | None:
     """The designated certifying metric of a gauged family, if any.
 
-    gauged_oscillator: mu = diag(exp(-beta x^2)) certifies pseudo-adjointness.
+    gauged_oscillator: mu = diag(exp(-beta x^2)) certifies pseudo-adjointness;
+    where an entry overflows, mu is scaled so that its largest entry is 1.
     gauged_hermitian:  eta = Par diag(exp(-2 i gamma x^3)) certifies
     pseudo-Hermiticity with alternating-sign pseudo-norms (requires a
     symmetric grid).
     """
     x = grid.points()
     if pot.family == "gauged_oscillator":
-        return "gauge_mu", np.diag(np.exp(-pot.params["beta"] * x * x)).astype(np.complex128)
+        exponent = -pot.params["beta"] * x * x
+        with np.errstate(over="ignore"):
+            mu = np.exp(exponent)
+        if not np.isfinite(mu).all():  # a metric is defined only up to a positive factor
+            mu = np.exp(exponent - exponent.max())
+        return "gauge_mu", np.diag(mu).astype(np.complex128)
     if pot.family == "gauged_hermitian" and grid.symmetric:
         x3 = _sequential_power(x, 3)
         # a dense operand keeps the product on numpy's BLAS path, whose bits,

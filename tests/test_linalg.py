@@ -4,6 +4,7 @@ import ctypes.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1193,6 +1194,93 @@ def square_matrices():
         lambda values: np.array(values).view(np.complex128).reshape(n, n)))
 
 
+# Values a writer text holds: both zeros (the writer writes -0.0 as "-0"),
+# integral values (written as JSON integers), subnormals, the ends of the
+# range, and floats scaled by 2^k.
+writer_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.integers(-2**60, 2**60).map(float),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023)),
+    any_float,
+)
+
+
+@st.composite
+def writer_texts(draw):
+    """The interchange text ``dumps_matrix`` writes for an n x n matrix, n = 1-4."""
+    n = draw(st.integers(1, 4))
+    values = draw(st.lists(writer_values, min_size=2 * n * n, max_size=2 * n * n))
+    return linalg.dumps_matrix(np.array(values).view(np.complex128).reshape(n, n))
+
+
+# A number token of the rows, and what may stand in its place
+NUMBER = re.compile(r"-?[0-9][0-9.eE+-]*")
+ODD_TOKENS = ["true", "null", "1" + "0" * 400, "-1" + "0" * 400, "NaN", "Infinity", "-Infinity",
+              "1e400", '"1"', "[]", "[1, 2]", "2.5"]
+# JSON whitespace and characters that are not, \x0b and \x0c among them, which \s matches
+SPACES = ["", " ", "  ", "\n", "\t", "\r\n ", "\x0b", "\x0c", "\u00a0"]
+ROW_EDITS = ["value", "short row", "long row", "header"]
+TEXT_EDITS = ["whitespace", "reordered keys", "extra key", "trailing"]
+
+
+@st.composite
+def perturbed_texts(draw):
+    """A writer text with up to two edits of its header or rows (a value
+    replaced by a token that is no finite number, an entry removed from or
+    added to a row, another ``n``) and then one of its text (other
+    whitespace, the keys reordered, another key, or trailing text)."""
+    head, rows = draw(writer_texts()).split(', "rows": ', 1)
+    rows = rows[:-2]  # without "}\n"
+    for kind in draw(st.lists(st.sampled_from(ROW_EDITS), max_size=2)):
+        if kind == "value":
+            token = draw(st.sampled_from(list(NUMBER.finditer(rows)) or [None]))
+            if token is not None:
+                rows = rows[:token.start()] + draw(st.sampled_from(ODD_TOKENS)) + rows[token.end():]
+        elif kind == "header":
+            n = head[len('{"n": '):]
+            head = '{"n": ' + draw(st.sampled_from(
+                [n + "1", n[:-1] or "0", "0" + n, n + ".0", "-" + n, "true", f'"{n}"',
+                 "99999999999", "1" + "0" * 400]))
+        else:
+            entry = draw(st.sampled_from(list(re.finditer(r"\[[^\[\]]*\]", rows)) or [None]))
+            if entry is None:
+                continue
+            if kind == "long row":
+                rows = rows[:entry.end()] + ", [0, 0]" + rows[entry.end():]
+            elif rows[entry.end()] == ",":
+                rows = rows[:entry.start()] + rows[entry.end() + 2:]
+            else:
+                rows = rows[:entry.start()].removesuffix(", ") + rows[entry.end():]
+    text = head + ', "rows": ' + rows + "}\n"
+    kind = draw(st.sampled_from([None, *TEXT_EDITS]))
+    if kind == "whitespace":
+        at = draw(st.sampled_from([0, len(text) - 1] + [m.start() + 1
+                                                         for m in re.finditer("[,:] ", text)]))
+        if at == 0:
+            text = draw(st.sampled_from(SPACES)) + text
+        else:  # in place of a separator's space or of the final newline
+            text = text[:at] + draw(st.sampled_from(SPACES)) + text[at + 1:]
+    elif kind == "reordered keys":
+        text = '{"rows": ' + rows + ", " + head[1:] + "}\n"
+    elif kind == "extra key":
+        key = draw(st.sampled_from(['"x": 1', '"n": 1', '"rows": []', '"x": {"n": 1}']))
+        text = (text[:1] + key + ", " + text[1:] if draw(st.booleans())
+                else text[:-2] + ", " + key + text[-2:])
+    elif kind == "trailing":
+        text = draw(st.sampled_from([text + "x", text + "]", text + "}", text + " 1", text[:-1],
+                                     text[:-2], text + "\x00", text + "{}", text[:-1] + "x\n"]))
+    return text
+
+
+def reference_loads_matrix(text: str) -> np.ndarray:
+    """``loads_matrix`` as the whole-document reader: ``json.loads``, then ``matrix_from_doc``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise linalg.MatrixFormatError(f"invalid JSON: {exc}") from exc
+    return linalg.matrix_from_doc(doc)
+
+
 class TestMatrixReader:
     @settings(max_examples=200, deadline=None)
     @given(interchange_docs())
@@ -1222,3 +1310,48 @@ class TestMatrixReader:
         assert text == linalg.to_json_text(reference_matrix_doc(m)) + "\n"
         # a zero is written as "0" or "-0", which JSON reads as the integer 0
         assert linalg.loads_matrix(text).tobytes() == (m + 0.0).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(writer_texts())
+    @example('{"n": 1, "rows": [[[-0, 0]]]}\n')
+    @example(linalg.dumps_matrix(np.array([[1.0, 2.0**-1074], [-0.0, -(2.0**1023)]])))
+    def test_writer_texts_are_read_row_by_row(self, text):
+        # the bytes of the whole-document reader, without json.loads
+        want = reference_loads_matrix(text)
+        with mock.patch.object(json, "loads", side_effect=AssertionError("json.loads called")):
+            got = linalg.loads_matrix(text)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_texts())
+    @example('{"n": 99999999999, "rows": []}')  # no array is sized from the header alone
+    @example('{"n": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}\x0c')
+    @example('{"n": 1, "rows": [[[1, 0]]], "n": 1}\n')
+    @example('{"n": 01, "rows": [[[1, 0]]]}\n')
+    @example('{"n": 1, "rows": [[[1, 0]]]')
+    @example('{"n": 2, "rows": [[[1, 0], [0, 0]]  [[0, 0], [1, 0]]]}\n')
+    @example('{"n": 1, "rows": [[[NaN, 0]]]}\n')
+    @example('{"n": 1, "rows": [[[1' + "0" * 400 + ', 0]]]}\n')
+    @example('{"n": 1, "rows": [[[1' + "0" * 5000 + ', 0]]]}\n')
+    def test_other_texts_give_the_whole_document_outcome(self, text):
+        # the same error, message and cause, or the same matrix
+        try:
+            want = reference_loads_matrix(text)
+        except (linalg.MatrixFormatError, ValueError) as exc:
+            with pytest.raises(type(exc)) as info:
+                linalg.loads_matrix(text)
+            assert str(info.value) == str(exc)
+            assert type(info.value.__cause__) is type(exc.__cause__)
+        else:
+            assert linalg.loads_matrix(text).tobytes() == want.tobytes()
+
+    def test_only_other_layouts_call_json_loads(self):
+        m = np.arange(9.0).reshape(3, 3) - 2.5j
+        doc = json.loads(linalg.dumps_matrix(m))
+        for text, calls in ((linalg.dumps_matrix(m), 0), (json.dumps(doc, indent=1), 1),
+                            (json.dumps(doc, separators=(",", ":")), 1),
+                            (linalg.dumps_matrix(m).encode(), 1)):
+            with mock.patch.object(json, "loads", wraps=json.loads) as loads:
+                assert linalg.loads_matrix(text).tobytes() == m.tobytes()
+            assert loads.call_count == calls

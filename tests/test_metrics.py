@@ -702,6 +702,22 @@ class TestClassify:
         holding = {r.name for r in report.pseudo_real if r.holds}
         assert {c.metric_name for c in report.reality_checks} == holding
 
+    def test_each_candidate_is_taken_in_once(self, monkeypatch):
+        # classify converts and checks each candidate once, before the
+        # eigensolve; check_metrics reuses what it took in
+        candidates = {"sigma_x": SIGMA_X.tolist(), "sigma_z": SIGMA_Z.copy()}
+        seen = []
+
+        def counting(m):
+            seen.append(id(m))
+            return as_matrix(m)
+
+        as_matrix = metrics.as_matrix
+        monkeypatch.setattr(metrics, "as_matrix", counting)
+        report = classify(h5(0.0, 0.6, 1.0), candidates)
+        assert [seen.count(id(m)) for m in candidates.values()] == [1, 1]
+        assert {r.name for r in report.pseudo_real} >= set(candidates)
+
     def test_reality_checks_cover_holding_rhos(self):
         report = classify(h5(0.0, 0.6, 1.0), {"sigma_x": SIGMA_X})
         names = {c.metric_name for c in report.reality_checks}

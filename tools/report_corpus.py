@@ -11,7 +11,9 @@ written).  Two checkouts that print the same lines write the same
 reports, so running this on a change and on its parent shows which
 reports a change alters.  Input matrices are written into a temporary
 directory, which is also the working directory, and passed by relative
-name, so ``input.source`` is the same on every tree.
+name, so ``input.source`` is the same on every tree.  The last report
+reads its inputs in another JSON layout than the writer's, so that both
+paths of the interchange reader run.
 
 BLAS is pinned to one thread, because a threaded BLAS may sum in a
 different order from run to run.
@@ -137,6 +139,13 @@ LITERAL_INPUTS = {
 }
 
 
+# The dense inputs of the first analyze report, each written by json.dumps
+# with indent=1: a layout the reader parses whole rather than one row at a
+# time.  Run last, so that every other report keeps its index.
+INDENTED = ["--matrix", "dense_indented.json", "--rho", "dense_rho_indented.json",
+            "--eta", "dense_eta_indented.json"]
+
+
 def write_inputs() -> list[list[str]]:
     """Write the ``analyze`` inputs into the working directory; return their argv."""
     import numpy as np
@@ -166,6 +175,9 @@ def write_inputs() -> list[list[str]]:
         save_matrix(name, m)
     for name, text in LITERAL_INPUTS.items():
         Path(name).write_text(text, encoding="utf-8")
+    for name in ("dense", "dense_rho", "dense_eta"):
+        doc = json.loads(Path(f"{name}.json").read_text(encoding="utf-8"))
+        Path(f"{name}_indented.json").write_text(json.dumps(doc, indent=1), encoding="utf-8")
     return [
         ["--matrix", "dense.json", "--rho", "dense_rho.json", "--eta", "dense_eta.json"],
         ["--matrix", "h8.json"],
@@ -230,7 +242,8 @@ def run(src: Path, save: Path | None) -> None:
             invocations = ([["discretize", *a] for a in DISCRETIZE]
                            + [["builtin", *a] for a in BUILTIN]
                            + [["analyze", *a] for a in analyze]
-                           + [["sweep", *a] for a in SWEEP])
+                           + [["sweep", *a] for a in SWEEP]
+                           + [["analyze", *INDENTED]])
             for index, argv in enumerate(invocations):
                 out = Path("report.json")
                 out.unlink(missing_ok=True)
